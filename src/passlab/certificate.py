@@ -40,7 +40,7 @@ from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat
 from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
-from .statespace import StateSpace, si_matrix, staircase
+from .statespace import StateSpace, resolvent, staircase
 
 
 class FactorizationError(Exception):
@@ -208,9 +208,9 @@ def build_zx(ss: StateSpace, L: np.ndarray, W: np.ndarray) -> RationalMatrix:
         den = _fp([1.0])
         num = _const_to_fp(W.reshape(q, n))
         return RationalMatrix.from_grid(num, den, q, n)
-    si = si_matrix(ss.A_exact)
-    den = _poly_to_fp(si.det())
-    adj = _polymat_to_fp(si.adjugate())
+    charpoly, adj_exact = resolvent(ss.A_exact)
+    den = _poly_to_fp(charpoly)
+    adj = _polymat_to_fp(adj_exact)
     num = _fp_matmul(_fp_matmul(_const_to_fp(L), adj, q, ss.d, ss.d),
                      _const_to_fp(ss.B), q, ss.d, n)
     for i in range(q):

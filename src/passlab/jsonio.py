@@ -5,8 +5,9 @@ One input schema covers both system representations:
     {"kind": "pair", "P": [[poly, ...], ...], "Q": [[poly, ...], ...]}
     {"kind": "ss", "A": [[num, ...], ...], "B": ..., "C": ..., "D": ...}
 
-A polynomial is an array of coefficients, lowest power first; scalar
-entries are JSON numbers or exact-rational strings "num/den".  Output is
+A static system (d = 0) has "A": [], "B": [] and "C": [[], ...], one empty
+row per port.  A polynomial is an array of coefficients, lowest power
+first; scalar entries are JSON numbers or exact-rational strings "num/den".  Output is
 deterministic: keys sorted, exact rationals rendered "num/den", floats
 rounded through 12 significant digits.
 """
@@ -62,7 +63,7 @@ def parse_polymat(obj, what: str = "matrix") -> PolyMat:
 def parse_matrix(obj, what: str = "matrix") -> list[list[Fraction]]:
     if not isinstance(obj, list):
         raise InputError(f"{what} must be an array")
-    rows = obj if obj and isinstance(obj[0], list) else [obj]
+    rows = obj if not obj or isinstance(obj[0], list) else [obj]
     return [[parse_scalar(e) for e in row] for row in rows]
 
 

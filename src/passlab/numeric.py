@@ -79,9 +79,6 @@ class RootSet:
     roots: tuple[tuple[complex, int, str], ...]
     robust: bool  # every tag stable under a 10x wider axis band
 
-    def in_region(self, tags) -> list[tuple[complex, int, str]]:
-        return [r for r in self.roots if r[2] in tags]
-
     @property
     def total_multiplicity(self) -> int:
         return sum(m for _, m, _ in self.roots)

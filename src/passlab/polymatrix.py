@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,9 +196,6 @@ class PolyMat:
             for j, e in enumerate(row):
                 out[i, j] = e.eval_complex(z)
         return out
-
-    def eval_fraction(self, t) -> list[list[Fraction]]:
-        return [[e(t) for e in row] for row in self.entries]
 
     # -- determinants ------------------------------------------------------------------
 
@@ -445,7 +441,7 @@ def row_reduced(M: PolyMat) -> EchelonResult:
         a = [list(row) for row in a_new.entries]
         U = opm @ U
         Uinv = Uinv @ PolyMat(opinv)
-    return EchelonResult(U=U, Uinv=Uinv, E=PolyMat(a), rank=l)
+    return EchelonResult(U=U, Uinv=Uinv, E=PolyMat(a, cols=c), rank=l)
 
 
 def column_reduced(M: PolyMat) -> EchelonResult:
@@ -497,16 +493,20 @@ def _left_kernel_vector(grid) -> list[Fraction] | None:
 
 def delta(M: PolyMat) -> int:
     """Max degree over determinants of all full-size column subsets.
-    Requires normalrank(M) == rows."""
-    m = M.rows
-    if normalrank(M) < m:
+    Requires normalrank(M) == rows.
+
+    Predictable-degree property (Forney, SIAM J. Control 13, 1975): if E is
+    row reduced with row degrees k_i, every maximal minor of E has degree
+    <= sum k_i, and its s^(sum k_i) coefficient is the matching maximal
+    minor of the leading row-coefficient matrix, which has full row rank,
+    so one of them is nonzero.  E = U M with U unimodular scales every
+    maximal minor of M by the nonzero constant det U (Cauchy-Binet), so M's
+    minors have the same degrees as E's.
+    """
+    if normalrank(M) < M.rows:
         raise ValueError("rank deficient")
-    best = NEG_INF
-    for cols in itertools.combinations(range(M.cols), m):
-        d = M.select_columns(cols).det().degree
-        if d > best:
-            best = d
-    return int(best)
+    E = row_reduced(M).E
+    return sum(int(max(e.degree for e in row)) for row in E.entries)
 
 
 def minor_gcd(M: PolyMat) -> Poly:

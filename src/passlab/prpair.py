@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,17 @@ def _even_poly_to_real_axis(g: Poly) -> Poly:
                  for k, c in enumerate(g.coeffs)])
 
 
+def _axis_minors(Phi: PolyMat):
+    """(subset, h) for every nonzero principal minor of Phi, with h the real
+    polynomial h(w) = minor(jw), smallest subsets first."""
+    n = Phi.rows
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            minor = Phi.submatrix(subset, subset).det()
+            if not minor.is_zero:
+                yield subset, _even_poly_to_real_axis(minor)
+
+
 def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
              ) -> tuple[bool, Fraction | None]:
     """Exact test: Phi(jw) PSD for every real w, for para-Hermitian Phi.
@@ -160,23 +172,37 @@ def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
     """
     if not (Phi.star() == Phi):
         raise ValueError("matrix is not para-Hermitian")
-    n = Phi.rows
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            minor = Phi.submatrix(subset, subset).det()
-            if minor.is_zero:
-                continue
-            h = _even_poly_to_real_axis(minor)
-            wstar = find_negative_point(h)
-            if wstar is not None:
-                return False, wstar
+    for _, h in _axis_minors(Phi):
+        wstar = find_negative_point(h)
+        if wstar is not None:
+            return False, wstar
     return True, None
+
+
+def _sci(q: Fraction) -> str:
+    """An exact rational to 6 significant digits, at any magnitude."""
+    return f"{Context(prec=6).divide(Decimal(q.numerator), Decimal(q.denominator)):g}"
+
+
+def _axis_inconclusive(Phi: PolyMat, wstar: Fraction, H: np.ndarray,
+                       reason: str) -> CondVerdict:
+    """The exact axis test found Phi(jw*) indefinite but the float view of
+    Phi(jw*) does not confirm it: report both views, decide nothing."""
+    subset, value = next((sub, h(wstar)) for sub, h in _axis_minors(Phi)
+                         if h(wstar) < 0)
+    eig = (f"{np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0]:.6g}"
+           if np.all(np.isfinite(H)) else "not finite")
+    return CondVerdict(INCONCLUSIVE, (),
+                       f"{reason}: at w* = {_sci(wstar)} the exact principal "
+                       f"minor {list(subset)} of PQ*+QP* is {_sci(value)}, the "
+                       f"float smallest eigenvalue of PQ*+QP* is {eig}")
 
 
 def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
                      cond2: CondVerdict | None = None) -> CondVerdict:
     """PSD of PQ^H + QP^H on the closed right half-plane, via boundary +
-    analyticity (see module docstring for the soundness argument)."""
+    analyticity (see module docstring for the soundness argument).  An exact
+    axis violation that floats cannot confirm at w* is inconclusive."""
     _validate_pair(P, Q)
     if cond2 is None:
         cond2 = check_condition2(P, Q, tol)
@@ -186,15 +212,17 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     if not ok_axis:
         lam = complex(0.0, float(wstar))
         H = Phi.eval_complex(lam)
-        psd, vec = hermitian_psd(H, tol)
+        psd, vec = hermitian_psd(H, tol) if np.all(np.isfinite(H)) else (True, None)
         if psd or vec is None:
-            raise AssertionError("exact axis violation not visible numerically")
+            return _axis_inconclusive(
+                Phi, wstar, H, "exact axis violation not visible numerically")
         val = float(np.real(vec.conj() @ H @ vec))
+        if not val < 0:
+            return _axis_inconclusive(
+                Phi, wstar, H, "axis witness failed re-verification")
         w = Witness(kind="axis-indefinite", lam=lam, vector=tuple(vec),
-                    value=val, reverified=val < 0,
+                    value=val, reverified=True,
                     detail=f"PQ*+QP* indefinite at s = j{float(wstar):g}")
-        if not w.reverified:
-            raise AssertionError("axis witness failed re-verification")
         return CondVerdict(FAIL, (w,))
 
     dpq = (P + Q).det()

@@ -6,7 +6,7 @@ which the trajectory checks rely on: boundary terms of integration-by-
 parts identities need exact derivatives of every order.
 
 A tiny parser accepts CLI expressions such as "sin(t)", "2*cos(3t)",
-"t^2*exp(-0.5t) - 0.25", "sin(t)+0.5*cos(2t)".
+"sin(2.5*t)", "t^2*exp(-0.5t) - 0.25", "sin(t)+0.5*cos(2t)".
 """
 
 from __future__ import annotations
@@ -148,6 +148,18 @@ def _coef_value(text: str | None) -> float:
     return float(text)
 
 
+def _top_level(text: str):
+    """(index, char) for each character outside every pair of parentheses."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0:
+            yield i, ch
+
+
 def parse_signal(text: str):
     """Parse a sum of products of atoms into a Signal.
 
@@ -158,17 +170,11 @@ def parse_signal(text: str):
         raise ValueError("empty signal expression")
     # split the top level into signed terms
     terms: list[str] = []
-    depth, start = 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            prev = text[i - 1]
-            if prev not in "eE*^(+-":
-                terms.append(text[start:i])
-                start = i
+    start = 0
+    for i, ch in _top_level(text):
+        if ch in "+-" and i > start and text[i - 1] not in "eE*^(+-":
+            terms.append(text[start:i])
+            start = i
     terms.append(text[start:])
 
     atoms = []
@@ -181,7 +187,9 @@ def parse_signal(text: str):
         if not term:
             raise ValueError("dangling sign in signal expression")
         coef, power, rate, trig, freq = sign, 0, 0.0, None, 0.0
-        for factor in term.split("*"):
+        cuts = [i for i, ch in _top_level(term) if ch == "*"]
+        factors = [term[a + 1:b] for a, b in zip([-1] + cuts, cuts + [len(term)])]
+        for factor in factors:
             if not factor:
                 raise ValueError(f"empty factor in {term!r}")
             for kind, rx in _FACTOR_RES:

@@ -174,6 +174,36 @@ def si_matrix(A_exact) -> PolyMat:
                      for j in range(d)] for i in range(d)])
 
 
+def resolvent(A_exact) -> tuple[Poly, PolyMat]:
+    """(det(sI - A), adj(sI - A)), exact, by the Faddeev-LeVerrier recurrence.
+
+    With N_0 = I, c_k = -tr(A N_{k-1}) / k and N_k = A N_{k-1} + c_k I,
+
+        det(sI - A) = s^d + c_1 s^(d-1) + ... + c_d,
+        adj(sI - A) = N_0 s^(d-1) + N_1 s^(d-2) + ... + N_{d-1}
+
+    (Kailath, Linear Systems, 1980; N_d = 0 is Cayley-Hamilton).
+    The c_k follow from Newton's identities for the power sums tr(A^k).
+    This takes d constant matrix products over the rationals.
+    """
+    A = [[Fraction(x) for x in row] for row in A_exact]
+    d = len(A)
+    N = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    charpoly = [Fraction(1)]  # c_0, c_1, ..., high degree first
+    layers = []  # N_0, ..., N_{d-1}
+    for k in range(1, d + 1):
+        layers.append(N)
+        AN = _fmatmul(A, N)
+        c = -sum(AN[i][i] for i in range(d)) / k
+        charpoly.append(c)
+        N = [[x + c if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(AN)]
+    det = Poly(reversed(charpoly))
+    adj = PolyMat([[Poly([layers[d - 1 - m][i][j] for m in range(d)])
+                    for j in range(d)] for i in range(d)], cols=d)
+    return det, adj
+
+
 # -- Krylov tests ----------------------------------------------------------------------
 
 

@@ -147,6 +147,31 @@ class TestExitCodes:
         p.write_text(_json.dumps(doc))
         assert main(["check-pair", str(p)]) == 3
 
+    def test_near_axis_certify_exit_3(self, tmp_path, capsys):
+        # exactly unstable (a = 1e-12 > 0) but float-indistinguishable from
+        # the axis: inconclusive with both views reported, not a crash
+        p = tmp_path / "near_axis.json"
+        p.write_text(json.dumps({"kind": "ss", "A": [["1e-12"]], "B": [["1"]],
+                                 "C": [["1"]], "D": [["1"]]}))
+        assert main(["certify", str(p)]) == 3
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["status"] == "inconclusive"
+        detail = out["pair_verdict"]["cond1"]["detail"]
+        assert "not visible numerically" in detail and "w* = 0" in detail
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("D, code", [
+        ([[1]], 0),                # static-resistor
+        ([[1, 0], [0, 2]], 0),     # static-2port
+        ([[-1]], 1),               # neg-resistor
+    ])
+    def test_static_systems_load(self, tmp_path, capsys, D, code):
+        p = tmp_path / "static.json"
+        p.write_text(json.dumps({"kind": "ss", "A": [], "B": [],
+                                 "C": [[] for _ in D], "D": D}))
+        assert main(["certify", str(p)]) == code
+
     def test_verify_cert_empty_L_W(self, files, tmp_path, capsys):
         import json as _json
         ss = tmp_path / "osc.json"

@@ -15,6 +15,20 @@ from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
 S = Poly.x()
 
 
+def delta_by_minors(M: PolyMat) -> int:
+    """Reference for delta: the max degree over all C(cols, rows) maximal
+    minors, enumerated."""
+    return int(max(M.select_columns(cols).det().degree
+                   for cols in itertools.combinations(range(M.cols), M.rows)))
+
+
+def leading_row_matrix(M: PolyMat) -> PolyMat:
+    """Coefficients of each row at its own row degree."""
+    degs = [max(e.degree for e in row) for row in M.entries]
+    return PolyMat.constant([[e.coeff(int(k)) for e in row]
+                             for row, k in zip(M.entries, degs)])
+
+
 class TestDet:
     def test_identity(self):
         assert PolyMat.identity(2).det() == Poly.one()
@@ -59,6 +73,35 @@ class TestDelta:
 
     def test_rank_deficient_raises(self):
         M = PolyMat([[S, S], [S, S]])
+        with pytest.raises(ValueError, match="rank deficient"):
+            delta(M)
+
+    def test_matches_minor_enumeration(self):
+        """M = U R with U unimodular (unit upper triangular): the leading
+        row-coefficient matrix of M is rank deficient, so row reduction has
+        to iterate before the row degrees can be summed."""
+        rng = random.Random(104729)
+        shapes = [(1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 5)]
+        for rows, cols in shapes * 4:
+            while True:
+                R = rand_polymat(rng, rows, cols, 2, 3)
+                if normalrank(R) < rows:
+                    continue
+                U = PolyMat([[rand_poly(rng, 2, 3) if j > i else Poly.of(int(i == j))
+                              for j in range(rows)] for i in range(rows)])
+                M = U @ R
+                if rows == 1 or normalrank(leading_row_matrix(M)) < rows:
+                    break
+            assert delta(M) == delta_by_minors(M)
+
+    def test_no_rows(self):
+        M = PolyMat([], cols=3)
+        assert delta(M) == delta_by_minors(M) == 0
+
+    def test_rank_deficient_wide_raises(self):
+        rng = random.Random(5)
+        r = rand_polymat(rng, 1, 4, 2)
+        M = r.vstack(r * Fraction(3)).vstack(rand_polymat(rng, 1, 4, 2))
         with pytest.raises(ValueError, match="rank deficient"):
             delta(M)
 

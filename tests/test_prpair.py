@@ -92,6 +92,15 @@ class TestCondition1:
         v = check_condition1(PolyMat([[Poly.constant(-1)]]), PolyMat.identity(1))
         assert v.status == FAIL
 
+    def test_near_axis_violation_is_inconclusive(self):
+        # G = 1 + 1/(s - a), a = 1e-12: PQ*+QP* = -2a(1 - a) < 0 at w = 0
+        # exactly, but the float view of Phi(j0) is inside the PSD floor
+        a = Fraction(1, 10**12)
+        v = check_condition1(PolyMat([[S + 1 - a]]), PolyMat([[S - a]]))
+        assert v.status == INCONCLUSIVE and not v.witnesses
+        assert v.detail.startswith("exact axis violation not visible numerically")
+        assert "w* = 0" in v.detail and "is -2e-12" in v.detail
+
     def test_symmetry_under_swap(self):
         """The defining expression is symmetric in (P, Q)."""
         rng = random.Random(12)

@@ -56,6 +56,11 @@ class TestParser:
         assert abs(f(t) - (2 * t * math.exp(-0.5 * t) - 0.25)) < 1e-13
         g = parse_signal("sin(t)+0.5*cos(2t)")
         assert abs(g(t) - (math.sin(t) + 0.5 * math.cos(2 * t))) < 1e-13
+        # a "*" inside parentheses does not split factors
+        for starred, plain in [("sin(2.5*t)", "sin(2.5t)"),
+                               ("exp(-0.5*t)", "exp(-0.5t)"),
+                               ("t^2*exp(-0.5*t)", "t^2*exp(-0.5t)")]:
+            assert parse_signal(starred).atoms == parse_signal(plain).atoms
 
     def test_leading_minus(self):
         f = parse_signal("-sin(t)")

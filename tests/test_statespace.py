@@ -12,8 +12,9 @@ from passlab.polymatrix import (PolyMat, delta, normalrank,
 from passlab.signals import Signal
 from passlab.statespace import (RealizationError, StateSpace, controllable,
                                 observable, realize_behavior,
-                                realize_statespace, simulate, stabilizable,
-                                staircase, storage_check)
+                                realize_statespace, resolvent, si_matrix,
+                                simulate, stabilizable, staircase,
+                                storage_check)
 
 S = Poly.x()
 
@@ -99,6 +100,56 @@ class TestRealizeStateSpace:
             Pr, Qr = realize_behavior(ss)
             assert pairs_equal(Pr, Qr, P, Q)
             done += 1
+
+
+class TestResolvent:
+    @staticmethod
+    def check(A):
+        det, adj = resolvent(A)
+        si = si_matrix(A)
+        assert det == si.det()
+        assert adj == si.adjugate()
+
+    def test_random_rational(self):
+        rng = random.Random(104729)
+        for d in range(1, 8):
+            for _ in range(2 if d < 7 else 1):
+                self.check([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(d)] for _ in range(d)])
+
+    def test_nilpotent(self):
+        rng = random.Random(3)
+        for d in range(1, 6):
+            A = [[Fraction(rng.randint(-5, 5)) if j > i else Fraction(0)
+                  for j in range(d)] for i in range(d)]
+            self.check(A)
+            assert resolvent(A)[0] == S ** d
+
+    def test_repeated_eigenvalue(self):
+        # T J T^-1 with J one Jordan block of -1/2 and a 1x1 block of -1/2
+        J = [[Fraction(-1, 2), 1, 0, 0], [0, Fraction(-1, 2), 1, 0],
+             [0, 0, Fraction(-1, 2), 0], [0, 0, 0, Fraction(-1, 2)]]
+        T = [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 2], [0, 1, 0, 1]]
+        Tinv = np.linalg.inv(np.array(T, dtype=float))  # det T = 10
+        Tinv = [[Fraction(round(x * 10), 10) for x in row] for row in Tinv]
+        A = [[sum(Fraction(T[i][k]) * J[k][l] * Tinv[l][j]
+                  for k in range(4) for l in range(4)) for j in range(4)]
+             for i in range(4)]
+        self.check(A)
+        assert resolvent(A)[0] == (S + Fraction(1, 2)) ** 4
+
+    def test_singular(self):
+        rng = random.Random(8)
+        for d in range(2, 6):
+            A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(d)]
+                 for _ in range(d - 1)]
+            A.append([A[0][j] - 2 * A[-1][j] for j in range(d)])  # dependent row
+            self.check(A)
+            assert resolvent(A)[0].coeff(0) == 0
+
+    def test_no_states(self):
+        det, adj = resolvent([])
+        assert det == Poly.one() and (adj.rows, adj.cols) == (0, 0)
 
 
 class TestKrylovTests:
