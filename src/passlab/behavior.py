@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import NEG_INF, Poly
 from .polymatrix import (PolyMat, column_echelon, delta, divisible_on_right,
-                         normalrank, syzygy_basis)
+                         normalrank, syzygy_basis, unimodular_inverse)
 from .prpair import PASS, PRPairVerdict, check_pair
 
 
@@ -70,7 +70,8 @@ def decompose(P: PolyMat, Q: PolyMat) -> Decomposition:
     if normalrank(PQ) < n:
         raise DecompositionError("normalrank deficient")
     res = column_echelon(PQ)  # PQ @ W == [F 0]
-    W, What, F = res.U, res.Uinv, res.E
+    W, F = res.U, res.E
+    What = unimodular_inverse(W)
     idx_top = range(n)
     idx_bot = range(n, 2 * n)
     X = W.submatrix(idx_top, idx_top)
@@ -85,7 +86,7 @@ def decompose(P: PolyMat, Q: PolyMat) -> Decomposition:
     detF = F.det()
     if detF.degree == 0:
         # coprime pair: absorb the unimodular F into (Ptil, Qtil)
-        Finv = F.adjugate() * (1 / detF.coeffs[0])
+        Finv = unimodular_inverse(F)
         X, Y = X @ Finv, Y @ Finv
         Ptil, Qtil = P, Q
         F = PolyMat.identity(n)

@@ -40,7 +40,7 @@ from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat
 from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
-from .statespace import StateSpace, resolvent, staircase
+from .statespace import StateSpace, realize_behavior, resolvent, staircase
 
 
 class FactorizationError(Exception):
@@ -260,6 +260,14 @@ def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
     return _fp_trim(np.sqrt(gamma) * mon.real)
 
 
+def _require_axis_psd(H: PolyMat, tol: Tolerance) -> None:
+    """The PSD-on-axis premise of every spectral factorization, decided exactly."""
+    ok, wstar = axis_psd(H, tol)
+    if not ok:
+        raise FactorizationError(
+            f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
+
+
 def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
                          ) -> SpectralFactor:
     """Spectral factor of a para-Hermitian polynomial matrix.
@@ -270,10 +278,7 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
     """
     if not (H.star() == H):
         raise ValueError("matrix is not para-Hermitian")
-    ok, wstar = axis_psd(H, tol)
-    if not ok:
-        raise FactorizationError(
-            f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
+    _require_axis_psd(H, tol)
     n = H.rows
     rows: list[tuple[int, np.ndarray]] = []
     if n == 1:
@@ -483,6 +488,10 @@ def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     diag = _spectral_diagnostics(Z, h_on_axis, tol)
     if not diag["ok"]:
         raise FactorizationError(f"spectral factor failed re-verification: {diag}")
+    # Exact premise: G = Q^-1 P, so G + G* = Q^-1 (P Q* + Q P*) Q^-*, and the
+    # sampled diagnostics cannot see a violation between their frequencies.
+    P, Q = realize_behavior(ss)
+    _require_axis_psd(P @ Q.star() + Q @ P.star(), tol)
     return SpectralFactor(Z=Z, r=ss.n, diagnostics=diag), are
 
 
@@ -709,8 +718,6 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
     controllable image pair; L from the eigenstructure system; stable
     Lyapunov solve; W = lim K M^-1; assembly and a mandatory verify pass.
     """
-    from .statespace import realize_behavior
-
     P, Q = realize_behavior(ss)
     verdict = check_pair(P, Q, tol)
     if verdict.overall != PASS:

@@ -211,15 +211,6 @@ def lossless_lyap_solve(Au: np.ndarray, Bu: np.ndarray, Cu: np.ndarray,
 # -- Schur form and the stable/unstable split ------------------------------------------
 
 
-def real_schur(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal Z and quasi-triangular T with A = Z T Z^T."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    T, Z = scipy.linalg.schur(A, output="real")
-    return Z, T
-
-
 @dataclass(frozen=True)
 class SpectralSplit:
     """T @ A @ inv(T) == blockdiag(As, Au); spec(As) strictly stable, spec(Au)

@@ -244,12 +244,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = lc * prod f_i^i with the f_i monic, square-free,
     pairwise coprime.  Returns [(f_i, i)] for the nonconstant f_i."""

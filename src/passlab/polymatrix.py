@@ -1,12 +1,12 @@
 """Exact polynomial-matrix algebra over the rationals.
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
-row/column echelon reductions (with the transform *and* its inverse
-accumulated, so matrix inversion of unimodular factors is free),
-fraction-free Bareiss determinants, syzygy bases, right-divisibility,
-normal rank, the max-degree-of-full-size-minors functional used for
-properness tests, and constant-rank tests over a region of the complex
-plane.
+row/column echelon reductions, the inverse of a unimodular matrix (one
+more echelon pass), fraction-free Bareiss determinants, syzygy bases,
+right-divisibility, normal rank, the max-degree-of-full-size-minors
+functional used for properness tests, and constant-rank tests over a region
+of the complex plane.  The dense rational-matrix helpers (`_frref` and the
+rank, kernel, inverse and product built on it) live here too.
 
 Conventions:
   * row echelon:     U @ M == stack(E, zero rows),  U unimodular
@@ -276,6 +276,69 @@ class PolyMat:
         return PolyMat(out)
 
 
+# -- exact rational dense linear algebra (small helpers) -------------------------
+
+
+def _frref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column list, exact."""
+    m = [row[:] for row in M]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _frank(M: list[list[Fraction]]) -> int:
+    return len(_frref(M)[1])
+
+
+def _fkernel(M: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Columns form a basis of {z : M z = 0}, exact."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    rref, pivots = _frref(M)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rref[i][fc]
+        basis.append(v)
+    # return as column list -> matrix cols x len(basis)
+    return [[b[i] for b in basis] for i in range(cols)]
+
+
+def _finverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(M)
+    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(M)]
+    rref, pivots = _frref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rref]
+
+
+def _fmatmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 # -- rank over the rational function field ------------------------------------------
 
 
@@ -312,10 +375,8 @@ def normalrank(M: PolyMat) -> int:
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """U @ M == stack(E, zeros) for row forms; M @ U == [E  0] for column forms.
-    Uinv is the exact inverse of U, accumulated during the reduction."""
+    """U @ M == stack(E, zeros) for row forms; M @ U == [E  0] for column forms."""
     U: PolyMat
-    Uinv: PolyMat
     E: PolyMat | None
     rank: int
 
@@ -329,29 +390,21 @@ def row_echelon(M: PolyMat) -> EchelonResult:
     l, c = M.rows, M.cols
     a = [list(row) for row in M.entries]
     u = [[Poly.one() if i == j else Poly.zero() for j in range(l)] for i in range(l)]
-    uinv = [[Poly.one() if i == j else Poly.zero() for j in range(l)] for i in range(l)]
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
 
     def addmul(i, j, q: Poly):
-        # row_i -= q * row_j; inverse op: column_j of Uinv += q * column_i
+        # row_i -= q * row_j, on M and on the transform alike
         if q.is_zero:
             return
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for row in uinv:
-            row[j] = row[j] + q * row[i]
 
     def scale(i, s: Fraction):
         a[i] = [x * s for x in a[i]]
         u[i] = [x * s for x in u[i]]
-        sinv = 1 / s
-        for row in uinv:
-            row[i] = row[i] * sinv
 
     r = 0
     for col in range(c):
@@ -380,15 +433,24 @@ def row_echelon(M: PolyMat) -> EchelonResult:
             r += 1
 
     E = PolyMat([a[i] for i in range(r)]) if r > 0 else None
-    return EchelonResult(U=PolyMat(u), Uinv=PolyMat(uinv), E=E, rank=r)
+    return EchelonResult(U=PolyMat(u), E=E, rank=r)
 
 
 def column_echelon(M: PolyMat) -> EchelonResult:
     """Lower column echelon form: M @ V == [E  0] with V unimodular."""
     res = row_echelon(M.transpose())
     E = res.E.transpose() if res.E is not None else None
-    return EchelonResult(U=res.U.transpose(), Uinv=res.Uinv.transpose(),
-                         E=E, rank=res.rank)
+    return EchelonResult(U=res.U.transpose(), E=E, rank=res.rank)
+
+
+def unimodular_inverse(U: PolyMat) -> PolyMat:
+    """Exact inverse of a unimodular matrix.  Its Hermite form is I, so the
+    row echelon transform is the inverse (Kailath, Linear Systems, 1980,
+    sec. 6.3).  Raises ValueError when U is not unimodular."""
+    res = row_echelon(U)
+    if res.E != PolyMat.identity(U.rows):
+        raise ValueError("matrix is not unimodular")
+    return res.U
 
 
 def syzygy_basis(M: PolyMat) -> PolyMat | None:
@@ -407,7 +469,6 @@ def row_reduced(M: PolyMat) -> EchelonResult:
     l, c = M.rows, M.cols
     a = [list(row) for row in M.entries]
     U = PolyMat.identity(l)
-    Uinv = PolyMat.identity(l)
 
     def row_degree(i):
         return max((a[i][j].degree for j in range(c)), default=NEG_INF)
@@ -416,76 +477,26 @@ def row_reduced(M: PolyMat) -> EchelonResult:
         degs = [row_degree(i) for i in range(l)]
         if any(d == NEG_INF for d in degs):
             raise ValueError("rank deficient: zero row during row reduction")
-        lead = [[a[i][j].coeff(int(degs[i])) for j in range(c)] for i in range(l)]
-        kern = _left_kernel_vector(lead)
-        if kern is None:
+        # left kernel of the leading row-coefficient matrix
+        lead_t = [[a[i][j].coeff(int(degs[i])) for i in range(l)] for j in range(c)]
+        basis = _fkernel(lead_t)
+        if not (basis and basis[0]):
             break
+        kern = [row[0] for row in basis]
         support = [i for i, ci in enumerate(kern) if ci != 0]
         k = max(support, key=lambda i: degs[i])
-        ck = kern[k]
         # row_k <- sum_i c_i s^(d_k - d_i) row_i ; strictly drops sum of degrees
         op = [[Poly.zero()] * l for _ in range(l)]
-        opinv = [[Poly.zero()] * l for _ in range(l)]
         for i in range(l):
             op[i][i] = Poly.one()
-            opinv[i][i] = Poly.one()
         for i in support:
             shift = Poly([0] * int(degs[k] - degs[i]) + [1])
             op[k][i] = kern[i] * shift if i != k else Poly.constant(kern[k])
-            if i != k:
-                opinv[k][i] = (-kern[i] / ck) * shift
-            else:
-                opinv[k][i] = Poly.constant(1 / ck)
         opm = PolyMat(op)
         a_new = opm @ PolyMat(a)
         a = [list(row) for row in a_new.entries]
         U = opm @ U
-        Uinv = Uinv @ PolyMat(opinv)
-    return EchelonResult(U=U, Uinv=Uinv, E=PolyMat(a, cols=c), rank=l)
-
-
-def column_reduced(M: PolyMat) -> EchelonResult:
-    """Column-reduced form: M @ U has a nonsingular highest-column-degree
-    coefficient matrix.  Requires normalrank(M) == cols."""
-    res = row_reduced(M.transpose())
-    return EchelonResult(U=res.U.transpose(), Uinv=res.Uinv.transpose(),
-                         E=res.E.transpose(), rank=res.rank)
-
-
-def _left_kernel_vector(grid) -> list[Fraction] | None:
-    """A nonzero rational vector c with c^T G = 0, or None if G has full row rank."""
-    r = len(grid)
-    c = len(grid[0]) if r else 0
-    # eliminate on the transpose: find kernel of G^T x = 0 i.e. left kernel of G
-    m = [[Fraction(grid[i][j]) for i in range(r)] for j in range(c)]  # c x r
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = None
-        for i in range(row, c):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(c):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [j for j in range(r) if j not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    vec = [Fraction(0)] * r
-    vec[j] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        vec[pc] = -m[i][j]
-    return vec
+    return EchelonResult(U=U, E=PolyMat(a, cols=c), rank=l)
 
 
 # -- minors, properness degree, divisibility ----------------------------------------------

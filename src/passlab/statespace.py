@@ -1,6 +1,6 @@
 """State-space systems: realizations in both directions, observer staircase,
-controllability/observability/stabilizability tests, and trajectory
-simulation with running energy integrals.
+controllability/observability tests, and trajectory simulation with running
+energy integrals.
 
 The realization bridge works at the behavior level, not just the transfer
 function: converting (A, B, C, D) to a polynomial pair keeps uncontrollable
@@ -22,8 +22,9 @@ from scipy.integrate import cumulative_simpson
 
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly
-from .polymatrix import (PolyMat, delta, left_coprime, row_echelon,
-                         row_reduced, unimodularly_equivalent)
+from .polymatrix import (PolyMat, _finverse, _fkernel, _fmatmul, _frank, delta,
+                         left_coprime, row_echelon, row_reduced,
+                         unimodularly_equivalent)
 from .signals import Signal
 
 
@@ -31,7 +32,7 @@ class RealizationError(Exception):
     """The pair admits no state-space realization (not an input-output form)."""
 
 
-# -- exact rational dense linear algebra (small helpers) -------------------------
+# -- exact rational input grids ------------------------------------------------------
 
 
 def _to_grid(M) -> list[list[Fraction]]:
@@ -46,66 +47,6 @@ def _to_grid(M) -> list[list[Fraction]]:
     if isinstance(M, (int, float, Fraction, str)):
         return [[Fraction(M)]]
     return [[Fraction(x) for x in row] for row in M]
-
-
-def _frref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column list, exact."""
-    m = [row[:] for row in M]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _frank(M: list[list[Fraction]]) -> int:
-    return len(_frref(M)[1])
-
-
-def _fkernel(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Columns form a basis of {z : M z = 0}, exact."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    rref, pivots = _frref(M)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rref[i][fc]
-        basis.append(v)
-    # return as column list -> matrix cols x len(basis)
-    return [[b[i] for b in basis] for i in range(cols)]
-
-
-def _finverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(M)]
-    rref, pivots = _frref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rref]
-
-
-def _fmatmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 # -- the state-space container ------------------------------------------------------
@@ -232,20 +173,6 @@ def observable(ss: StateSpace) -> bool:
 
 def controllable(ss: StateSpace) -> bool:
     return ss.d == 0 or _frank(controllability_matrix(ss)) == ss.d
-
-
-def stabilizable(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Full row rank of [lambda I - A, B] at every eigenvalue in the closed RHP."""
-    if ss.d == 0:
-        return True
-    for lam in np.linalg.eigvals(ss.A):
-        if lam.real < -tol.axis_band * (1.0 + abs(lam)):
-            continue
-        M = np.hstack([lam * np.eye(ss.d) - ss.A, ss.B]).astype(complex)
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= tol.residual_tol * (1.0 + sv[0]):
-            return False
-    return True
 
 
 # -- observer staircase ------------------------------------------------------------------

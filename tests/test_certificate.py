@@ -154,6 +154,14 @@ class TestSpectralFactor:
             G = rc().transfer_at(1j * w)[0, 0]
             assert abs(abs(z) ** 2 - 2 * G.real) < 1e-9
 
+    def test_ss_route_rejects_near_axis_density(self):
+        # G(s) = 1 + 1/(s - a) with a = 1e-12: G(0) + G(0)* = 2 (1 - 1/a) < 0,
+        # so no factor exists although the ARE residual is of order eps
+        ss = StateSpace.from_arrays([["1e-12"]], [[1]], [[1]], [[1]])
+        with pytest.raises(FactorizationError,
+                           match="PSD-on-axis premise at w = 0$"):
+            spectral_factor_from_ss(ss)
+
 
 class TestRemark61:
     def test_rc_single_equation(self):

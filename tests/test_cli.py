@@ -161,6 +161,16 @@ class TestExitCodes:
         assert "not visible numerically" in detail and "w* = 0" in detail
         assert "Traceback" not in captured.err
 
+    def test_near_axis_specfact_ss_exit_1(self, tmp_path, capsys):
+        # G(0) + G(0)* = 2 (1 - 10^12) < 0: no spectral factor exists
+        p = tmp_path / "near_axis.json"
+        p.write_text(json.dumps({"kind": "ss", "A": [["1e-12"]], "B": [["1"]],
+                                 "C": [["1"]], "D": [["1"]]}))
+        assert main(["specfact", "--ss", str(p)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "not factorizable: fails PSD-on-axis premise "
+                                "at w = 0", "status": "not-factorizable"}
+
     @pytest.mark.parametrize("D, code", [
         ([[1]], 0),                # static-resistor
         ([[1, 0], [0, 2]], 0),     # static-2port

@@ -1,0 +1,64 @@
+"""Golden reports: the CLI output on the fixture corpus must not change.
+
+`tests/data/corpus_reports.json` holds stdout and the exit code of
+`passlab.cli.main` for `certify`, `check-pair`, `realize` and
+`specfact --ss` on the 30 `conftest.corpus()` systems, and for `decompose`
+and `partition` on the 30 pairs that `realize` prints for them.  A change
+that alters any report on purpose regenerates the file, from the repo root:
+
+    PYTHONPATH=src:tests python -c "import json, tempfile, test_corpus_reports as t; \
+print(json.dumps(t.corpus_reports(tempfile.mkdtemp()), indent=1, sort_keys=True))" \
+> tests/data/corpus_reports.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+from conftest import corpus
+
+from passlab.cli import main
+from passlab.jsonio import frac_str
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "corpus_reports.json"
+
+SS_COMMANDS = (["certify"], ["check-pair"], ["realize"], ["specfact", "--ss"])
+PAIR_COMMANDS = (["decompose"], ["partition"])
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def corpus_reports(workdir) -> dict:
+    """Map "<command> <system>" to {"exit": code, "stdout": text}."""
+    workdir = pathlib.Path(workdir)
+    reports = {}
+    for name, ss in corpus():
+        ss_path = workdir / f"{name}.ss.json"
+        doc = {"kind": "ss"}
+        for key, grid in zip("ABCD", (ss.A_exact, ss.B_exact,
+                                      ss.C_exact, ss.D_exact)):
+            doc[key] = [[frac_str(x) for x in row] for row in grid]
+        ss_path.write_text(json.dumps(doc))
+        for cmd in SS_COMMANDS:
+            reports[f"{' '.join(cmd)} {name}"] = _run(cmd + [str(ss_path)])
+        pair_path = workdir / f"{name}.pair.json"
+        pair_path.write_text(reports[f"realize {name}"]["stdout"])
+        for cmd in PAIR_COMMANDS:
+            reports[f"{' '.join(cmd)} {name}"] = _run(cmd + [str(pair_path)])
+    return reports
+
+
+def test_corpus_reports_unchanged(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    reports = corpus_reports(tmp_path)
+    assert sorted(reports) == sorted(golden)
+    changed = [key for key in golden if reports[key] != golden[key]]
+    assert not changed, changed

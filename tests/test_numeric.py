@@ -7,8 +7,8 @@ import pytest
 
 from passlab.numeric import (AXIS, OPEN_LHP, OPEN_RHP, LosslessInfeasibleError,
                              LyapunovError, Tolerance, hermitian_psd,
-                             lossless_lyap_solve, lyapunov_solve, real_schur,
-                             region_of, roots, stable_unstable_split)
+                             lossless_lyap_solve, lyapunov_solve, region_of,
+                             roots, stable_unstable_split)
 from passlab.poly import Poly
 
 S = Poly.x()
@@ -180,8 +180,3 @@ class TestSplit:
             assert all(z.real < 0 for z in np.linalg.eigvals(sp.As)) or k == 0
             assert all(z.real > -1e-9 * (1 + abs(z))
                        for z in np.linalg.eigvals(sp.Au)) or k == d
-
-    def test_real_schur_reconstructs(self):
-        A = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        Z, T = real_schur(A)
-        assert np.allclose(Z @ T @ Z.T, A)

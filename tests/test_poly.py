@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from passlab.poly import (Poly, TwoVarPoly, bdf_phi, count_real_roots,
                           find_negative_point, isolate_real_roots,
-                          nonneg_on_reals, poly_gcd, poly_lcm,
+                          nonneg_on_reals, poly_gcd,
                           squarefree_decomposition, squarefree_part,
                           two_var_of_poly_in_minus_eta, two_var_of_poly_in_xi)
 
@@ -64,9 +64,6 @@ class TestGcd:
     def test_gcd_of_shared_factor(self):
         g = poly_gcd((S + 1) * (S + 2), (S + 1) * (S - 3))
         assert g == (S + 1)
-
-    def test_lcm(self):
-        assert poly_lcm(S + 1, (S + 1) * S) == ((S + 1) * S).monic()
 
     def test_squarefree_decomposition(self):
         p = (S + 1) ** 3 * (S - 2)

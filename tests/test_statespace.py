@@ -13,7 +13,7 @@ from passlab.signals import Signal
 from passlab.statespace import (RealizationError, StateSpace, controllable,
                                 observable, realize_behavior,
                                 realize_statespace, resolvent, si_matrix,
-                                simulate, stabilizable, staircase,
+                                simulate, staircase,
                                 storage_check)
 
 S = Poly.x()
@@ -157,20 +157,6 @@ class TestKrylovTests:
         ss = uncontrollable_oscillator()
         assert not controllable(ss)
         assert observable(ss)
-
-    def test_stable_stabilizable(self):
-        ss = StateSpace.from_arrays(-np.eye(2), np.zeros((2, 1)),
-                                    np.ones((1, 2)), [[0]])
-        assert stabilizable(ss)
-
-    def test_unstable_uncontrollable_not_stabilizable(self):
-        ss = StateSpace.from_arrays([[1.0, 0], [0, -1.0]], [[0.0], [1.0]],
-                                    [[1.0, 1.0]], [[0.0]])
-        assert not stabilizable(ss)
-
-    def test_uncontrollable_oscillator_not_stabilizable(self):
-        # uncontrollable oscillator modes sit on the axis
-        assert not stabilizable(uncontrollable_oscillator())
 
 
 class TestStaircase:
