@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 positive verdict / success, 1 negative verdict (witnesses in
-the report), 2 input error, 3 inconclusive or unsupported.  Reports are
-deterministic for identical inputs and flags.
+the report), 2 input error, 3 inconclusive or unsupported, and also an
+internal error: any other exception is reported as
+{"status": "internal-error", "error": "<Type>: <message>"} on stdout, with
+no traceback.  Reports are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,8 +40,11 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _tol_from_args(args) -> Tolerance:
-    return Tolerance(axis_band=args.tol_axis, psd_tol=args.tol_psd,
-                     residual_tol=args.tol_residual)
+    try:
+        return Tolerance(axis_band=args.tol_axis, psd_tol=args.tol_psd,
+                         residual_tol=args.tol_residual)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _emit(args, payload: dict, text_lines: list[str] | None = None):
@@ -162,6 +168,10 @@ def cmd_verify_cert(args) -> int:
     except CertificateVerificationError as e:
         _emit(args, {"verified": False, "error": str(e)})
         return EXIT_NEGATIVE
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as e:  # X, L, W do not fit the system's shape
+        raise InputError(f"certificate does not fit the system: {e}") from None
     _emit(args, {"verified": True, "certificate": certificate_json(cert)})
     return EXIT_OK
 
@@ -180,6 +190,12 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--x0 needs {ss.d} entries, got {len(x0)}")
     if len(u) != ss.n:
         raise InputError(f"--input needs {ss.n} channels, got {len(u)}")
+    if not all(map(math.isfinite, (args.t0, args.t1, args.h))):
+        raise InputError("--t0, --t1 and --h must be finite")
+    if args.h <= 0:
+        raise InputError("--h must be positive")
+    if args.t1 < args.t0:
+        raise InputError("--t1 must be >= --t0")
     traj = simulate(ss, x0, u, args.t0, args.t1, args.h)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
@@ -213,6 +229,8 @@ def cmd_specfact(args) -> int:
     except UnsupportedFactorizationError as e:
         _emit(args, {"error": str(e), "status": "unsupported"})
         return EXIT_INCONCLUSIVE
+    except np.linalg.LinAlgError:
+        raise  # a numeric failure, not a verdict: main reports it
     except (FactorizationError, AREInfeasibleError, ValueError) as e:
         _emit(args, {"error": str(e), "status": "not-factorizable"})
         return EXIT_NEGATIVE
@@ -231,7 +249,10 @@ def cmd_selftest(args) -> int:
 
     from .statespace import StateSpace
 
-    seed = int(os.environ.get("PASSLAB_SEED", "0"))
+    try:
+        seed = int(os.environ.get("PASSLAB_SEED", "0"))
+    except ValueError:
+        raise InputError("PASSLAB_SEED must be an integer") from None
     rng = random.Random(seed)
     failures = []
 
@@ -345,9 +366,12 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as e:
+        import logging  # only here: the import costs every call otherwise
+        logging.getLogger("passlab").debug("internal error", exc_info=True)
+        _emit(args, {"status": "internal-error",
+                     "error": f"{type(e).__name__}: {e}"})
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def parse_scalar(v) -> Fraction:
             return Fraction(v)
         if isinstance(v, float):
             return Fraction(v)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise InputError(f"bad rational entry {v!r}: {e}") from None
     raise InputError(f"bad scalar entry {v!r}")
 
@@ -64,6 +64,8 @@ def parse_matrix(obj, what: str = "matrix") -> list[list[Fraction]]:
     if not isinstance(obj, list):
         raise InputError(f"{what} must be an array")
     rows = obj if not obj or isinstance(obj[0], list) else [obj]
+    if not all(isinstance(row, list) for row in rows):
+        raise InputError(f"{what} must be an array of rows")
     return [[parse_scalar(e) for e in row] for row in rows]
 
 
@@ -113,13 +115,22 @@ def load_system(path: str):
     raise InputError(f"{path}: kind must be 'pair' or 'ss', got {kind!r}")
 
 
+def parse_float_matrix(obj, what: str) -> np.ndarray:
+    grid = parse_matrix(obj, what)
+    if len({len(row) for row in grid}) > 1:
+        raise InputError(f"{what}: ragged rows")
+    try:
+        return np.array([[float(e) for e in row] for row in grid])
+    except OverflowError:
+        raise InputError(f"{what}: entry too large for a float") from None
+
+
 def parse_cert(doc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
-        X = np.array([[float(parse_scalar(e)) for e in row] for row in doc["X"]])
-        L = np.array([[float(parse_scalar(e)) for e in row] for row in doc["L"]]) \
+        X = parse_float_matrix(doc["X"], "X")
+        L = parse_float_matrix(doc["L"], "L") \
             if doc["L"] else np.zeros((0, X.shape[0]))
-        W = np.array([[float(parse_scalar(e)) for e in row] for row in doc["W"]]) \
-            if doc["W"] else np.zeros((0, 0))
+        W = parse_float_matrix(doc["W"], "W") if doc["W"] else np.zeros((0, 0))
     except KeyError as e:
         raise InputError(f"certificate document missing key {e}") from None
     return X, L, W

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .poly import Poly, squarefree_decomposition
 
@@ -47,7 +46,8 @@ class Tolerance:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.axis_band, self.psd_tol, self.residual_tol) < 0:
+        if not all(t >= 0 for t in (self.axis_band, self.psd_tol,
+                                    self.residual_tol)):  # also rejects NaN
             raise ValueError("tolerances must be nonnegative")
 
     def psd_floor(self, scale: float) -> float:
@@ -244,6 +244,7 @@ def stable_unstable_split(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Spectr
         _, ok = region_robust(complex(lam), tol)
         robust = robust and ok
 
+    import scipy.linalg  # imported here: it dominates `import passlab` otherwise
     T, Z, sdim = scipy.linalg.schur(A, output="real", sort=is_stable)
     k = int(sdim)
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly
@@ -80,7 +79,10 @@ class StateSpace:
             out = np.zeros((r, c))
             for i, row in enumerate(grid):
                 for j, x in enumerate(row):
-                    v = float(x)
+                    try:
+                        v = float(x)
+                    except OverflowError:  # an exact entry beyond the float range
+                        v = float("inf")
                     if not np.isfinite(v):
                         raise ValueError("non-finite entry in state-space data")
                     out[i, j] = v
@@ -426,6 +428,7 @@ def simulate(ss: StateSpace, x0, u, t0: float, t1: float, h: float) -> Trajector
     Y = X @ ss.C.T + U @ ss.D.T
     g = np.sum(U * Y, axis=1)
     if nsteps >= 2:
+        from scipy.integrate import cumulative_simpson  # slow import, kept local
         energy = np.concatenate([[0.0], cumulative_simpson(g, dx=he)])
     else:
         energy = np.concatenate([[0.0], [0.5 * he * (g[0] + g[1])]]) \
@@ -470,4 +473,5 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory,
 def _simpson_total(g: np.ndarray, h: float) -> float:
     if len(g) < 3:
         return float(np.trapezoid(g, dx=h)) if len(g) == 2 else 0.0
+    from scipy.integrate import cumulative_simpson  # slow import, kept local
     return float(cumulative_simpson(g, dx=h)[-1])

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -206,3 +210,116 @@ class TestDeterminism:
         main(["certify", files["rc"]])
         second = capsys.readouterr().out
         assert first == second
+
+
+# passive (C = B^T, A < 0, D = 1), but its entries overflow the float kernels
+HUGE_SS = {"kind": "ss", "A": [["-1e300"]], "B": [["1e300"]],
+           "C": [["1e300"]], "D": [["1"]]}
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("argv, error", [
+        (["check-pair"], "OverflowError: "),
+        (["certify"], "OverflowError: "),
+        (["specfact", "--ss"], "LinAlgError: "),
+    ])
+    def test_huge_entries_exit_3_without_traceback(self, tmp_path, capsys,
+                                                   argv, error):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(HUGE_SS))
+        assert main(argv + [str(p)]) == 3
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["status"] == "internal-error"
+        assert out["error"].startswith(error)
+        assert "Traceback" not in captured.err
+
+    def test_any_exception_is_reported(self, files, capsys, monkeypatch):
+        import passlab.cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(passlab.cli, "check_pair", boom)
+        assert main(["check-pair", files["good_pair"]]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "RuntimeError: boom", "status": "internal-error"}
+
+    @pytest.mark.parametrize("flag", ["--tol-axis=-1", "--tol-psd=nan"])
+    def test_bad_tolerance_is_input_error(self, files, capsys, flag):
+        assert main(["check-pair", files["good_pair"], flag]) == 2
+        assert "tolerances must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--t1", "1", "--h", "0"],
+                                       ["--t1", "-1"],
+                                       ["--t1", "inf"]])
+    def test_bad_simulate_grid_is_input_error(self, files, extra):
+        assert main(["simulate", "--ss", files["rc"], "--input", "sin(t)"]
+                    + extra) == 2
+
+    @pytest.mark.parametrize("cert", [
+        {"X": [[1, 0], [0, 1]], "L": [[1, 1]], "W": [[1]]},  # wrong shape
+        {"X": [[1], [1, 2]], "L": [], "W": []},              # ragged
+        {"X": 1, "L": [], "W": []},
+        {"X": [["1e400"]], "L": [], "W": []},
+    ])
+    def test_malformed_certificate_is_input_error(self, files, tmp_path, cert):
+        p = tmp_path / "cert2.json"
+        p.write_text(json.dumps(cert))
+        assert main(["verify-cert", "--ss", files["rc"], "--cert", str(p)]) == 2
+
+    @pytest.mark.parametrize("A", [[[1], 2], [["-1e400"]]])
+    def test_malformed_state_space_is_input_error(self, tmp_path, A):
+        p = tmp_path / "bad_ss.json"
+        p.write_text(json.dumps({"kind": "ss", "A": A, "B": [[1]],
+                                 "C": [[1]], "D": [[1]]}))
+        assert main(["check-pair", str(p)]) == 2
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+_CHILD = """
+import contextlib, io, json, sys
+from passlab.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh_run(argvs):
+    """Exit codes and loaded scipy modules of `argvs`, run in order in one
+    fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout)
+    return res["codes"], set(res["scipy"])
+
+
+class TestLazyScipy:
+    def test_import_loads_no_scipy(self):
+        assert _fresh_run([]) == ([], set())
+
+    def test_exact_commands_load_no_scipy(self, files):
+        codes, scipy = _fresh_run([
+            ["check-pair", files["good_pair"]],
+            ["check-pair", files["rc"]],
+            ["partition", files["transformer"]],
+            ["decompose", files["good_pair"]],
+            ["realize", files["rc"]],
+            ["realize", files["good_pair"]],
+            ["specfact", "--ss", files["rc"]],
+        ])
+        assert codes == [0] * 7
+        assert scipy == set()
+
+    def test_certify_loads_linalg_only(self, files):
+        codes, scipy = _fresh_run([["certify", files["rc"]]])
+        assert codes == [0]
+        assert "scipy.linalg" in scipy
+        assert not any(m.startswith("scipy.integrate") for m in scipy)
