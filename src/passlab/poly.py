@@ -1,8 +1,14 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction`, so every ring operation, gcd,
-square-free split and sign decision below is exact.  Polynomials are
-immutable; the zero polynomial is the empty coefficient tuple and its
+A polynomial is stored the way FLINT's `fmpq_poly` stores it
+(https://flintlib.org/doc/fmpq_poly.html): a tuple of integer numerators
+`num` over one common denominator `den > 0`, in lowest terms
+(`gcd(*num, den) == 1`) and with no trailing zero, so every rational
+polynomial has exactly one representation.  Ring operations, pseudo-division,
+the adjoint and evaluation run on Python ints and reduce once per result, with
+one variadic `math.gcd`; `coeffs`, `coeff(k)` and `leading` build `Fraction`s
+on demand.  Every gcd, square-free split and sign decision below is exact.
+Polynomials are immutable; the zero polynomial has no numerators and its
 degree is -inf (avoids special-casing leading-zero trims).
 
 Also provided:
@@ -18,6 +24,7 @@ Also provided:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
@@ -36,15 +43,24 @@ def _frac(x) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial; coeffs[k] multiplies s^k."""
+    """Dense univariate polynomial: coefficient k is num[k] / den.
 
-    __slots__ = ("coeffs",)
+    `coeffs` is the tuple of `Fraction` coefficients, coeffs[k] multiplying
+    s^k; the constructor takes ints, `Fraction`s, "num/den" strings and floats
+    (read exactly)."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, int) else _frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        # den is the lcm of the nonzero coefficients' denominators, so it
+        # shares no factor with every numerator: already in lowest terms
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -53,11 +69,11 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _ONE
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -79,35 +95,44 @@ class Poly:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree as int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly.constant(other).coeffs
+            if not other:
+                return not self.num
+            return self.num == (other.numerator,) and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self):
         if self.is_zero:
@@ -127,34 +152,39 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = Poly.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return _sum(self, Poly.of(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _raw(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-Poly.of(other))
+        return _sum(self, Poly.of(other), -1)
 
     def __rsub__(self, other) -> "Poly":
-        return Poly.of(other) + (-self)
+        return _sum(Poly.of(other), self, -1)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
-        other = Poly.of(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if not isinstance(other, Poly):  # Fraction's isinstance is an ABC check
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return _ZERO
+                n = other.numerator
+                return _lowest([c * n for c in self.num],
+                               self.den * other.denominator)
+            other = Poly.of(other)
+        a, b = self.num, other.num
+        if not (a and b):
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return _lowest(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -171,22 +201,46 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Integer pseudo-division  m * num_a = Q num_b + R,  rescaled once.
+
+        Each step scales by the least m that lets lc(num_b) divide the top
+        coefficient (m = 1 when it already does, as for monic divisors), so
+        m divides lc(num_b)^k.  Then a = (Q den_b / (m den_a)) b + R / (m den_a).
+        """
         other = Poly.of(other)
-        if other.is_zero:
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = other.leading
-        dd = len(other.coeffs) - 1
-        while len(rem) - 1 >= dd and rem:
-            c = rem[-1] / dlead
-            k = len(rem) - 1 - dd
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(q), Poly(rem)
+        a = self.num
+        db = len(b) - 1
+        if len(a) <= db:
+            return _ZERO, self
+        lc = b[-1]
+        if db == 0:
+            n, d = other.den, self.den * lc
+            if d < 0:
+                n, d = -n, -d
+            return _lowest([c * n for c in a], d), _ZERO
+        rem = list(a)
+        quo = [0] * (len(a) - db)
+        m = 1
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + db]
+            if not c:
+                continue
+            if c % lc:
+                f = abs(lc) // gcd(c, lc)
+                rem = [x * f for x in rem]
+                quo = [x * f for x in quo]
+                m *= f
+                c *= f
+            t = c // lc
+            quo[k] = t
+            for j, y in enumerate(b, k):
+                rem[j] -= t * y
+        den = m * self.den
+        ob = other.den
+        return _lowest([x * ob for x in quo], den), _lowest(rem[:db], den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, Poly.of(other))[0]
@@ -197,31 +251,46 @@ class Poly:
     # -- calculus and adjoint -------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        num = self.num
+        return _lowest([k * num[k] for k in range(1, len(num))], self.den)
 
     def star(self) -> "Poly":
-        """p*(s) = p(-s): negate every odd coefficient."""
-        return Poly(-c if k % 2 else c for k, c in enumerate(self.coeffs))
+        """p*(s) = p(-s): negate every odd numerator."""
+        return _raw(tuple(-c if k & 1 else c for k, c in enumerate(self.num)),
+                    self.den)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        num = self.num
+        if not num or num[-1] == self.den:
             return self
-        inv = 1 / self.leading
-        return Poly(c * inv for c in self.coeffs)
+        lc = num[-1]
+        if lc < 0:
+            return _lowest([-c for c in num], -lc)
+        return _lowest(list(num), lc)
 
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, t: RatLike) -> Fraction:
-        """Exact evaluation at a rational point (Horner)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """Exact evaluation at a rational point t = tn / td: homogeneous
+        Horner on ints, acc = sum_k num[k] tn^k td^(deg - k)."""
+        num = self.num
+        if not num:
+            return Fraction(0)
+        t = t if isinstance(t, int) else _frac(t)
+        tn, td = t.numerator, t.denominator
+        acc = 0
+        pw = 1
+        for c in reversed(num):
+            acc = acc * tn + c * pw
+            pw *= td
+        return Fraction(acc, self.den * (pw // td))
 
     def eval_complex(self, z: complex) -> complex:
+        # int true division is correctly rounded, so c / den == float(coeff)
+        den = self.den
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in reversed(self.num):
+            acc = acc * z + c / den
         return acc
 
     def eval_gauss(self, re: RatLike, im: RatLike) -> tuple[Fraction, Fraction]:
@@ -231,6 +300,53 @@ class Poly:
         for c in reversed(self.coeffs):
             ar, ai = ar * re - ai * im + c, ar * im + ai * re
         return ar, ai
+
+
+def _raw(num: tuple, den: int) -> Poly:
+    """A Poly from numerators and a denominator already in lowest terms."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _lowest(num: list, den: int) -> Poly:
+    """num / den (den > 0) with trailing zeros trimmed and gcd(*num, den)
+    divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ZERO
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _raw(tuple(num), den)
+
+
+def _sum(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q over the lcm of the two denominators."""
+    a, b = p.num, q.num
+    if not b:
+        return p
+    if not a:
+        return q if sign == 1 else -q
+    da, db = p.den, q.den
+    if da == db:
+        fa, fb = 1, sign
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        da *= fa
+    out = [c * fa for c in a] + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] += c * fb
+    return _lowest(out, da)
+
+
+_ZERO = _raw((), 1)
+_ONE = _raw((1,), 1)
 
 
 # -- gcd and square-free structure ---------------------------------------------
@@ -310,8 +426,7 @@ def cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie strictly inside [-B, B]."""
     if p.degree <= 0:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p.num[:-1]), abs(p.num[-1]))
 
 
 def _non_root_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -366,7 +481,7 @@ def find_negative_point(p: Poly) -> Fraction | None:
     if p.is_zero:
         return None
     if p.degree == 0:
-        return Fraction(0) if p.coeffs[0] < 0 else None
+        return Fraction(0) if p.num[0] < 0 else None
     intervals = isolate_real_roots(p)
     if not intervals:
         return Fraction(0) if p(Fraction(0)) < 0 else None

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -336,7 +338,15 @@ def _finverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def _fmatmul(A, B):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    """Exact product of rational matrices.  Each factor is scaled to one
+    integer matrix over the lcm of its denominators, so the inner products
+    run on ints and only the output entries are built as Fractions."""
+    da = lcm(*(x.denominator for row in A for x in row))
+    db = lcm(*(x.denominator for row in B for x in row))
+    ia = [[x.numerator * (da // x.denominator) for x in row] for row in A]
+    ib = [[x.numerator * (db // x.denominator) for x in col] for col in zip(*B)]
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in ib] for row in ia]
 
 
 # -- rank over the rational function field ------------------------------------------

@@ -227,19 +227,20 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
 
     dpq = (P + Q).det()
     if dpq.is_zero:
-        bad_roots = [complex(1.0, 0.0)]  # singular everywhere; pick one point
+        # singular everywhere; pick one point
+        bad = [(complex(1.0, 0.0), "det(P+Q) identically zero")]
         robust = True
     else:
         rs = numeric_roots(dpq, tol)
-        bad_roots = [z for z, _, tag in rs.roots if tag in (AXIS, OPEN_RHP)]
+        bad = [(z, tag) for z, _, tag in rs.roots if tag in (AXIS, OPEN_RHP)]
         bad10 = [z for z, _, _ in rs.roots
                  if region_of(z, tol, band_scale=10.0) in (AXIS, OPEN_RHP)]
-        robust = (len(bad_roots) == 0) == (len(bad10) == 0)
+        robust = (len(bad) == 0) == (len(bad10) == 0)
 
     if not robust:
         return CondVerdict(INCONCLUSIVE, (),
                            "zeros of det(P+Q) straddle the axis band")
-    if not bad_roots:
+    if not bad:
         if cond2.status == PASS:
             return CondVerdict(PASS)
         # sound even without condition 2 (maximum principle needs only s1+s2)
@@ -249,10 +250,14 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
             INCONCLUSIVE, (),
             "det(P+Q) vanishes on the closed right half-plane where the rank "
             "condition already fails; condition 1 is not decided separately")
-    wit = _rhp_direction_witness(P, Q, bad_roots, tol)
+    wit = _rhp_direction_witness(P, Q, [z for z, _ in bad], tol)
     if wit is None:
-        raise AssertionError("condition-2-passing pair must yield a strictly "
-                             "negative direction at a det(P+Q) zero")
+        # the near-axis policy: no float witness at the tagged zeros, so
+        # report them and decide nothing
+        zeros = ", ".join(f"{z:.6g} ({tag})" for z, tag in bad)
+        return CondVerdict(INCONCLUSIVE, (),
+                           "no strictly negative direction at the closed-RHP "
+                           f"zeros of det(P+Q): {zeros}")
     return CondVerdict(FAIL, (wit,))
 
 

@@ -6,10 +6,16 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import settings
 
 from passlab.poly import Poly
 from passlab.polymatrix import PolyMat, normalrank
 from passlab.statespace import StateSpace
+
+# Same examples on every run, and no per-example deadline: big-coefficient
+# examples must not flake on a slow host.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def rand_poly(rng: random.Random, max_deg: int, coeff_bound: int = 5,

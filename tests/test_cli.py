@@ -217,7 +217,31 @@ HUGE_SS = {"kind": "ss", "A": [["-1e300"]], "B": [["1e300"]],
            "C": [["1e300"]], "D": [["1"]]}
 
 
+# the same system scaled to 1e-300: det(P+Q) has an axis-tagged zero with
+# no negative direction, which condition 1 leaves undecided
+TINY_SS = {"kind": "ss", "A": [["-1e-300"]], "B": [["1e-300"]],
+           "C": [["1e-300"]], "D": [["1"]]}
+
+
 class TestErrorExitCodes:
+    def test_tiny_entries_are_inconclusive(self, tmp_path, capsys):
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(TINY_SS))
+        assert main(["check-pair", str(p)]) == 3
+        captured = capsys.readouterr()
+        pair = json.loads(captured.out)
+        assert main(["certify", str(p)]) == 3
+        captured_cert = capsys.readouterr()
+        cert = json.loads(captured_cert.out)
+        assert pair["overall"] == "inconclusive"
+        assert cert["status"] == "inconclusive"
+        assert cert["pair_verdict"] == pair
+        assert pair["cond1"] == {
+            "detail": "no strictly negative direction at the closed-RHP zeros "
+                      "of det(P+Q): -1e-300+0j (axis)",
+            "status": "inconclusive"}
+        assert "Traceback" not in captured.err + captured_cert.err
+
     @pytest.mark.parametrize("argv, error", [
         (["check-pair"], "OverflowError: "),
         (["certify"], "OverflowError: "),

@@ -1,9 +1,11 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passlab.poly import (Poly, TwoVarPoly, bdf_phi, count_real_roots,
@@ -136,3 +138,257 @@ class TestBdf:
         x, y = Fraction(2), Fraction(3)
         expected = ((S**3)(x) - (S**3)(-y)) / (x + y)
         assert phi.eval(x, y) == expected
+
+
+# -- the integer layout against the Fraction-per-coefficient reference ----------
+
+
+class _RefPoly:
+    """The Fraction-per-coefficient ring operations that the integer layout
+    replaced, kept as an independent reference: coeffs[k] multiplies s^k."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def coeff(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return _RefPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+
+    def __neg__(self):
+        return _RefPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _RefPoly(c * other for c in self.coeffs)
+        if not (self.coeffs and other.coeffs):
+            return _RefPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return _RefPoly(out)
+
+    def __divmod__(self, other):
+        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        rem = list(self.coeffs)
+        dd = len(other.coeffs) - 1
+        while rem and len(rem) - 1 >= dd:
+            c = rem[-1] / other.coeffs[-1]
+            k = len(rem) - 1 - dd
+            q[k] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= c * b
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return _RefPoly(q), _RefPoly(rem)
+
+    def derivative(self):
+        return _RefPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    def star(self):
+        return _RefPoly(-c if k % 2 else c for k, c in enumerate(self.coeffs))
+
+    def monic(self):
+        if not self.coeffs:
+            return self
+        inv = 1 / self.coeffs[-1]
+        return _RefPoly(c * inv for c in self.coeffs)
+
+    def __call__(self, t):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return acc
+
+    def eval_complex(self, z):
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * z + complex(c)
+        return acc
+
+    def eval_gauss(self, re, im):
+        ar, ai = Fraction(0), Fraction(0)
+        for c in reversed(self.coeffs):
+            ar, ai = ar * re - ai * im + c, ar * im + ai * re
+        return ar, ai
+
+
+WIDE = st.integers(min_value=2**200, max_value=2**256)
+
+
+def _wide_frac(q, d, neg):
+    # q*d + 1 is coprime to d: numerator and denominator both keep 200+ bits
+    n = q * d + 1
+    return Fraction(-n if neg else n, d)
+
+
+wide_fracs = st.builds(_wide_frac, st.integers(0, 2**64), WIDE, st.booleans())
+rats = st.one_of(
+    st.just(Fraction(0)),
+    small_fracs,
+    wide_fracs,
+    st.integers(-(2**256), 2**256).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), WIDE),
+)
+coeff_lists = st.one_of(
+    st.lists(rats, max_size=7),
+    # one shared wide denominator, so sums and products must reduce
+    st.builds(lambda ns, d: [Fraction(n, d) for n in ns],
+              st.lists(st.integers(-(2**220), 2**220), max_size=6), WIDE),
+)
+divisor_lists = coeff_lists.filter(any)
+
+BIG = Fraction(2**211 + 3, 3**140)  # 212-bit numerator, 222-bit denominator
+BIG_NEG_LEAD = [Fraction(-(3**150), 2**205 + 3), BIG, -BIG]
+
+
+def _canonical(p: Poly) -> Poly:
+    """Assert the representation contract and hand p back."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) for c in p.num)
+    if p.num:
+        assert p.num[-1] != 0
+        assert math.gcd(*p.num, p.den) == 1
+    else:
+        assert p.den == 1
+    cs = p.coeffs
+    assert all(isinstance(c, Fraction) for c in cs)
+    assert all(math.gcd(c.numerator, c.denominator) == 1 for c in cs)
+    assert not cs or cs[-1] != 0
+    assert cs == tuple(Fraction(n, p.den) for n in p.num)
+    return p
+
+
+def _same(new: Poly, ref: _RefPoly):
+    assert _canonical(new).coeffs == ref.coeffs
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestAgainstFractionReference:
+    @given(coeff_lists, coeff_lists)
+    @settings(max_examples=150)
+    @example([], [])
+    @example([BIG], [])
+    @example([BIG, -BIG, BIG], [-BIG, BIG, -BIG])
+    def test_add_sub_mul(self, a, b):
+        for op in (operator.add, operator.sub, operator.mul):
+            _same(op(Poly(a), Poly(b)), op(_RefPoly(a), _RefPoly(b)))
+
+    @given(coeff_lists, rats)
+    @settings(max_examples=100)
+    @example([BIG, 1], Fraction(0))
+    @example([BIG, 1], -BIG)
+    def test_scalar_mul(self, a, c):
+        _same(Poly(a) * c, _RefPoly(a) * c)
+        _same(c * Poly(a), _RefPoly(a) * c)
+        if c.denominator == 1:
+            _same(Poly(a) * int(c), _RefPoly(a) * c)
+
+    @given(coeff_lists, divisor_lists, st.booleans())
+    @settings(max_examples=200)
+    @example([], [BIG], False)
+    @example([BIG, 2, -BIG, 5, BIG], BIG_NEG_LEAD, False)
+    @example([1, 2, 3, 4, 5, 6], [Fraction(-7, 3)], False)
+    @example([BIG], [1, BIG], True)
+    def test_divmod(self, a, b, negate):
+        if negate:  # flips the sign of the divisor's leading coefficient
+            b = [-c for c in b]
+        q, r = divmod(Poly(a), Poly(b))
+        rq, rr = divmod(_RefPoly(a), _RefPoly(b))
+        _same(q, rq)
+        _same(r, rr)
+        _same(Poly(a) // Poly(b), rq)
+        _same(Poly(a) % Poly(b), rr)
+
+    @given(coeff_lists)
+    @settings(max_examples=150)
+    @example([])
+    @example([BIG])
+    @example(BIG_NEG_LEAD)
+    def test_star_monic_derivative(self, a):
+        _same(Poly(a).star(), _RefPoly(a).star())
+        _same(Poly(a).monic(), _RefPoly(a).monic())
+        _same(Poly(a).derivative(), _RefPoly(a).derivative())
+        _same(-Poly(a), -_RefPoly(a))
+
+    @given(coeff_lists, rats, rats)
+    @settings(max_examples=150)
+    @example([], BIG, BIG)
+    @example(BIG_NEG_LEAD, BIG, -BIG)
+    @example([BIG], 0, 0)
+    def test_exact_evaluation(self, a, t, u):
+        p, ref = Poly(a), _RefPoly(a)
+        assert p(t) == ref(t) and isinstance(p(t), Fraction)
+        if t.denominator == 1:
+            assert p(int(t)) == ref(t)
+        assert p.eval_gauss(t, u) == ref.eval_gauss(t, u)
+
+    @given(coeff_lists, st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                           allow_infinity=False))
+    @settings(max_examples=150)
+    @example([], 1j)
+    @example([BIG], 0j)
+    @example(BIG_NEG_LEAD, complex(-0.0, 3.5))
+    @example([Fraction(1, 3), Fraction(-1, 3), Fraction(10**400 + 1, 10**399)],
+             complex(0.1, -2.0))
+    def test_eval_complex_is_bit_identical(self, a, z):
+        assert _bits(Poly(a).eval_complex(z)) == _bits(_RefPoly(a).eval_complex(z))
+
+    def test_eval_complex_overflows_like_fraction(self):
+        a = [1, Fraction(10**400, 3)]
+        with pytest.raises(OverflowError):
+            _RefPoly(a).eval_complex(1j)
+        with pytest.raises(OverflowError):
+            Poly(a).eval_complex(1j)
+
+
+class TestRepresentation:
+    def test_shared_factors_are_divided_out(self):
+        p = Poly([Fraction(1, 6), Fraction(1, 3)])
+        assert (p.num, p.den) == ((1, 2), 6)
+        assert ((p * 6).num, (p * 6).den) == ((1, 2), 1)
+        sq = Poly([Fraction(1, 2), Fraction(1, 2)]) + Poly([Fraction(1, 2), Fraction(-1, 2)])
+        assert (sq.num, sq.den) == ((1,), 1)
+        assert ((p - p).num, (p - p).den) == ((), 1)
+        q, r = divmod(Poly([0, 0, 2]), Poly([0, -4]))
+        assert ((q.num, q.den), r.is_zero) == (((0, -1), 2), True)
+
+    @pytest.mark.parametrize("forms", [
+        ([2], [Fraction(2)], ["2"], [2.0], ["4/2"]),
+        ([Fraction(1, 2), Fraction(-3, 8)], ["1/2", "-3/8"], [0.5, -0.375],
+         ["2/4", Fraction(-6, 16)]),
+        ([0, Fraction(3, 4), 0], ["0", "3/4", "0/7"], [0.0, 0.75, -0.0],
+         [0, "6/8"]),
+        ([BIG, -1], [str(BIG), "-1"], [BIG, -1.0, 0]),
+        ([], [0], ["0"], [0.0, Fraction(0)]),
+    ])
+    def test_equal_and_hash_across_constructors(self, forms):
+        ps = [_canonical(Poly(f)) for f in forms]
+        assert all(p == ps[0] for p in ps)
+        assert len({hash(p) for p in ps}) == 1
+        assert len({(p.num, p.den) for p in ps}) == 1
+
+    def test_constants_compare_with_scalars(self):
+        assert Poly(["3/4"]) == Fraction(3, 4) and Poly([2.0]) == 2
+        assert Poly([]) == 0 and Poly([0.0]) == Fraction(0)
+        assert Poly([1, 1]) != 1 and Poly(["3/4"]) != Fraction(3, 5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("num", (3,)), ("den", 2), ("coeffs", ()), ("other", 1)])
+    def test_setting_an_attribute_raises(self, name, value):
+        p = Poly([1, Fraction(1, 2)])
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+        assert (p.num, p.den) == ((2, 1), 2)

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import rand_poly, rand_polymat
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passlab.poly import Poly, poly_gcd
 from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
+                                _fmatmul,
                                 column_echelon, delta, divisible_on_right,
                                 fullrank_everywhere, left_coprime, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
@@ -346,3 +349,25 @@ class TestEquivalence:
             pytest.skip("degenerate draw")
         U = PolyMat([[Poly.one(), S], [Poly.zero(), Poly.one()]])
         assert unimodularly_equivalent(M, U @ M)
+
+
+wide_ints = st.integers(-(2**240), 2**240)
+matrix_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    wide_ints.map(Fraction),
+    st.builds(Fraction, wide_ints, st.integers(2**200, 2**240)),
+)
+
+
+class TestRationalMatmul:
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=100)
+    def test_matches_fraction_sum(self, rows, inner, cols, data):
+        A = [[data.draw(matrix_entries) for _ in range(inner)] for _ in range(rows)]
+        B = [[data.draw(matrix_entries) for _ in range(cols)] for _ in range(inner)]
+        got = _fmatmul(A, B)
+        want = [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                  for col in zip(*B)] for row in A]
+        assert got == want
+        assert all(type(x) is Fraction for row in got for x in row)

@@ -7,11 +7,13 @@ from conftest import rand_fullrank_pair, rand_nonsingular, rand_poly
 
 from passlab.behavior import (DecompositionError, coupling_condition_direct,
                               decompose)
+from passlab.jsonio import parse_ss
 from passlab.poly import Poly
 from passlab.polymatrix import PolyMat, normalrank
 from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, axis_psd,
                             check_condition1, check_condition2,
                             check_condition3, check_pair, pr_form)
+from passlab.statespace import realize_behavior
 
 S = Poly.x()
 OSC_FACTOR = S * S + 1
@@ -100,6 +102,19 @@ class TestCondition1:
         assert v.status == INCONCLUSIVE and not v.witnesses
         assert v.detail.startswith("exact axis violation not visible numerically")
         assert "w* = 0" in v.detail and "is -2e-12" in v.detail
+
+    def test_axis_zero_without_negative_direction_is_inconclusive(self):
+        # passive (A = -a < 0, C = B^T, D = 1) with a = 1e-300: the zero of
+        # det(P+Q) near -1e-300 is tagged axis robustly, yet no direction
+        # with negative energy shows there
+        ss = parse_ss({"kind": "ss", "A": [["-1e-300"]], "B": [["1e-300"]],
+                       "C": [["1e-300"]], "D": [["1"]]})
+        P, Q = realize_behavior(ss)
+        v = check_condition1(P, Q)
+        assert v.status == INCONCLUSIVE and not v.witnesses
+        assert v.detail == ("no strictly negative direction at the closed-RHP "
+                            "zeros of det(P+Q): -1e-300+0j (axis)")
+        assert check_pair(P, Q).overall == INCONCLUSIVE
 
     def test_symmetry_under_swap(self):
         """The defining expression is symmetric in (P, Q)."""
