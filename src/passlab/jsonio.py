@@ -86,9 +86,12 @@ def parse_ss(doc) -> StateSpace:
     except KeyError as e:
         raise InputError(f"state-space document missing key {e}") from None
     try:
-        return StateSpace.from_arrays(grids["A"], grids["B"], grids["C"], grids["D"])
+        ss = StateSpace.from_arrays(grids["A"], grids["B"], grids["C"], grids["D"])
     except ValueError as e:
         raise InputError(str(e)) from None
+    if ss.n == 0:
+        raise InputError("state-space system has no ports: D is empty")
+    return ss
 
 
 def load_document(path: str) -> dict:

@@ -259,6 +259,16 @@ class Poly:
         return _raw(tuple(-c if k & 1 else c for k, c in enumerate(self.num)),
                     self.den)
 
+    def real_on_axis(self) -> "Poly":
+        """h(w) = p(jw) for an even p (p(-s) == p(s)): the numerator of
+        s^2k takes the sign (-1)^k.  Raises ValueError when p has an odd
+        term, since p(jw) is then not real."""
+        num = self.num
+        if any(num[1::2]):
+            raise ValueError("p(jw) is not real: p has an odd term")
+        return _raw(tuple(-c if k & 2 else c for k, c in enumerate(num)),
+                    self.den)
+
     def monic(self) -> "Poly":
         num = self.num
         if not num or num[-1] == self.den:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -282,28 +282,43 @@ class PolyMat:
 
 
 def _frref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column list, exact."""
-    m = [row[:] for row in M]
+    """Reduced row echelon form and pivot column list, exact.
+
+    Scaling a row leaves the reduced form unchanged, so each row is scaled
+    to integers and the Gauss-Jordan sweep runs on ints: an update
+    a row_i - b row_r clears column c with a and b coprime, and the
+    updated row is divided by the gcd of its entries.  Only the final
+    division of each pivot row by its pivot builds Fractions."""
+    m = []
+    for row in M:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(0)] * cols for _ in range(rows - r)]
+    return out, pivots
 
 
 def _frank(M: list[list[Fraction]]) -> int:
@@ -312,9 +327,13 @@ def _frank(M: list[list[Fraction]]) -> int:
 
 def _fkernel(M: list[list[Fraction]]) -> list[list[Fraction]]:
     """Columns form a basis of {z : M z = 0}, exact."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
     rref, pivots = _frref(M)
+    return _rref_kernel(rref, pivots, len(M[0]) if M else 0)
+
+
+def _rref_kernel(rref: list[list[Fraction]], pivots: list[int],
+                 cols: int) -> list[list[Fraction]]:
+    """`_fkernel` of a matrix with `cols` columns, from its `_frref`."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:

@@ -142,12 +142,11 @@ def _rank_drop_reverifies(PQ: PolyMat, lam: complex, n: int,
 def _even_poly_to_real_axis(g: Poly) -> Poly:
     """For para-Hermitian scalar g (g(-s) == g(s)), the real polynomial
     h(w) = g(jw)."""
-    for k, c in enumerate(g.coeffs):
-        if k % 2 == 1 and c != 0:
-            raise AssertionError("principal minor of a para-Hermitian matrix "
-                                 "must be even")
-    return Poly([(-1) ** (k // 2) * c if k % 2 == 0 else 0
-                 for k, c in enumerate(g.coeffs)])
+    try:
+        return g.real_on_axis()
+    except ValueError:
+        raise AssertionError("principal minor of a para-Hermitian matrix "
+                             "must be even") from None
 
 
 def _axis_minors(Phi: PolyMat):

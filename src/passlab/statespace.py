@@ -16,13 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import numpy as np
 
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly
-from .polymatrix import (PolyMat, _finverse, _fkernel, _fmatmul, _frank, delta,
-                         left_coprime, row_echelon, row_reduced,
+from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
+                         _rref_kernel, delta, left_coprime, row_reduced,
                          unimodularly_equivalent)
 from .signals import Signal
 
@@ -150,13 +152,26 @@ def resolvent(A_exact) -> tuple[Poly, PolyMat]:
 # -- Krylov tests ----------------------------------------------------------------------
 
 
+def _krylov_blocks(C, A, count: int) -> list[list[list[Fraction]]]:
+    """[C, C A, ..., C A^(count-1)] (at least [C]), exact.  The powers run on
+    ints: with c and a the lcms of the denominators of C and A, block k is
+    the integer matrix (c C)(a A)^k over c a^k."""
+    dc = lcm(*(x.denominator for row in C for x in row))
+    da = lcm(*(x.denominator for row in A for x in row))
+    a_cols = [[x.numerator * (da // x.denominator) for x in col] for col in zip(*A)]
+    blk = [[x.numerator * (dc // x.denominator) for x in row] for row in C]
+    den = dc
+    blocks = [[[Fraction(x, den) for x in row] for row in blk]]
+    for _ in range(count - 1):
+        blk = [[sum(map(mul, row, col)) for col in a_cols] for row in blk]
+        den *= da
+        blocks.append([[Fraction(x, den) for x in row] for row in blk])
+    return blocks
+
+
 def observability_matrix(ss: StateSpace) -> list[list[Fraction]]:
-    rows = [list(r) for r in ss.C_exact]
-    blk = [list(r) for r in ss.C_exact]
-    for _ in range(ss.d - 1):
-        blk = _fmatmul(blk, ss.A_exact)
-        rows.extend(blk)
-    return rows
+    return [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, ss.d)
+            for row in blk]
 
 
 def controllability_matrix(ss: StateSpace) -> list[list[Fraction]]:
@@ -201,21 +216,14 @@ def staircase(ss: StateSpace) -> StaircaseForm:
         z = np.zeros((0, 0))
         return StaircaseForm(z, z, 0, z, z, z, np.zeros((ss.n, 0)),
                              np.zeros((0, ss.n)), np.zeros((0, ss.n)))
-    Vo = observability_matrix(ss)
-    ker = _fkernel(Vo)  # d x (d - d1)
-    d1 = d - (len(ker[0]) if ker and ker[0] else 0)
-    # complete the kernel basis to a nonsingular S = [S1 ker]
-    S_cols: list[list[Fraction]] = [[ker[i][j] for i in range(d)]
-                                    for j in range(len(ker[0]))] if d1 < d else []
-    chosen: list[list[Fraction]] = []
-    for j in range(d):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(d)]
-        trial = chosen + [e] + S_cols
-        mat = [[trial[c][r] for c in range(len(trial))] for r in range(d)]
-        if _frank(mat) == len(trial):
-            chosen.append(e)
-        if len(chosen) == d1:
-            break
+    rref, pivots = _frref(observability_matrix(ss))
+    ker = _rref_kernel(rref, pivots, d)  # d x (d - d1)
+    d1 = len(pivots)
+    # complete the kernel basis to a nonsingular S = [S1 ker]: e_j is
+    # independent of the kernel and of the e_p picked before it exactly when
+    # column j of the observability matrix is a pivot
+    S_cols = [[ker[i][j] for i in range(d)] for j in range(d - d1)]
+    chosen = [[Fraction(int(i == j)) for i in range(d)] for j in pivots]
     cols = chosen + S_cols
     S = [[cols[c][r] for c in range(d)] for r in range(d)]
     T = _finverse(S)
@@ -252,31 +260,66 @@ def realize_behavior(ss: StateSpace, check: bool = True
     """External behavior of the state-space system as a polynomial pair.
 
     Returns (P, Q) with P(d/dt) u = Q(d/dt) y describing exactly the set of
-    (u, y) admitting a compatible state trajectory.  Built from a left-coprime
-    (M, N) solving M C = N (sI - A): the rows of [M N] are a syzygy basis of
-    stack(C, -(sI - A)), obtained from the exact row echelon transform.
+    (u, y) admitting a compatible state trajectory: P = N B + M D and Q = M
+    for the left-coprime (M, N) with M C = N (sI - A) that the observability
+    indices of (C, A) give (Wolovich, Linear Multivariable Systems, 1974;
+    Kailath, Linear Systems, 1980, sec. 6.4), from constant-matrix work only.
+
+    One exact reduction of the Krylov rows c_i A^k, taken in crate order
+    (k outer, output i inner), keeps the first independent ones: output i
+    keeps k < nu_i, and its first dependent row
+
+        c_i A^nu_i = sum over kept (k, l) of alpha_ikl c_l A^k
+
+    gives row i of M = s^nu_i e_i - sum alpha_ikl s^k e_l.  Its leading
+    row-coefficient matrix is unit lower triangular, so M is row reduced and
+    deg det M = sum nu_i is the observable dimension.  With
+    M(s) = sum_k M_k s^k the dependencies read sum_k M_k C A^k = 0, and
+    s^k I - A^k = (sum_(q<k) s^(k-1-q) A^q)(sI - A) gives M C = N (sI - A)
+    for N(s) = sum_p s^p sum_(k>p) M_k C A^(k-1-p), from the same Krylov
+    rows.  Unobservable modes drop out; uncontrollable observable modes stay
+    as common factors of P and Q.
     """
     n, d = ss.n, ss.d
     if d == 0:
         Dm = PolyMat.constant(ss.D_exact)
         return Dm, PolyMat.identity(n)
-    Cm = PolyMat.constant(ss.C_exact)
-    K = Cm.vstack(-si_matrix(ss.A_exact))
-    res = row_echelon(K)
-    if res.rank != d:
-        raise AssertionError("sI - A lost rank in echelon reduction")
-    tail = res.U.submatrix(range(d, d + n), range(n + d))
-    M = tail.select_columns(range(n))
-    N = tail.select_columns(range(n, n + d))
+    krylov = [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
+              for row in blk]  # row k n + i is c_i A^k
+    rref, pivots = _frref([list(col) for col in zip(*krylov)])  # d x n(d+1)
+    kept = set(pivots)
+    width = n * (d + 1)
+    # row i of [M_0 M_1 ... M_d], for M(s) = sum_k M_k s^k
+    nus, m_rows = [], []
+    for i in range(n):
+        nu = next(k for k in range(d + 1) if k * n + i not in kept)
+        dep = nu * n + i
+        row = [Fraction(0)] * width
+        row[dep] = Fraction(1)
+        for r, p in enumerate(pivots):
+            row[p] = -rref[r][dep]
+        nus.append(nu)
+        m_rows.append(row)
+    # N_p = [M_(p+1) ... M_d 0] krylov
+    n_coeffs = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
+                         for row, nu in zip(m_rows, nus) for p in range(nu)], krylov)
+    M_rows, N_rows = [], []
+    for row, nu in zip(m_rows, nus):
+        M_rows.append([Poly(row[l:(nu + 1) * n:n]) for l in range(n)])
+        N_rows.append([Poly([n_coeffs[p][col] for p in range(nu)]) for col in range(d)])
+        n_coeffs = n_coeffs[nu:]
+    M = PolyMat(M_rows, cols=n)
+    N = PolyMat(N_rows, cols=d)
     Bm = PolyMat.constant(ss.B_exact)
     Dm = PolyMat.constant(ss.D_exact)
     P = N @ Bm + M @ Dm
     Q = M
     if check:
+        Cm = PolyMat.constant(ss.C_exact)
         if not (M @ Cm - N @ si_matrix(ss.A_exact)).is_zero:
             raise AssertionError("M C != N (sI - A)")
         if not left_coprime(M, N):
-            raise AssertionError("echelon syzygy rows are not left coprime")
+            raise AssertionError("observability-index pair is not left coprime")
         _check_transfer_consistency(ss, P, Q)
     return P, Q
 

@@ -299,6 +299,26 @@ class TestErrorExitCodes:
                                  "C": [[1]], "D": [[1]]}))
         assert main(["check-pair", str(p)]) == 2
 
+    @pytest.mark.parametrize("argv", [["check-pair"], ["certify"], ["realize"],
+                                      ["specfact", "--ss"],
+                                      ["verify-cert", "--cert", None, "--ss"]])
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ss", "A": [[-1]], "B": [[]], "C": [], "D": []},
+        {"kind": "ss", "A": [], "B": [], "C": [], "D": []},
+    ])
+    def test_system_without_ports_is_input_error(self, tmp_path, capsys,
+                                                 argv, doc):
+        p = tmp_path / "no_ports.json"
+        p.write_text(json.dumps(doc))
+        cert = tmp_path / "cert0.json"
+        cert.write_text(json.dumps({"X": [[1]] if doc["A"] else [],
+                                    "L": [], "W": []}))
+        argv = [str(cert) if a is None else a for a in argv]
+        assert main(argv + [str(p)]) == 2
+        captured = capsys.readouterr()
+        assert "state-space system has no ports" in captured.err
+        assert "Traceback" not in captured.err
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 

@@ -6,9 +6,10 @@
 and `partition` on the 30 pairs that `realize` prints for them.  A change
 that alters any report on purpose regenerates the file, from the repo root:
 
-    PYTHONPATH=src:tests python -c "import json, tempfile, test_corpus_reports as t; \
-print(json.dumps(t.corpus_reports(tempfile.mkdtemp()), indent=1, sort_keys=True))" \
-> tests/data/corpus_reports.json
+    PYTHONPATH=src python tests/test_corpus_reports.py
+
+which rewrites `tests/data/corpus_reports.json` and lists the changed keys,
+grouped by command, on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
+import tempfile
 
 from conftest import corpus
 
@@ -62,3 +65,30 @@ def test_corpus_reports_unchanged(tmp_path):
     assert sorted(reports) == sorted(golden)
     changed = [key for key in golden if reports[key] != golden[key]]
     assert not changed, changed
+
+
+def regenerate() -> None:
+    """Rewrite GOLDEN; print its changed keys, grouped by command, to stderr,
+    with the exit code where that changed too."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    with tempfile.TemporaryDirectory() as work:
+        reports = corpus_reports(work)
+    GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    changed: dict[str, list[str]] = {}
+    for key in sorted(set(old) | set(reports)):
+        was, now = old.get(key), reports.get(key)
+        if was == now:
+            continue
+        command, _, name = key.rpartition(" ")
+        codes = [r["exit"] if r else None for r in (was, now)]
+        if codes[0] != codes[1]:
+            name += f" (exit {codes[0]} -> {codes[1]})"
+        changed.setdefault(command, []).append(name)
+    for command, names in changed.items():
+        print(f"{command} ({len(names)}): {', '.join(names)}", file=sys.stderr)
+    print(f"{sum(map(len, changed.values()))} of {len(reports)} reports changed",
+          file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

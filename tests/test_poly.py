@@ -197,6 +197,10 @@ class _RefPoly:
     def star(self):
         return _RefPoly(-c if k % 2 else c for k, c in enumerate(self.coeffs))
 
+    def real_on_axis(self):
+        return _RefPoly((-1) ** (k // 2) * c if k % 2 == 0 else 0
+                        for k, c in enumerate(self.coeffs))
+
     def monic(self):
         if not self.coeffs:
             return self
@@ -322,6 +326,18 @@ class TestAgainstFractionReference:
         _same(Poly(a).monic(), _RefPoly(a).monic())
         _same(Poly(a).derivative(), _RefPoly(a).derivative())
         _same(-Poly(a), -_RefPoly(a))
+
+    @given(coeff_lists)
+    @settings(max_examples=150)
+    @example([])
+    @example([BIG, 0, -BIG, 0, BIG])
+    @example([0, 0, 1, 1])
+    def test_real_on_axis(self, a):
+        even = [0 if k % 2 else c for k, c in enumerate(a)]
+        _same(Poly(even).real_on_axis(), _RefPoly(even).real_on_axis())
+        if any(a[1::2]):
+            with pytest.raises(ValueError):
+                Poly(a).real_on_axis()
 
     @given(coeff_lists, rats, rats)
     @settings(max_examples=150)

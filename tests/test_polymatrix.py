@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from passlab.poly import Poly, poly_gcd
 from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
-                                _fmatmul,
+                                _fmatmul, _frref,
                                 column_echelon, delta, divisible_on_right,
                                 fullrank_everywhere, left_coprime, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
@@ -371,3 +371,40 @@ class TestRationalMatmul:
                   for col in zip(*B)] for row in A]
         assert got == want
         assert all(type(x) is Fraction for row in got for x in row)
+
+
+def frref_by_fractions(M):
+    """Reference Gauss-Jordan with one Fraction per entry."""
+    m = [[Fraction(x) for x in row] for row in M]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+class TestRationalRref:
+    @given(st.integers(0, 4), st.integers(0, 5), st.data())
+    @settings(max_examples=150)
+    def test_matches_fraction_elimination(self, rows, cols, data):
+        entries = st.one_of(st.just(Fraction(0)), matrix_entries)
+        M = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and data.draw(st.booleans()):  # a dependent last row
+            c = data.draw(matrix_entries)
+            M[-1] = [x + c * y for x, y in zip(M[0], M[1])]
+        got = _frref(M)
+        assert got == frref_by_fractions(M)
+        assert all(type(x) is Fraction for row in got[0] for x in row)

@@ -7,11 +7,13 @@ import pytest
 from conftest import rand_poly
 
 from passlab.poly import Poly
-from passlab.polymatrix import (PolyMat, delta, normalrank,
+from passlab.polymatrix import (PolyMat, _finverse, _fmatmul, _frank, delta,
+                                normalrank, row_echelon,
                                 unimodularly_equivalent)
 from passlab.signals import Signal
 from passlab.statespace import (RealizationError, StateSpace, controllable,
-                                observable, realize_behavior,
+                                observability_matrix, observable,
+                                realize_behavior,
                                 realize_statespace, resolvent, si_matrix,
                                 simulate, staircase,
                                 storage_check)
@@ -26,6 +28,70 @@ def uncontrollable_oscillator() -> StateSpace:
 
 def pairs_equal(P1, Q1, P2, Q2) -> bool:
     return unimodularly_equivalent(P1.hstack(-Q1), P2.hstack(-Q2))
+
+
+def _echelon_pair(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
+    """Reference realization: the left syzygy (M, N) of [C; -(sI - A)] from
+    the last n rows of its Euclidean row echelon transform, then
+    P = N B + M D and Q = M."""
+    n, d = ss.n, ss.d
+    K = PolyMat.constant(ss.C_exact).vstack(-si_matrix(ss.A_exact))
+    res = row_echelon(K)
+    assert res.rank == d
+    tail = res.U.submatrix(range(d, d + n), range(n + d))
+    M = tail.select_columns(range(n))
+    N = tail.select_columns(range(n, n + d))
+    return (N @ PolyMat.constant(ss.B_exact)
+            + M @ PolyMat.constant(ss.D_exact)), M
+
+
+def _rat(rng: random.Random, top: int) -> Fraction:
+    return Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+
+def staircase_system(rng: random.Random, n: int, sizes: tuple[int, int, int]
+                     ) -> StateSpace:
+    """A random system in the block form
+
+        A = [[A11, A12, 0], [0, A22, 0], [A31, A32, A33]],
+        B = [B1; 0; B3],  C = [C1  C2  0]
+
+    (block 2 uncontrollable, block 3 unobservable) under a random rational
+    similarity.  `sizes` are the three block dimensions."""
+    d = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    zero_A = {(0, 2), (1, 0), (1, 2)}  # (row block, column block) zeros
+    A = [[Fraction(0) if (block[i], block[j]) in zero_A else _rat(rng, 3)
+          for j in range(d)] for i in range(d)]
+    B = [[Fraction(0) if block[i] == 1 else _rat(rng, 3) for _ in range(n)]
+         for i in range(d)]
+    C = [[Fraction(0) if block[j] == 2 else _rat(rng, 3) for j in range(d)]
+         for _ in range(n)]
+    D = [[_rat(rng, 3) for _ in range(n)] for _ in range(n)]
+    while True:
+        T = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+        if _frank(T) == d:
+            break
+    Tinv = _finverse(T)
+    return StateSpace.from_arrays(_fmatmul(_fmatmul(T, A), Tinv),
+                                  _fmatmul(T, B), _fmatmul(C, Tinv), D)
+
+
+def siso_sweep_system(rng: random.Random, d: int) -> StateSpace:
+    """A = -(M M^T + I) + S - S^T, B random, C = B^T, D = 1, entries p/q
+    with |p|, q <= 3: passive, with X = I solving the KYP inequality."""
+    M = [[_rat(rng, 3) for _ in range(d)] for _ in range(d)]
+    S = [[_rat(rng, 3) for _ in range(d)] for _ in range(d)]
+    B = [[_rat(rng, 3)] for _ in range(d)]
+    A = [[-(sum(M[i][k] * M[j][k] for k in range(d)) + (i == j))
+          + S[i][j] - S[j][i] for j in range(d)] for i in range(d)]
+    return StateSpace.from_arrays(A, B, [[b[0] for b in B]], [[1]])
+
+
+def coeff_bits(*mats: PolyMat) -> int:
+    """Largest numerator or denominator bit length of the coefficients."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for M in mats for row in M.entries for p in row for c in p.coeffs)
 
 
 class TestRealizeBehavior:
@@ -50,6 +116,34 @@ class TestRealizeBehavior:
         P, Q = realize_behavior(ss)
         assert P == PolyMat.constant([[1, 0], [0, 2]])
         assert Q == PolyMat.identity(2)
+
+    def test_matches_echelon_syzygy_on_random_mimo(self):
+        """The observability-index pair defines the same behavior as the
+        echelon syzygy pair; its Q is row reduced with deg det Q equal to
+        the observable dimension."""
+        rng = random.Random(20240611)
+        seen = {"unobservable": 0, "uncontrollable": 0}
+        for trial in range(100):
+            n = 1 + trial % 3
+            d = 1 + (trial // 3) % 7
+            cut = sorted(rng.randint(0, d) for _ in range(2))
+            sizes = (cut[0], cut[1] - cut[0], d - cut[1])
+            ss = staircase_system(rng, n, sizes)
+            d_obs = _frank(observability_matrix(ss))
+            seen["unobservable"] += d_obs < d
+            seen["uncontrollable"] += not controllable(ss)
+            P, Q = realize_behavior(ss)
+            assert pairs_equal(P, Q, *_echelon_pair(ss))
+            assert Q.det().degree == d_obs
+            row_deg = [int(max(e.degree for e in row)) for row in Q.entries]
+            lead = [[e.coeff(k) for e in row] for row, k in zip(Q.entries, row_deg)]
+            assert _frank(lead) == n
+        assert min(seen.values()) >= 20, seen
+
+    def test_siso_sweep_coefficients_stay_small(self):
+        ss = siso_sweep_system(random.Random(104729), 8)
+        P, Q = realize_behavior(ss)
+        assert coeff_bits(P, Q) <= 128
 
 
 class TestRealizeStateSpace:
