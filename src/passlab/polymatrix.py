@@ -14,6 +14,14 @@ Conventions:
   * a syzygy basis for M is the last (rows - rank) rows of the row
     echelon transform; being rows of a unimodular matrix they have full
     row rank at every complex point.
+
+Every echelon route shares one forward Euclidean sweep, `_triangularize`,
+and builds only what its caller reads: `row_echelon` tracks the transform
+and then reduces above each pivot; `syzygy_basis` tracks the transform but
+skips that back-reduction, whose row operations never touch the syzygy
+rows; `minor_gcd` tracks no transform and multiplies the pivots, and reads
+a missing pivot as rank deficiency (a zero gcd), so it needs no separate
+`normalrank` pass.
 """
 
 from __future__ import annotations
@@ -410,31 +418,27 @@ class EchelonResult:
     rank: int
 
 
-def row_echelon(M: PolyMat) -> EchelonResult:
-    """Upper (Hermite-style) row echelon form via exact Euclidean column sweeps.
+def _addmul(rows: list[list[Poly]], i: int, j: int, q: Poly, start: int = 0):
+    """rows[i] -= q * rows[j], from column `start` on."""
+    ri, rj = rows[i], rows[j]
+    rows[i] = ri[:start] + [x - q * y for x, y in zip(ri[start:], rj[start:])]
 
-    Pivots are minimal-degree entries (ties: lowest row index), pivots are made
-    monic, and entries above each pivot are reduced modulo the pivot.
-    """
-    l, c = M.rows, M.cols
-    a = [list(row) for row in M.entries]
-    u = [[Poly.one() if i == j else Poly.zero() for j in range(l)] for i in range(l)]
 
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+def _triangularize(a: list[list[Poly]], u: list[list[Poly]] | None = None
+                   ) -> list[int]:
+    """Forward Euclidean column sweeps on the rows of `a`, in place; returns
+    the pivot columns.  Row k ends with its first nonzero entry, the pivot,
+    at column pivots[k], and rows len(pivots).. end zero.
 
-    def addmul(i, j, q: Poly):
-        # row_i -= q * row_j, on M and on the transform alike
-        if q.is_zero:
-            return
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def scale(i, s: Fraction):
-        a[i] = [x * s for x in a[i]]
-        u[i] = [x * s for x in u[i]]
-
+    Each column is swept until at most one row below the finished pivots is
+    nonzero there: the nonzero entry of least degree (ties: lowest row)
+    moves up to become the pivot, and every other row drops its entry
+    modulo it.  Each row operation is applied to the transform `u` as well,
+    when one is given.  A finished pivot row is never read again, so
+    `row_echelon` can scale and reduce above it afterwards."""
+    l = len(a)
+    c = len(a[0]) if a else 0
+    pivots: list[int] = []
     r = 0
     for col in range(c):
         if r == l:
@@ -448,20 +452,44 @@ def row_echelon(M: PolyMat) -> EchelonResult:
             if piv is None:
                 break
             if piv != r:
-                swap(r, piv)
+                a[r], a[piv] = a[piv], a[r]
+                if u is not None:
+                    u[r], u[piv] = u[piv], u[r]
             others = [i for i in range(r + 1, l) if not a[i][col].is_zero]
             if not others:
                 break
             for i in others:
-                addmul(i, r, a[i][col] // a[r][col])
-        if not a[r][col].is_zero:
-            scale(r, 1 / a[r][col].leading)
-            for i in range(r):
+                # rows r.. are zero left of col
                 q = a[i][col] // a[r][col]
-                addmul(i, r, q)
+                _addmul(a, i, r, q, col)
+                if u is not None:
+                    _addmul(u, i, r, q)
+        if not a[r][col].is_zero:
+            pivots.append(col)
             r += 1
+    return pivots
 
-    E = PolyMat([a[i] for i in range(r)]) if r > 0 else None
+
+def row_echelon(M: PolyMat) -> EchelonResult:
+    """Upper (Hermite-style) row echelon form via exact Euclidean column sweeps.
+
+    `_triangularize` with the transform tracked, then pivot by pivot: the
+    pivot is made monic and the entries above it are reduced modulo it.
+    """
+    a = [list(row) for row in M.entries]
+    u = [list(row) for row in PolyMat.identity(M.rows).entries]
+    pivots = _triangularize(a, u)
+    for r, col in enumerate(pivots):
+        s = 1 / a[r][col].leading
+        a[r] = [x * s for x in a[r]]
+        u[r] = [x * s for x in u[r]]
+        for i in range(r):
+            q = a[i][col] // a[r][col]
+            if not q.is_zero:
+                _addmul(a, i, r, q, col)  # row r is zero left of col
+                _addmul(u, i, r, q)
+    r = len(pivots)
+    E = PolyMat(a[:r]) if r > 0 else None
     return EchelonResult(U=PolyMat(u), E=E, rank=r)
 
 
@@ -485,11 +513,19 @@ def unimodular_inverse(U: PolyMat) -> PolyMat:
 def syzygy_basis(M: PolyMat) -> PolyMat | None:
     """Basis for the left syzygy {c : c^T M = 0}; rows have full rank at every
     complex point (they are rows of a unimodular transform).  None if the
-    syzygy module is trivial (normalrank == row count)."""
-    res = row_echelon(M)
-    if res.rank == M.rows:
+    syzygy module is trivial (normalrank == row count).
+
+    The basis is the last rows of the `row_echelon` transform U, which its
+    above-pivot reduction never touches, so only the forward sweep runs.
+    The fraction-free `normalrank` decides the trivial case first, since
+    Euclidean sweeps grow coefficients: on the full-rank PQ* + QP* of
+    random pairs it costs a tenth of a sweep without transform."""
+    l = M.rows
+    if normalrank(M) == l:
         return None
-    return res.U.submatrix(range(res.rank, M.rows), range(M.rows))
+    u = [list(row) for row in PolyMat.identity(l).entries]
+    rank = len(_triangularize([list(row) for row in M.entries], u))
+    return PolyMat(u[rank:], cols=l)
 
 
 def row_reduced(M: PolyMat) -> EchelonResult:
@@ -550,16 +586,22 @@ def delta(M: PolyMat) -> int:
 
 
 def minor_gcd(M: PolyMat) -> Poly:
-    """Monic gcd of all maximal minors of a full-normalrank wide/square matrix.
+    """Monic gcd of all maximal minors of M, and zero when M has deficient
+    row normalrank (tall matrices included): then every maximal minor is 0.
 
-    Computed as det(E) of the column echelon compression M @ V = [E 0]: by
-    Cauchy-Binet every maximal minor of M is det(E) times a minor of the
-    unimodular V^-1, and those minors have trivial gcd.
+    A forward sweep on M^T, with no transform, gives M @ V = [T 0] with V
+    unimodular and T lower triangular.  By Cauchy-Binet every maximal minor
+    of M is det(T) times a maximal minor of V^-1, and those have trivial
+    gcd, so the gcd is the monic product of the pivots on T's diagonal.
     """
-    if normalrank(M) < M.rows:
-        raise ValueError("rank deficient")
-    res = column_echelon(M)
-    return res.E.det().monic()
+    a = [list(row) for row in M.transpose().entries]
+    pivots = _triangularize(a)
+    if len(pivots) < M.rows:
+        return Poly.zero()
+    g = Poly.one()
+    for k in range(M.rows):
+        g = g * a[k][k]
+    return g.monic()
 
 
 def divisible_on_right(A: PolyMat, F: PolyMat) -> tuple[bool, PolyMat | None]:
@@ -604,11 +646,9 @@ def unimodularly_equivalent(R1: PolyMat, R2: PolyMat) -> bool:
 
 
 def left_coprime(A: PolyMat, B: PolyMat) -> bool:
-    """Full row rank of [A B] at every complex point."""
-    M = A.hstack(B)
-    if normalrank(M) < M.rows:
-        return False
-    return minor_gcd(M).degree == 0
+    """Full row rank of [A B] at every complex point: a constant nonzero gcd
+    of maximal minors (a zero gcd is normalrank deficiency)."""
+    return minor_gcd(A.hstack(B)).degree == 0
 
 
 # -- constant-rank tests over a region --------------------------------------------
@@ -635,7 +675,9 @@ def fullrank_everywhere(M: PolyMat, region: str,
     maximal minors.  The gcd is computed exactly; only locating its roots and
     classifying them against the axis band is numeric.
     """
-    g = minor_gcd(M)  # raises ValueError("rank deficient") when appropriate
+    g = minor_gcd(M)
+    if g.is_zero:
+        raise ValueError("rank deficient")
     if g.degree == 0:
         return FullRankResult(True, (), True)
     if region == REGION_ALL_C:

@@ -101,6 +101,11 @@ def pr_form(P: PolyMat, Q: PolyMat, lam: complex) -> np.ndarray:
     return Pv @ Qv.conj().T + Qv @ Pv.conj().T
 
 
+def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
+    """PQ* + QP*, which conditions 1 and 3 both read."""
+    return P @ Q.star() + Q @ P.star()
+
+
 # -- condition 2 -------------------------------------------------------------
 
 
@@ -205,8 +210,12 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     _validate_pair(P, Q)
     if cond2 is None:
         cond2 = check_condition2(P, Q, tol)
-    Phi = P @ Q.star() + Q @ P.star()
+    return _condition1(P, Q, _pr_density(P, Q), tol, cond2)
 
+
+def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
+                cond2: CondVerdict) -> CondVerdict:
+    """`check_condition1` on a validated pair with Phi = PQ* + QP*."""
     ok_axis, wstar = axis_psd(Phi, tol)
     if not ok_axis:
         lam = complex(0.0, float(wstar))
@@ -288,13 +297,17 @@ def _rhp_direction_witness(P: PolyMat, Q: PolyMat, bad_roots, tol: Tolerance
 def check_condition3(P: PolyMat, Q: PolyMat,
                      tol: Tolerance = DEFAULT_TOL) -> CondVerdict:
     """Coupling condition via the syzygy of PQ* + QP*."""
-    n = _validate_pair(P, Q)
-    Phi = P @ Q.star() + Q @ P.star()
-    r = normalrank(Phi)
-    if r == n:
+    _validate_pair(P, Q)
+    return _condition3(P, Q, _pr_density(P, Q), tol)
+
+
+def _condition3(P: PolyMat, Q: PolyMat, Phi: PolyMat,
+                tol: Tolerance) -> CondVerdict:
+    """`check_condition3` on a validated pair with Phi = PQ* + QP*."""
+    V = syzygy_basis(Phi)
+    if V is None:
         return CondVerdict(PASS, detail="PQ*+QP* has full normalrank; "
                                         "the syzygy is trivial")
-    V = syzygy_basis(Phi)
     VPQ = V @ P.hstack(-Q)
     if normalrank(VPQ) < V.rows:
         wit = _coupling_witness(P, Q, V, 0j, tol)
@@ -342,9 +355,11 @@ def _coupling_witness(P: PolyMat, Q: PolyMat, V: PolyMat, lam: complex,
 
 def check_pair(P: PolyMat, Q: PolyMat,
                tol: Tolerance = DEFAULT_TOL) -> PRPairVerdict:
-    """Run all three conditions (order 2, 1, 3; no short-circuit)."""
+    """Run all three conditions (order 2, 1, 3; no short-circuit); PQ* + QP*
+    is built once for conditions 1 and 3."""
     _validate_pair(P, Q)
+    Phi = _pr_density(P, Q)
     c2 = check_condition2(P, Q, tol)
-    c1 = check_condition1(P, Q, tol, cond2=c2)
-    c3 = check_condition3(P, Q, tol)
+    c1 = _condition1(P, Q, Phi, tol, c2)
+    c3 = _condition3(P, Q, Phi, tol)
     return PRPairVerdict(cond1=c1, cond2=c2, cond3=c3)

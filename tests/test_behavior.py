@@ -36,6 +36,12 @@ class TestDecompose:
         with pytest.raises(DecompositionError, match="normalrank deficient"):
             decompose(Z, Z)
 
+    def test_rank_deficient_pair_rejected(self):
+        P = PolyMat([[S, S + 1], [2 * S, 2 * S + 2]])
+        Q = PolyMat([[S * S, Poly.one()], [2 * S * S, Poly.constant(2)]])
+        with pytest.raises(DecompositionError, match="normalrank deficient"):
+            decompose(P, Q)
+
     def test_exact_identities_100_random_pairs(self):
         """The two defining identities hold exactly (zero residual, rational
         arithmetic) on random pairs with a planted common factor."""

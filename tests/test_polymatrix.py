@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passlab.poly import Poly, poly_gcd
-from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
-                                _fmatmul, _frref,
+from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, EchelonResult,
+                                PolyMat, _fmatmul, _frref,
                                 column_echelon, delta, divisible_on_right,
                                 fullrank_everywhere, left_coprime, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
@@ -215,6 +215,141 @@ class TestEchelon:
             assert tail.is_zero or tail.cols == 0
             ok, H = divisible_on_right(head, res.E)
             assert ok and H @ V == comb
+
+
+def row_echelon_interleaved(M: PolyMat) -> EchelonResult:
+    """Reference: the Hermite row echelon form as it was computed before the
+    split into a forward sweep and a back-reduction.  Each pivot is made
+    monic and reduced above as soon as its column is swept."""
+    l, c = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    u = [[Poly.one() if i == j else Poly.zero() for j in range(l)] for i in range(l)]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def addmul(i, j, q: Poly):
+        if q.is_zero:
+            return
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def scale(i, s: Fraction):
+        a[i] = [x * s for x in a[i]]
+        u[i] = [x * s for x in u[i]]
+
+    r = 0
+    for col in range(c):
+        if r == l:
+            break
+        while True:
+            piv = None
+            for i in range(r, l):
+                if not a[i][col].is_zero:
+                    if piv is None or a[i][col].degree < a[piv][col].degree:
+                        piv = i
+            if piv is None:
+                break
+            if piv != r:
+                swap(r, piv)
+            others = [i for i in range(r + 1, l) if not a[i][col].is_zero]
+            if not others:
+                break
+            for i in others:
+                addmul(i, r, a[i][col] // a[r][col])
+        if not a[r][col].is_zero:
+            scale(r, 1 / a[r][col].leading)
+            for i in range(r):
+                addmul(i, r, a[i][col] // a[r][col])
+            r += 1
+
+    E = PolyMat([a[i] for i in range(r)]) if r > 0 else None
+    return EchelonResult(U=PolyMat(u), E=E, rank=r)
+
+
+def minor_gcd_by_hermite(M: PolyMat) -> Poly:
+    """Reference: the former minor_gcd route, a normalrank pass, then the
+    monic det of the interleaved Hermite column echelon form.  That route
+    raised on rank deficiency; here it gives the zero gcd instead."""
+    if normalrank(M) < M.rows:
+        return Poly.zero()
+    E = row_echelon_interleaved(M.transpose()).E.transpose()
+    return E.det().monic()
+
+
+def minor_gcd_by_minors(M: PolyMat) -> Poly:
+    """Reference: gcd of every maximal minor, enumerated; zero when there
+    are none (tall M) or all vanish."""
+    g = Poly.zero()
+    for cols in itertools.combinations(range(M.cols), M.rows):
+        g = poly_gcd(g, M.select_columns(cols).det())
+    return g.monic()
+
+
+def plant_dependent_row(rng: random.Random, M: PolyMat) -> PolyMat:
+    """M with its last row replaced by a polynomial combination of two
+    others, so its normalrank is below its row count."""
+    rows = [list(row) for row in M.entries]
+    p, q = rand_poly(rng, 1, 3), rand_poly(rng, 1, 3)
+    rows[-1] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
+    return PolyMat(rows, cols=M.cols)
+
+
+class TestEchelonSplit:
+    """The forward sweep plus pivot-by-pivot back-reduction against the
+    interleaved reference, and the transform-free minor_gcd against both
+    former routes."""
+
+    def test_row_echelon_and_syzygy_match_interleaved(self):
+        rng = random.Random(104723)
+        deficient = 0
+        for k in range(180):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            M = rand_polymat(rng, r, c, rng.randint(0, 3), 4)
+            if r >= 3 and k % 3 == 0:
+                M = plant_dependent_row(rng, M)
+            ref = row_echelon_interleaved(M)
+            res = row_echelon(M)
+            assert (res.U, res.E, res.rank) == (ref.U, ref.E, ref.rank)
+            want = (None if ref.rank == r
+                    else ref.U.submatrix(range(ref.rank, r), range(r)))
+            assert syzygy_basis(M) == want
+            deficient += ref.rank < r
+        assert deficient >= 30
+
+    @given(st.integers(1, 4), st.integers(0, 8), st.data())
+    @settings(max_examples=100)
+    def test_minor_gcd_matches_references(self, rows, cols, data):
+        polys = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+        M = [[data.draw(polys) for _ in range(cols)] for _ in range(rows)]
+        if data.draw(st.booleans()):  # a common factor of every maximal minor
+            f = S + data.draw(st.integers(-3, 3))
+            M[0] = [f * x for x in M[0]]
+        if rows >= 3 and data.draw(st.booleans()):  # a dependent last row
+            p, q = data.draw(polys), data.draw(polys)
+            M[-1] = [p * x + q * y for x, y in zip(M[0], M[1])]
+        M = PolyMat(M, cols=cols)
+        g = minor_gcd(M)
+        assert g == minor_gcd_by_hermite(M) == minor_gcd_by_minors(M)
+        assert g.is_zero == (normalrank(M) < rows)
+
+    @pytest.mark.parametrize("M", [
+        PolyMat([[S, S + 1], [2 * S, 2 * S + 2]]),
+        PolyMat([[S], [S + 1]]),
+        PolyMat([[S, Poly.one()], [S + 1, S], [S * S, Poly.zero()]]),
+        PolyMat([[Poly.zero(), Poly.zero()]]),
+    ])
+    def test_rank_deficient_and_tall_give_zero(self, M):
+        assert minor_gcd(M).is_zero
+
+    def test_rank_deficient_pair_not_coprime(self):
+        A = PolyMat([[S, S + 1], [2 * S, 2 * S + 2]])
+        B = PolyMat([[S * S], [2 * S * S]])
+        assert not left_coprime(A, B)
+        for region in (REGION_ALL_C, REGION_CLOSED_RHP):
+            with pytest.raises(ValueError, match="rank deficient"):
+                fullrank_everywhere(A.hstack(B), region)
 
 
 class TestRowReduced:

@@ -270,3 +270,22 @@ class TestCouplingAgreement:
             assert direct == syzygy, (P, Q)
             checked += 1
         assert checked == 100
+
+
+class TestCheckPairSharesDensity:
+    def test_matches_public_conditions(self):
+        """check_pair builds PQ* + QP* once for conditions 1 and 3; its
+        verdict equals the one each public condition gives on its own."""
+        rng = random.Random(1729)
+        pairs = [(P, Q) for _, P, Q, _ in spectral_pairs()]
+        pairs += [rand_fullrank_pair(rng, rng.randint(1, 3), rng.randint(1, 3))
+                  for _ in range(30)]
+        pairs.append((PolyMat([[S, S], [S, S]]), PolyMat([[S, S], [S, S]])))
+        statuses = set()
+        for P, Q in pairs:
+            c2 = check_condition2(P, Q)
+            want = (check_condition1(P, Q, cond2=c2), c2, check_condition3(P, Q))
+            v = check_pair(P, Q)
+            assert (v.cond1, v.cond2, v.cond3) == want
+            statuses.add(v.cond3.status)
+        assert {PASS, FAIL} <= statuses
