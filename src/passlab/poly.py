@@ -14,8 +14,11 @@ degree is -inf (avoids special-casing leading-zero trims).
 Also provided:
 
   * the adjoint  p*(s) = p(-s)  used throughout para-Hermitian algebra,
-  * exact real-root isolation (Sturm chains over the rationals), from
-    which "is p(t) >= 0 for every real t" is decided with no tolerance,
+  * exact real-root counting and isolation from the signs of one integer
+    Sturm sequence (primitive negated pseudo-remainders), from which "is
+    p(t) >= 0 for every real t" is decided with no tolerance; an even p is
+    first counted through k(u) = p(sqrt u), and isolated only when the
+    count is not zero,
   * two-variable polynomials on a (xi^i eta^j) grid, and the exact
     divided difference  (p(xi) - p(-eta)) / (xi + eta)  that generates
     the bilinear-differential-form boundary terms of energy identities.
@@ -405,31 +408,107 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 # -- exact real-root analysis ----------------------------------------------------
+#
+# Sturm's theorem (Basu, Pollack and Roy, Algorithms in Real Algebraic
+# Geometry, 2006, ch. 2), on a primitive integer remainder sequence (Brown,
+# J. ACM 18, 1971).  Only signs are read, so every element is kept as the
+# smallest positive integer multiple of the rational Sturm chain's element.
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero:
+def _primitive(c: Sequence[int], sign: int = 1) -> list[int]:
+    """sign * c divided by its (positive) content."""
+    g = gcd(*c)
+    return [sign * x // g for x in c]
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """-(m a mod b) / content for a positive integer m, [] when b divides a.
+
+    Integer pseudo-division: each step scales by |lc(b)| / gcd(c, lc(b)),
+    which lets lc(b) divide the top coefficient c, so m divides |lc(b)|^k
+    and stays positive; a signed lc(b) would flip the remainder's sign."""
+    r = list(a)
+    db = len(b) - 1
+    lc = b[-1]
+    s = abs(lc)
+    low = b[:-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(c, lc)
+        t = c // g if lc > 0 else -(c // g)  # t lc = f c, f = s // g
+        f = s // g
+        if f != 1:
+            r = [x * f for x in r]
+        for j, y in enumerate(low, k):
+            r[j] -= t * y
+    while r and not r[-1]:
+        r.pop()
+    return _primitive(r, -1) if r else r
+
+
+def _sturm_sequence(num: Sequence[int]) -> list[list[int]]:
+    """The Sturm sequence of the integer polynomial `num` (degree >= 1):
+    f, f', then the negated remainders, up to the last nonzero one.  When f
+    is not square-free it ends at gcd(f, f'), and the variation count still
+    counts the distinct roots between two points where f is nonzero."""
+    a = _primitive(num)
+    b = _primitive([k * c for k, c in enumerate(num)][1:])
+    seq = [a, b]
+    while len(b) > 1:
+        r = _negated_remainder(a, b)
+        if not r:
             break
-        # rescale by a positive constant only: signs carry the information
-        chain.append(r * (1 / abs(r.leading)))
-    return [q for q in chain if not q.is_zero]
+        seq.append(r)
+        a, b = b, r
+    return seq
 
 
-def _variations(values: Sequence[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    n = 0
+    prev = 0
+    for v in values:
+        if v:
+            if (v > 0) != (prev > 0) and prev:
+                n += 1
+            prev = v
+    return n
+
+
+def _changes_at(seq: list[list[int]], t: Fraction) -> int:
+    """Sign changes of the sequence at t = tn / td, each element read as
+    the homogeneous integer Horner sum  sum_k c[k] tn^k td^(deg - k)."""
+    tn, td = t.numerator, t.denominator
+    pw = [1]
+    for _ in range(len(seq[0]) - 1):
+        pw.append(pw[-1] * td)
+    values = []
+    for c in seq:
+        d = len(c) - 1
+        acc = 0
+        for k in range(d, -1, -1):
+            acc = acc * tn + c[k] * pw[d - k]
+        values.append(acc)
+    return _sign_changes(values)
+
+
+def _changes_at_inf(seq: list[list[int]], side: int) -> int:
+    """Sign changes at +inf (side = 1) or -inf (side = -1): each element
+    takes the sign of its leading term."""
+    if side > 0:
+        return _sign_changes(c[-1] for c in seq)
+    return _sign_changes(-c[-1] if len(c) % 2 == 0 else c[-1] for c in seq)
 
 
 def count_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     sf = squarefree_part(p)
-    chain = _sturm_chain(sf)
-    va = _variations([q(lo) for q in chain])
-    vb = _variations([q(hi) for q in chain])
-    return va - vb
+    if sf.degree <= 0:
+        return 0
+    seq = _sturm_sequence(sf.num)
+    return _changes_at(seq, _frac(lo)) - _changes_at(seq, _frac(hi))
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -460,15 +539,12 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     if sf.degree <= 0:
         return []
     B = cauchy_bound(sf)
-    chain = _sturm_chain(sf)
-
-    def var_at(t: Fraction) -> int:
-        return _variations([q(t) for q in chain])
-
+    seq = _sturm_sequence(sf.num)
     out: list[tuple[Fraction, Fraction]] = []
-    # stack of (lo, hi, v_lo, v_hi); invariant: sf(lo) != 0 and sf(hi) != 0
-    lo, hi = -B - 1, B + 1
-    stack = [(lo, hi, var_at(lo), var_at(hi))]
+    # stack of (lo, hi, v_lo, v_hi); invariant: sf(lo) != 0 and sf(hi) != 0.
+    # No root lies beyond -B - 1 or B + 1, so the variations there are the
+    # ones at -inf and +inf.
+    stack = [(-B - 1, B + 1, _changes_at_inf(seq, -1), _changes_at_inf(seq, 1))]
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
@@ -478,7 +554,7 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
             out.append((a, b))
             continue
         m = _non_root_point(sf, a, b)
-        vm = var_at(m)
+        vm = _changes_at(seq, m)
         stack.append((a, m, va, vm))
         stack.append((m, b, vm, vb))
     out.sort()
@@ -487,14 +563,24 @@ def isolate_real_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
 
 def find_negative_point(p: Poly) -> Fraction | None:
     """A rational t with p(t) < 0, or None when p(t) >= 0 for every real t.
-    Exact: candidate points are taken one per sign region of p."""
+    Exact: candidate points are taken one per sign region of p.
+
+    Counts before it isolates: an even p with p(0) != 0 is k(t^2), and it
+    has a real root iff k has one in (0, inf), which the variations of k's
+    Sturm sequence at 0 and +inf count.  With none, p keeps the sign of
+    p(0) and no isolation runs."""
     if p.is_zero:
         return None
     if p.degree == 0:
         return Fraction(0) if p.num[0] < 0 else None
+    num = p.num
+    if num[0] and not any(num[1::2]):
+        seq = _sturm_sequence(num[0::2])
+        if _sign_changes(c[0] for c in seq) == _changes_at_inf(seq, 1):
+            return Fraction(0) if num[0] < 0 else None
     intervals = isolate_real_roots(p)
     if not intervals:
-        return Fraction(0) if p(Fraction(0)) < 0 else None
+        return Fraction(0) if num[0] < 0 else None
     candidates = [intervals[0][0]]
     for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
         # b1 <= a2 and neither is a root, so either sits inside the gap region

@@ -678,6 +678,14 @@ def fullrank_everywhere(M: PolyMat, region: str,
     g = minor_gcd(M)
     if g.is_zero:
         raise ValueError("rank deficient")
+    return rank_drops(g, region, tol)
+
+
+def rank_drops(g: Poly, region: str,
+               tol: Tolerance = DEFAULT_TOL) -> FullRankResult:
+    """`fullrank_everywhere` of a matrix M with full row normalrank, from
+    its nonzero g = minor_gcd(M), so a caller that has read the
+    deficiency from a zero g does not sweep M again."""
     if g.degree == 0:
         return FullRankResult(True, (), True)
     if region == REGION_ALL_C:

@@ -43,7 +43,7 @@ from .numeric import AXIS, DEFAULT_TOL, OPEN_RHP, Tolerance, hermitian_psd, regi
 from .numeric import roots as numeric_roots
 from .poly import Poly, find_negative_point
 from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
-                         fullrank_everywhere, normalrank, syzygy_basis)
+                         minor_gcd, rank_drops, syzygy_basis)
 
 PASS = "pass"
 FAIL = "fail"
@@ -111,16 +111,19 @@ def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
 
 def check_condition2(P: PolyMat, Q: PolyMat,
                      tol: Tolerance = DEFAULT_TOL) -> CondVerdict:
-    """Full row rank of [P -Q] everywhere on the closed right half-plane."""
+    """Full row rank of [P -Q] everywhere on the closed right half-plane.
+    One `minor_gcd` sweep decides both: a zero gcd is normalrank
+    deficiency, and otherwise the rank drops at its roots."""
     n = _validate_pair(P, Q)
     PQ = P.hstack(-Q)
-    if normalrank(PQ) < n:
+    g = minor_gcd(PQ)
+    if g.is_zero:
         w = Witness(kind="rank-drop", lam=0j,
                     reverified=_rank_drop_reverifies(PQ, 0j, n, tol),
                     detail="normalrank of [P -Q] is deficient; rank drops at "
                            "every point (shown at lambda = 0)")
         return CondVerdict(FAIL, (w,), "normalrank([P -Q]) < n")
-    res = fullrank_everywhere(PQ, REGION_CLOSED_RHP, tol)
+    res = rank_drops(g, REGION_CLOSED_RHP, tol)
     if not res.robust:
         return CondVerdict(INCONCLUSIVE, (),
                            "rank-drop points straddle the axis band")
@@ -154,15 +157,26 @@ def _even_poly_to_real_axis(g: Poly) -> Poly:
                              "must be even") from None
 
 
-def _axis_minors(Phi: PolyMat):
-    """(subset, h) for every nonzero principal minor of Phi, with h the real
-    polynomial h(w) = minor(jw), smallest subsets first."""
+def _axis_violation(Phi: PolyMat
+                    ) -> tuple[tuple[int, ...], Poly, Fraction] | None:
+    """(subset, h, w*) for the first principal minor of the para-Hermitian
+    Phi, smallest subsets first, whose real polynomial h(w) = minor(jw) is
+    negative somewhere, with h(w*) < 0; None when there is none.  Every
+    earlier minor is nonnegative on the whole axis, so this minor is also
+    the first one negative at w*."""
+    if not (Phi.star() == Phi):
+        raise ValueError("matrix is not para-Hermitian")
     n = Phi.rows
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             minor = Phi.submatrix(subset, subset).det()
-            if not minor.is_zero:
-                yield subset, _even_poly_to_real_axis(minor)
+            if minor.is_zero:
+                continue
+            h = _even_poly_to_real_axis(minor)
+            wstar = find_negative_point(h)
+            if wstar is not None:
+                return subset, h, wstar
+    return None
 
 
 def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
@@ -174,13 +188,10 @@ def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
     so each check reduces to one exact nonnegativity decision on the reals.
     Returns (False, w*) with a rational w* where some minor is negative.
     """
-    if not (Phi.star() == Phi):
-        raise ValueError("matrix is not para-Hermitian")
-    for _, h in _axis_minors(Phi):
-        wstar = find_negative_point(h)
-        if wstar is not None:
-            return False, wstar
-    return True, None
+    found = _axis_violation(Phi)
+    if found is None:
+        return True, None
+    return False, found[2]
 
 
 def _sci(q: Fraction) -> str:
@@ -188,12 +199,12 @@ def _sci(q: Fraction) -> str:
     return f"{Context(prec=6).divide(Decimal(q.numerator), Decimal(q.denominator)):g}"
 
 
-def _axis_inconclusive(Phi: PolyMat, wstar: Fraction, H: np.ndarray,
-                       reason: str) -> CondVerdict:
-    """The exact axis test found Phi(jw*) indefinite but the float view of
-    Phi(jw*) does not confirm it: report both views, decide nothing."""
-    subset, value = next((sub, h(wstar)) for sub, h in _axis_minors(Phi)
-                         if h(wstar) < 0)
+def _axis_inconclusive(subset: tuple[int, ...], h: Poly, wstar: Fraction,
+                       H: np.ndarray, reason: str) -> CondVerdict:
+    """The exact axis test found the principal minor `subset` of Phi(jw*)
+    negative, h(w*) < 0, but the float view H of Phi(jw*) does not confirm
+    it: report both views, decide nothing."""
+    value = h(wstar)
     eig = (f"{np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0]:.6g}"
            if np.all(np.isfinite(H)) else "not finite")
     return CondVerdict(INCONCLUSIVE, (),
@@ -216,18 +227,19 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
 def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
                 cond2: CondVerdict) -> CondVerdict:
     """`check_condition1` on a validated pair with Phi = PQ* + QP*."""
-    ok_axis, wstar = axis_psd(Phi, tol)
-    if not ok_axis:
+    found = _axis_violation(Phi)
+    if found is not None:
+        subset, h, wstar = found
         lam = complex(0.0, float(wstar))
         H = Phi.eval_complex(lam)
         psd, vec = hermitian_psd(H, tol) if np.all(np.isfinite(H)) else (True, None)
         if psd or vec is None:
             return _axis_inconclusive(
-                Phi, wstar, H, "exact axis violation not visible numerically")
+                subset, h, wstar, H, "exact axis violation not visible numerically")
         val = float(np.real(vec.conj() @ H @ vec))
         if not val < 0:
             return _axis_inconclusive(
-                Phi, wstar, H, "axis witness failed re-verification")
+                subset, h, wstar, H, "axis witness failed re-verification")
         w = Witness(kind="axis-indefinite", lam=lam, vector=tuple(vec),
                     value=val, reverified=True,
                     detail=f"PQ*+QP* indefinite at s = j{float(wstar):g}")
@@ -308,12 +320,12 @@ def _condition3(P: PolyMat, Q: PolyMat, Phi: PolyMat,
     if V is None:
         return CondVerdict(PASS, detail="PQ*+QP* has full normalrank; "
                                         "the syzygy is trivial")
-    VPQ = V @ P.hstack(-Q)
-    if normalrank(VPQ) < V.rows:
+    g = minor_gcd(V @ P.hstack(-Q))
+    if g.is_zero:
         wit = _coupling_witness(P, Q, V, 0j, tol)
         return CondVerdict(FAIL, (wit,),
                            "V [P -Q] is normalrank deficient (drops everywhere)")
-    res = fullrank_everywhere(VPQ, REGION_ALL_C, tol)
+    res = rank_drops(g, REGION_ALL_C, tol)
     if res.ok:
         return CondVerdict(PASS)
     wits = tuple(_coupling_witness(P, Q, V, z, tol) for z in res.witnesses)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from passlab.poly import (Poly, TwoVarPoly, bdf_phi, count_real_roots,
-                          find_negative_point, isolate_real_roots,
-                          nonneg_on_reals, poly_gcd,
+import passlab.poly
+from passlab.poly import (Poly, TwoVarPoly, bdf_phi, cauchy_bound,
+                          count_real_roots, find_negative_point,
+                          isolate_real_roots, nonneg_on_reals, poly_gcd,
                           squarefree_decomposition, squarefree_part,
                           two_var_of_poly_in_minus_eta, two_var_of_poly_in_xi)
 
@@ -408,3 +409,201 @@ class TestRepresentation:
         with pytest.raises(AttributeError):
             setattr(p, name, value)
         assert (p.num, p.den) == ((2, 1), 2)
+
+
+# -- integer Sturm sequences against the rational Sturm chain ---------------------
+
+
+def sturm_chain_by_fractions(p: Poly) -> list[Poly]:
+    """The rational Sturm chain that the integer sign sequence replaced:
+    each remainder negated and scaled by 1 / |lc|."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        r = -(chain[-2] % chain[-1])
+        if r.is_zero:
+            break
+        chain.append(r * (1 / abs(r.leading)))
+    return [q for q in chain if not q.is_zero]
+
+
+def _variations_by_fractions(values) -> int:
+    signs = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def count_by_fractions(p: Poly, lo, hi) -> int:
+    chain = sturm_chain_by_fractions(squarefree_part(p))
+    return (_variations_by_fractions([q(lo) for q in chain])
+            - _variations_by_fractions([q(hi) for q in chain]))
+
+
+def _non_root_point_by_fractions(p: Poly, lo, hi) -> Fraction:
+    span = hi - lo
+    limit = max(int(p.degree) + 3, 4) if p.degree > 0 else 4
+    while True:
+        for k in range(2, limit + 1):
+            t = lo + span / k
+            if p(t) != 0:
+                return t
+        span = span / 3
+
+
+def isolate_by_fractions(p: Poly) -> list[tuple[Fraction, Fraction]]:
+    """Bisection from -(B + 1) and B + 1 with variations read there."""
+    sf = squarefree_part(p)
+    if sf.degree <= 0:
+        return []
+    B = cauchy_bound(sf)
+    chain = sturm_chain_by_fractions(sf)
+
+    def var_at(t):
+        return _variations_by_fractions([q(t) for q in chain])
+
+    out = []
+    stack = [(-B - 1, B + 1, var_at(-B - 1), var_at(B + 1))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 0:
+            continue
+        if va - vb == 1:
+            out.append((a, b))
+            continue
+        m = _non_root_point_by_fractions(sf, a, b)
+        vm = var_at(m)
+        stack.append((a, m, va, vm))
+        stack.append((m, b, vm, vb))
+    out.sort()
+    return out
+
+
+def find_negative_by_fractions(p: Poly) -> Fraction | None:
+    """Isolate first, then try one point per sign region."""
+    if p.is_zero:
+        return None
+    if p.degree == 0:
+        return Fraction(0) if p.coeff(0) < 0 else None
+    intervals = isolate_by_fractions(p)
+    if not intervals:
+        return Fraction(0) if p(Fraction(0)) < 0 else None
+    candidates = [intervals[0][0]]
+    for (_, b1), (a2, _) in zip(intervals, intervals[1:]):
+        candidates.append(b1)
+        if a2 != b1:
+            candidates.append(a2)
+    candidates.append(intervals[-1][1])
+    return next((t for t in candidates if p(t) < 0), None)
+
+
+T2 = S**2
+ROOT_KINDS = ("even-no-root", "even-double", "even-simple", "zero-at-origin",
+              "negative-lc", "odd", "wide")
+pos_fracs = st.fractions(min_value=Fraction(1, 7), max_value=9,
+                         max_denominator=7).filter(bool)
+# odd numerators over 2^331, in (1/4, 2): wide, but with a root bound small
+# enough that bisection stays shallow
+wide_pos = st.builds(lambda k: Fraction(2 * k + 1, 2**331),
+                     st.integers(2**328, 2**331 - 1))
+# odd numerators over 2^2001, in (1, 2)
+huge_pos = st.builds(lambda k: 1 + Fraction(2 * k + 1, 2**2001),
+                     st.integers(0, 2**2000 - 1))
+
+
+@st.composite
+def root_cases(draw, kind):
+    """(p, rational roots of p) of one kind: planted factors t^2 - u (real
+    roots at +-sqrt(u), rational when u = q^2), t^2 + u (none) and t - q."""
+    base = wide_pos if kind == "wide" else pos_fracs
+    qs = draw(st.lists(base, min_size=1, max_size=3))
+    squares = draw(st.lists(st.booleans(), min_size=len(qs), max_size=len(qs)))
+    us = [q * q if sq else q for q, sq in zip(qs, squares)]
+    roots = [q for q, sq in zip(qs, squares) if sq]
+    roots += [-q for q in roots]
+    v = draw(base)
+    simple = Poly.one()
+    for u in us:
+        simple = simple * (T2 - u)
+    if kind == "even-no-root":
+        p = draw(st.sampled_from((1, -1))) * (T2 + v)
+        for u in us:
+            p = p * (T2 + u)
+        roots = []
+    elif kind == "even-double":
+        p = simple * simple * (T2 + v)
+    elif kind == "even-simple":
+        p = simple * (T2 + v)
+    elif kind == "zero-at-origin":
+        p = S ** draw(st.integers(1, 3)) * simple
+        roots.append(Fraction(0))
+    elif kind == "negative-lc":
+        p = -(simple ** draw(st.integers(1, 2))) * (T2 + v)
+    elif kind == "odd":
+        p = (S - v) * simple * draw(st.sampled_from((1, -1)))
+        roots.append(v)
+    else:
+        # siso-sized: above 2,000 bits, with double, simple or no real roots
+        shape = draw(st.sampled_from(("double", "simple", "none")))
+        p = {"double": simple * simple, "simple": simple,
+             "none": T2 + v}[shape]
+        p = p * (T2 + draw(huge_pos))
+        if shape == "none":
+            roots = []
+    return p, roots
+
+
+class TestSturmAgainstFractionReference:
+    @given(coeff_lists.filter(lambda c: Poly(c).degree > 0), st.booleans())
+    @settings(max_examples=100)
+    @example([BIG, -BIG, 0, BIG], False)
+    @example(BIG_NEG_LEAD, False)
+    @example([1, 0, -3, 0, -1], False)
+    def test_sequence_is_a_positive_multiple_of_the_chain(self, c, even):
+        """Element by element, the integer sequence has the chain's roots
+        and the sign of its leading coefficient, for any p, square-free or
+        not; the two then agree in sign at every point.  Even p skip every
+        other pseudo-division step, so a signed scale shows there."""
+        p = Poly(c)
+        if even:
+            p = Poly([x if k % 2 == 0 else 0 for k, x in enumerate(c)])
+            if p.degree <= 0:
+                return
+        seq = passlab.poly._sturm_sequence(p.num)
+        chain = sturm_chain_by_fractions(p)
+        assert len(seq) == len(chain)
+        for ints, q in zip(seq, chain):
+            assert all(isinstance(x, int) for x in ints)
+            assert math.gcd(*ints) == 1
+            assert Poly(ints).monic() == q.monic()
+            assert (ints[-1] > 0) == (q.leading > 0)
+
+    @pytest.mark.parametrize("kind", ROOT_KINDS)
+    def test_old_equals_new(self, kind):
+        seen = []
+
+        @given(root_cases(kind), small_fracs, small_fracs)
+        @settings(max_examples=30)
+        def check(case, lo, hi):
+            p, roots = case
+            if kind == "wide":
+                assert max(c.bit_length() for c in p.num) > 2000
+            seen.append(p)
+            assert find_negative_point(p) == find_negative_by_fractions(p)
+            assert isolate_real_roots(p) == isolate_by_fractions(p)
+            # endpoints at roots of p too, where a variation count is
+            # read from a sequence with a zero in it
+            for a, b in [(lo, hi)] + [(lo, r) for r in roots] + \
+                    [(r, hi) for r in roots]:
+                assert count_real_roots(p, a, b) == count_by_fractions(p, a, b)
+
+        check()
+        assert len(seen) >= 25
+
+    @pytest.mark.parametrize("p", [T2 + 1, -(T2 + 1) * (T2 + Fraction(1, 3)),
+                                   (T2 + 2) ** 2 * (T2 + BIG)])
+    def test_even_without_real_roots_is_counted_not_isolated(self, p,
+                                                             monkeypatch):
+        def isolate(_):
+            raise AssertionError("isolated a polynomial with no real root")
+
+        monkeypatch.setattr(passlab.poly, "isolate_real_roots", isolate)
+        want = Fraction(0) if p.coeff(0) < 0 else None
+        assert find_negative_point(p) == want
