@@ -196,7 +196,12 @@ def cmd_simulate(args) -> int:
         raise InputError("--h must be positive")
     if args.t1 < args.t0:
         raise InputError("--t1 must be >= --t0")
-    traj = simulate(ss, x0, u, args.t0, args.t1, args.h)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        traj = simulate(ss, x0, u, args.t0, args.t1, args.h)
+    if not (np.isfinite(traj.x).all() and np.isfinite(traj.energy).all()):
+        raise InputError(f"the trajectory overflows with --h {args.h:g} on "
+                         f"[{args.t0:g}, {args.t1:g}]: take a smaller --h or "
+                         "a shorter horizon")
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         cols = (["t"] + [f"u{i+1}" for i in range(ss.n)]

@@ -114,6 +114,16 @@ class TestExitCodes:
         assert lines[0] == "t,u1,y1,x1,energy"
         assert len(lines) == 202  # header + 201 grid points
 
+    def test_simulate_t1_equal_t0_prints_one_row(self, files, capsys):
+        assert main(["simulate", "--ss", files["rc"], "--input", "sin(t)",
+                     "--x0", "1", "--t0", "2", "--t1", "2", "--h", "0.1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "t,u1,y1,x1,energy"
+        assert len(lines) == 2
+        t, u, y, x, e = map(float, lines[1].split(","))
+        assert (t, x, e) == (2.0, 1.0, 0.0)
+        assert abs(u - math.sin(2.0)) < 1e-11 and abs(y - (1.0 + u)) < 1e-11
+
     def test_witness_flag_includes_witnesses_on_pass(self, files, capsys):
         assert main(["check-pair", files["good_pair"], "--witness"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -280,6 +290,17 @@ class TestErrorExitCodes:
     def test_bad_simulate_grid_is_input_error(self, files, extra):
         assert main(["simulate", "--ss", files["rc"], "--input", "sin(t)"]
                     + extra) == 2
+
+    def test_overflowing_simulation_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "stiff.json"
+        p.write_text(json.dumps({"kind": "ss", "A": [[-1e6]], "B": [[1]],
+                                 "C": [[1]], "D": [[0]]}))
+        assert main(["simulate", "--ss", str(p), "--input", "sin(t)",
+                     "--h", "0.01", "--t1", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--h 0.01" in captured.err and "[0, 1]" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("cert", [
         {"X": [[1, 0], [0, 1]], "L": [[1, 1]], "W": [[1]]},  # wrong shape

@@ -88,6 +88,63 @@ def siso_sweep_system(rng: random.Random, d: int) -> StateSpace:
     return StateSpace.from_arrays(A, B, [[b[0] for b in B]], [[1]])
 
 
+def rk4_by_stages(ss: StateSpace, x0, sigs, t0: float, t1: float, h: float):
+    """Reference simulation (nsteps >= 1): the four RK4 stages step by
+    step, then Y and the Simpson energy as simulate builds them.  Returns
+    (t, X, Y, energy)."""
+    from scipy.integrate import cumulative_simpson
+
+    nsteps = max(1, round((t1 - t0) / h))
+    he = (t1 - t0) / nsteps
+    t = t0 + he * np.arange(nsteps + 1)
+    U = np.column_stack([np.atleast_1d(s(t)) for s in sigs]) \
+        if ss.n else np.zeros((nsteps + 1, 0))
+    tm = t[:-1] + 0.5 * he
+    Um = np.column_stack([np.atleast_1d(s(tm)) for s in sigs]) \
+        if ss.n else np.zeros((nsteps, 0))
+    X = np.zeros((nsteps + 1, ss.d))
+    X[0] = np.asarray(x0, dtype=float).reshape(ss.d)
+    A, B = ss.A, ss.B
+    if ss.d:
+        Bu0 = U[:-1] @ B.T
+        Bum = Um @ B.T
+        Bu1 = U[1:] @ B.T
+        for k in range(nsteps):
+            xk = X[k]
+            k1 = A @ xk + Bu0[k]
+            k2 = A @ (xk + 0.5 * he * k1) + Bum[k]
+            k3 = A @ (xk + 0.5 * he * k2) + Bum[k]
+            k4 = A @ (xk + he * k3) + Bu1[k]
+            X[k + 1] = xk + (he / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    Y = X @ ss.C.T + U @ ss.D.T
+    g = np.sum(U * Y, axis=1)
+    if nsteps >= 2:
+        energy = np.concatenate([[0.0], cumulative_simpson(g, dx=he)])
+    else:
+        energy = np.array([0.0, 0.5 * he * (g[0] + g[1])])
+    return t, X, Y, energy
+
+
+def float_system(rng: np.random.Generator, kind: str, d: int, n: int
+                 ) -> StateSpace:
+    """A random float system whose A is stable (-(M M^T + I)/2 + S - S^T),
+    unstable ((M M^T / d + I)/4 + S - S^T: growth stays far from overflow
+    over 50 time units) or defective (one Jordan block of -1/4 under a
+    random similarity)."""
+    M = rng.standard_normal((d, d))
+    S = rng.standard_normal((d, d))
+    if kind == "stable":
+        A = -(M @ M.T + np.eye(d)) / 2 + S - S.T
+    elif kind == "unstable":
+        A = (M @ M.T / max(d, 1) + np.eye(d)) / 4 + S - S.T
+    else:
+        T = rng.standard_normal((d, d)) + 2 * np.eye(d)
+        A = T @ (-0.25 * np.eye(d) + np.eye(d, k=1)) @ np.linalg.inv(T)
+    return StateSpace.from_arrays(A, rng.standard_normal((d, n)),
+                                  rng.standard_normal((n, d)),
+                                  rng.standard_normal((n, n)))
+
+
 def coeff_bits(*mats: PolyMat) -> int:
     """Largest numerator or denominator bit length of the coefficients."""
     return max(max(c.numerator.bit_length(), c.denominator.bit_length())
@@ -300,6 +357,38 @@ class TestSimulate:
         tr = simulate(ss, [0.0], Signal.sine(), 0.0, math.pi, 1e-3)
         assert abs(tr.t[-1] - math.pi) < 1e-12
 
+    def test_t1_equal_t0_is_one_sample(self):
+        ss = StateSpace.from_arrays([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        tr = simulate(ss, [1.0], Signal.sine(), 2.0, 2.0, 0.1)
+        assert tr.t.tolist() == [2.0]
+        assert tr.x.tolist() == [[1.0]]
+        assert tr.energy.tolist() == [0.0]
+        assert tr.u.tolist() == [[math.sin(2.0)]] and tr.y.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("nsteps", [1, 2, 500, 5000])
+    @pytest.mark.parametrize("kind", ["stable", "unstable", "defective"])
+    def test_propagator_equals_stage_loop(self, kind, nsteps):
+        """The banded propagator solve reproduces the RK4 stage loop; 5,000
+        steps span more than one band chunk."""
+        rng = np.random.default_rng([104729, nsteps, len(kind)])
+        h = 0.01
+        cases = [(d, n) for d in range(7) for n in range(4)]
+        if nsteps == 5000:  # the reference loop is slow: one n per d
+            cases = [(d, d % 4) for d in range(7)]
+        for d, n in cases:
+            ss = float_system(rng, kind, d, n)
+            sigs = [Signal.sine(freq=rng.uniform(0.5, 3.0), coef=rng.uniform(-2, 2))
+                    + Signal.cosine(freq=rng.uniform(0.5, 3.0), coef=rng.uniform(-1, 1))
+                    for _ in range(n)]
+            x0 = rng.uniform(-1, 1, d)
+            tr = simulate(ss, x0, sigs, 0.0, nsteps * h, h)
+            t, X, Y, energy = rk4_by_stages(ss, x0, sigs, 0.0, nsteps * h, h)
+            assert len(tr.t) == nsteps + 1 and np.array_equal(tr.t, t)
+            for new, old in ((tr.x, X), (tr.y, Y), (tr.energy, energy)):
+                scale = 1.0 + (np.max(np.abs(old)) if old.size else 0.0)
+                assert np.max(np.abs(new - old), initial=0.0) <= 1e-11 * scale, \
+                    (kind, nsteps, d, n)
+
     def test_transfer_consistency_random_points(self):
         ss = uncontrollable_oscillator()
         P, Q = realize_behavior(ss)
@@ -309,6 +398,24 @@ class TestSimulate:
             G1 = ss.transfer_at(z)
             G2 = np.linalg.solve(Q.eval_complex(z), P.eval_complex(z))
             assert np.linalg.norm(G1 - G2) <= 1e-8 * (1 + np.linalg.norm(G1))
+
+
+def storage_check_by_quadrature(ss, X, L, W, traj, rtol=1e-6):
+    """Reference storage_check that integrates u^T y again from the samples
+    in place of reading traj.energy."""
+    from passlab.statespace import StorageCheck, _simpson_total
+
+    X, L, W = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (X, L, W))
+    g = np.sum(traj.u * traj.y, axis=1)
+    supply = 2.0 * _simpson_total(g, traj.h)
+    storage = traj.x[-1] @ X @ traj.x[-1] - traj.x[0] @ X @ traj.x[0]
+    v = traj.x @ L.T + traj.u @ W.T
+    rhs = _simpson_total(np.sum(v * v, axis=1), traj.h)
+    lhs = supply - storage
+    residual = abs(lhs - rhs) / (1.0 + abs(rhs))
+    slack = 0.5 * supply - 0.5 * storage
+    ok = residual <= rtol and slack >= -rtol * (1.0 + abs(0.5 * supply))
+    return StorageCheck(identity_residual=residual, dissipation_slack=slack, ok=ok)
 
 
 class TestStorageCheck:
@@ -330,6 +437,30 @@ class TestStorageCheck:
             tr = simulate(ss, [rng.uniform(-1, 1)], u, 0.0, 8.0, 1e-3)
             chk = storage_check(ss, [[X]], [[L]], [[W]], tr)
             assert chk.ok and chk.identity_residual < 1e-6
+
+    @pytest.mark.parametrize("t1", [8.0, 2e-3, 1e-3, 0.0])
+    def test_supply_read_from_energy_equals_quadrature(self, t1):
+        """Reading the supply from traj.energy gives the fields of the old
+        second quadrature: bit-identical from two steps on, and within a
+        few ulp for one step or none (trapezoid written out by hand)."""
+        ss = StateSpace.from_arrays([[-1]], [[1]], [[1]], [[1]])
+        X, L, W = 3 - 2 * math.sqrt(2), 2 - math.sqrt(2), math.sqrt(2)
+        rng = random.Random(7)
+        inputs = [Signal.sine()] + [
+            Signal.sine(freq=rng.uniform(0.5, 2.0), coef=rng.uniform(-2, 2))
+            + Signal.cosine(freq=rng.uniform(0.5, 3.0), coef=rng.uniform(-1, 1))
+            for _ in range(5)]
+        for u in inputs:
+            tr = simulate(ss, [rng.uniform(-1, 1)], u, 0.0, t1, 1e-3)
+            new = storage_check(ss, [[X]], [[L]], [[W]], tr)
+            old = storage_check_by_quadrature(ss, [[X]], [[L]], [[W]], tr)
+            if len(tr.t) >= 3:
+                assert new == old
+            else:
+                eps = np.spacing(1.0 + abs(tr.energy[-1]))
+                assert abs(new.dissipation_slack - old.dissipation_slack) <= 2 * eps
+                assert abs(new.identity_residual - old.identity_residual) <= 4 * eps
+                assert new.ok == old.ok
 
     def test_zero_trajectory(self):
         ss = StateSpace.from_arrays([[-1]], [[1]], [[1]], [[1]])
