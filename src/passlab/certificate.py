@@ -7,9 +7,22 @@ A certificate for (A, B, C, D) is a real triple (X, L, W) with
     C - B^T X    = W^T L,
     D + D^T      = W^T W.
 
-`verify_certificate` checks a supplied triple (all four residuals, the PSD
+`verify_certificate` checks a supplied triple: all four residuals, the PSD
 margin, and optionally that Z(s) = W + L (sI - A)^-1 B is a spectral factor
-of G + G*).  `construct_certificate` builds one from scratch:
+of G + G*.  That check works on the state space, in floats:
+
+  * Z* Z = G + G* at seven axis samples, where one solve
+    R = (jwI - A)^-1 B gives both Z = W + L R and G = D + C R;
+  * no pole of Z in the open RHP: no open-RHP eigenvalue of A that B
+    reaches and L sees (PBH tests);
+  * Z of full row rank in the open RHP: Z can drop rank there only at a
+    finite zero of the Rosenbrock pencil ([[A, B], [L, W]], diag(I, 0)), so
+    those zeros and three fixed points are checked by SVD of Z.
+
+`spectral_factor_poly` checks its polynomial factor the same way, except
+that a polynomial Z has no poles and drops rank only at its factors' roots.
+The exact rational Z is built (`build_zx`) only where a report prints it.
+`construct_certificate` builds one from scratch:
 
     observer staircase -> stable/unstable spectral split -> positive-definite
     lossless solve on the axis block -> spectral factor K of M*N + N*M on the
@@ -25,7 +38,6 @@ reported as unsupported, never silently approximated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +52,8 @@ from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat
 from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
-from .statespace import StateSpace, realize_behavior, resolvent, staircase
+from .statespace import (StateSpace, realize_behavior, resolvent, shifted_solve,
+                         staircase)
 
 
 class FactorizationError(Exception):
@@ -98,7 +111,7 @@ def _fp_eval(c: np.ndarray, z: complex) -> complex:
 
 
 def _poly_to_fp(p: Poly) -> np.ndarray:
-    return _fp([float(x) for x in p.coeffs]) if not p.is_zero else np.zeros(1)
+    return _fp(p.float_coeffs()) if not p.is_zero else np.zeros(1)
 
 
 def _polymat_to_fp(M: PolyMat) -> list[list[np.ndarray]]:
@@ -123,21 +136,7 @@ def _const_to_fp(M: np.ndarray) -> list[list[np.ndarray]]:
     return [[_fp([M[i, j]]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
-def _fp_det(grid: list[list[np.ndarray]]) -> np.ndarray:
-    n = len(grid)
-    if n == 0:
-        return _fp([1.0])
-    if n == 1:
-        return grid[0][0]
-    acc = np.zeros(1)
-    for j in range(n):
-        minor = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = npp.polymul(grid[0][j], _fp_det(minor))
-        acc = npp.polyadd(acc, term if j % 2 == 0 else -term)
-    return _fp_trim(acc)
-
-
-# -- rational matrices for diagnostics ----------------------------------------
+# -- rational matrices ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -165,26 +164,6 @@ class RationalMatrix:
         for i in range(self.rows):
             for j in range(self.cols):
                 out[i, j] = _fp_eval(self.num[i][j], z) / d
-        return out
-
-    def num_scale(self) -> float:
-        vals = [np.max(np.abs(e)) for r in self.num for e in r if e.size]
-        return max(vals, default=0.0)
-
-    def poles(self, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
-        """Denominator roots not cancelled by every numerator entry
-        (first-order test; adequate at desk scale)."""
-        if _fp_deg(self.den) < 1:
-            return []
-        rts = np.roots(_fp_trim(self.den)[::-1])
-        scale = self.num_scale() + 1e-300
-        out = []
-        for z in rts:
-            mx = max(abs(_fp_eval(self.num[i][j], z))
-                     for i in range(self.rows) for j in range(self.cols)) \
-                if self.rows and self.cols else 0.0
-            if mx > 1e-7 * scale * max(1.0, abs(z)) ** _fp_deg(self.den):
-                out.append(complex(z))
         return out
 
     def limit_at_infinity(self) -> np.ndarray:
@@ -231,6 +210,10 @@ class SpectralFactor:
 
 
 _AXIS_SAMPLES = (0.31, 0.77, 1.23, 1.91, 2.63, 3.47, 5.11)
+_RANK_POINTS = (complex(0.5, 0.9), complex(1.7, -0.4), complex(3.1, 2.2))
+_RANK_RTOL = 1e-9  # Z(z) drops rank where sv_min <= 1e-9 (1 + sv_max)
+_MODE_RTOL = 1e-8  # rank cut of the PBH and spectrum tests, about sqrt(eps)
+_SHIFTS = (0.6180339887, -1.3247179572, 2.2360679775)  # shift-invert candidates
 
 
 def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
@@ -294,69 +277,167 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
         for j in range(n):
             if not H[j, j].is_zero:
                 rows.append((j, _scalar_spectral_factor(H[j, j], tol)))
+    diag = _poly_spectral_check(rows, H, tol)
+    if not diag["ok"]:
+        raise FactorizationError(f"spectral factor failed re-verification: {diag}")
     r = len(rows)
     num = [[_fp([0.0]) for _ in range(n)] for _ in range(r)]
     for i, (j, z) in enumerate(rows):
         num[i][j] = z
     Z = RationalMatrix.from_grid(num, [1.0], r, n)
-    diag = _spectral_diagnostics(Z, lambda w: H.eval_complex(1j * w), tol)
-    if not diag["ok"]:
-        raise FactorizationError(f"spectral factor failed re-verification: {diag}")
     return SpectralFactor(Z=Z, r=r, diagnostics=diag)
 
 
-def _spectral_diagnostics(Z: RationalMatrix, H_on_axis, tol: Tolerance) -> dict:
-    """Invariant checks: Z*Z = H on sampled axis points, analyticity in the
-    open RHP, and full row rank in the open RHP (samples plus candidate
-    rank-drop points from the numerator minors)."""
-    res = 0.0
-    scale = 0.0
-    for w in _AXIS_SAMPLES:
-        Hv = H_on_axis(w)
-        Zv = Z.eval(1j * w)
-        res = max(res, float(np.linalg.norm(Zv.conj().T @ Zv - Hv)))
-        scale = max(scale, float(np.linalg.norm(Hv)))
+def _spectral_report(Zs: np.ndarray, Hs: np.ndarray, rhp_poles: list,
+                     rank_ok: bool) -> dict:
+    """The report of both checks.  Zs and Hs hold Z and H at the axis
+    samples; the residual is the largest Frobenius norm of Z^H Z - H there,
+    against 1e-8 (1 + the largest norm of H)."""
+    E = Zs.conj().transpose(0, 2, 1) @ Zs - Hs
+    res = float(np.max(np.linalg.norm(E, axis=(1, 2))))
+    scale = float(np.max(np.linalg.norm(Hs, axis=(1, 2))))
     factor_ok = res <= 1e-8 * (1.0 + scale)
-    rhp_poles = [z for z in Z.poles(tol)
-                 if region_of(z, tol) == OPEN_RHP]
-    analytic_ok = not rhp_poles
-    rank_ok = True
-    if Z.rows > 0:
-        pts = [complex(0.5, 0.9), complex(1.7, -0.4), complex(3.1, 2.2)]
-        pts += [z for z in _rank_drop_candidates(Z)
-                if region_of(z, tol) == OPEN_RHP]
-        for z in pts:
-            sv = np.linalg.svd(Z.eval(z), compute_uv=False)
-            if sv.size and sv[-1] <= 1e-9 * (1.0 + sv[0]):
-                rank_ok = False
-    return {"ok": bool(factor_ok and analytic_ok and rank_ok),
+    return {"ok": bool(factor_ok and not rhp_poles and rank_ok),
             "factor_residual": res, "rhp_poles": tuple(map(complex, rhp_poles)),
             "full_rank_rhp": bool(rank_ok)}
 
 
-def _rank_drop_candidates(Z: RationalMatrix) -> list[complex]:
-    """Common roots of the full-size minors of the numerator matrix."""
-    r, n = Z.rows, Z.cols
-    if r == 0 or r > n:
-        return []
-    minors = []
-    for cols in itertools.combinations(range(n), r):
-        sub = [[Z.num[i][j] for j in cols] for i in range(r)]
-        d = _fp_trim(_fp_det(sub))
-        if _fp_deg(d) >= 0 and np.any(d != 0):
-            minors.append(d)
-    if not minors:
-        return []
-    first = min(minors, key=_fp_deg)
-    if _fp_deg(first) < 1:
-        return []
-    cands = np.roots(first[::-1])
-    out = []
-    for z in cands:
-        if all(abs(_fp_eval(m, z)) <= 1e-6 * (1.0 + np.max(np.abs(m)))
-               * max(1.0, abs(z)) ** _fp_deg(m) for m in minors):
-            out.append(complex(z))
+def _full_rank(Zs: np.ndarray) -> bool:
+    """No stacked value Z(z) drops rank: sv_min > 1e-9 (1 + sv_max) at each."""
+    if Zs.size == 0:
+        return True
+    sv = np.linalg.svd(Zs, compute_uv=False)
+    return bool(np.all(sv[:, -1] > _RANK_RTOL * (1.0 + sv[:, 0])))
+
+
+def _poly_spectral_check(rows: list[tuple[int, np.ndarray]], H: PolyMat,
+                         tol: Tolerance) -> dict:
+    """Z is the row selection `rows` = [(column, factor)] of scalar polynomial
+    factors: it has no poles, and its rank drops are exactly its factors'
+    roots.  Those in the open RHP are confirmed by SVD with the fixed points."""
+    s = 1j * np.array(_AXIS_SAMPLES)
+    drops = [z for _, c in rows for z in np.roots(c[::-1])
+             if region_of(z, tol) == OPEN_RHP]
+    pts = np.array(list(_RANK_POINTS) + drops)
+    return _spectral_report(_selection_stack(rows, H.rows, s), H.eval_stack(s),
+                            [], _full_rank(_selection_stack(rows, H.rows, pts)))
+
+
+def _selection_stack(rows: list[tuple[int, np.ndarray]], n: int,
+                     zs: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(zs), len(rows), n), dtype=complex)
+    for i, (j, c) in enumerate(rows):
+        out[:, i, j] = npp.polyval(zs, c)
     return out
+
+
+def _ss_spectral_check(ss: StateSpace, L: np.ndarray, W: np.ndarray,
+                       tol: Tolerance) -> dict:
+    """Z(s) = W + L (sI - A)^-1 B against H = G + G*, from the state space.
+
+    At each axis sample one solve R = (jwI - A)^-1 B gives Z = W + L R and
+    G = D + C R.  The RHP poles of Z are the open-RHP eigenvalues of A that
+    B reaches and L sees (PBH, after removing the modes decoupled there).  Z
+    can drop row rank in the open RHP only at a finite zero of the Rosenbrock
+    pencil, so those zeros and three fixed points are checked by SVD of Z
+    evaluated by solve; a pole among them counts as a rank drop.  A Z with
+    more rows than columns is checked at the fixed points only.
+    """
+    A, B = ss.A, ss.B
+    q, n = W.shape
+    s = 1j * np.array(_AXIS_SAMPLES)
+    R = shifted_solve(A, B, s)
+    Gs = ss.D + ss.C @ R
+    Zs = W + L @ R
+    eigs = np.linalg.eigvals(A) if ss.d and q else []
+    poles = [lam for lam in eigs
+             if region_of(lam, tol) == OPEN_RHP and _z_at(A, B, L, W, lam) is None]
+    rank_ok = True
+    if q:
+        pts = list(_RANK_POINTS)
+        if ss.d and q <= n:
+            zeros = _invariant_zeros(A, B, L, W)
+            rank_ok = zeros is not None
+            if rank_ok:
+                pts += [z for z in zeros if region_of(z, tol) == OPEN_RHP]
+        vals = [_z_at(A, B, L, W, z) for z in pts]
+        rank_ok = (rank_ok and all(v is not None for v in vals)
+                   and _full_rank(np.array(vals)))
+    return _spectral_report(Zs, Gs + Gs.conj().transpose(0, 2, 1), poles, rank_ok)
+
+
+def _near_spectrum(A: np.ndarray, z: complex) -> bool:
+    if A.shape[0] == 0:
+        return False
+    sv = np.linalg.svd(A - z * np.eye(A.shape[0]), compute_uv=False)
+    return bool(sv[-1] <= _MODE_RTOL * (1.0 + sv[0]))
+
+
+def _decouple(A: np.ndarray, B: np.ndarray, L: np.ndarray, z: complex
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A realization of the same L (sI - A)^-1 B without the modes at z that
+    L does not see or B does not reach (the PBH kernels).  On the complement
+    of an unobservable eigenspace K (A K = z K, L K = 0), or of an
+    uncontrollable left one, the realization is block triangular, and the
+    dropped block never reaches the transfer function."""
+    while A.shape[0]:
+        d = A.shape[0]
+        Az = A - z * np.eye(d)
+        _, sv, Vh = np.linalg.svd(np.vstack([Az, L]))
+        keep = int(np.count_nonzero(sv > _MODE_RTOL * (1.0 + sv[0])))
+        if keep < d:
+            P = Vh[:keep].conj().T
+        else:
+            U, sv, _ = np.linalg.svd(np.hstack([Az, B]))
+            keep = int(np.count_nonzero(sv > _MODE_RTOL * (1.0 + sv[0])))
+            if keep == d:
+                break
+            P = U[:, :keep]
+        A, B, L = P.conj().T @ A @ P, P.conj().T @ B, L @ P
+    return A, B, L
+
+
+def _z_at(A: np.ndarray, B: np.ndarray, L: np.ndarray, W: np.ndarray,
+          z: complex) -> np.ndarray | None:
+    """Z(z) = W + L (zI - A)^-1 B by one solve, or None when z is a pole of
+    Z.  On the spectrum of A, the decoupled modes are removed first."""
+    if _near_spectrum(A, z):
+        A, B, L = _decouple(A, B, L, z)
+        if _near_spectrum(A, z):
+            return None
+    if A.shape[0] == 0:
+        return W.astype(complex)
+    return W + L @ np.linalg.solve(z * np.eye(A.shape[0]) - A, B.astype(complex))
+
+
+def _invariant_zeros(A: np.ndarray, B: np.ndarray, L: np.ndarray,
+                     W: np.ndarray) -> np.ndarray | None:
+    """Finite zeros of the Rosenbrock pencil (M, N) = ([[A, B T], [L, W T]],
+    diag(I, 0)) (Emami-Naeini and Van Dooren, Automatica 18, 1982).  T = I
+    when Z is square, and a fixed generic n x q matrix otherwise, so that
+    Z T drops rank wherever Z does.
+
+    By shift-invert: lam is a finite zero iff 1 / (lam - sigma) is an
+    eigenvalue of S = (M - sigma N)^-1 N, and the infinite zeros go to 0;
+    eigenvalues below 1e-6 ||S||_F count as infinite.  sigma is the best
+    conditioned of _SHIFTS.  None when M - sigma N is singular at all of
+    them: then Z T drops rank everywhere."""
+    d = A.shape[0]
+    q, n = W.shape
+    T = np.eye(n) if q == n else np.linalg.qr(
+        np.random.default_rng(0).standard_normal((n, q)))[0]
+    M = np.block([[A, B @ T], [L, W @ T]])
+    N = np.zeros_like(M)
+    N[:d, :d] = np.eye(d)
+    shifts = np.array(_SHIFTS)
+    sv = np.linalg.svd(M - shifts[:, None, None] * N, compute_uv=False)
+    best = int(np.argmax(sv[:, -1] / sv[:, 0]))
+    if not sv[best, -1] > 1e-12 * sv[best, 0]:
+        return None
+    S = np.linalg.solve(M - shifts[best] * N, N)
+    mu = np.linalg.eigvals(S)
+    mu = mu[np.abs(mu) > 1e-6 * np.linalg.norm(S)]
+    return shifts[best] + 1.0 / mu
 
 
 # -- algebraic Riccati equation ---------------------------------------------------
@@ -479,20 +560,14 @@ def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     R = ss.D + ss.D.T
     W = np.linalg.cholesky(R).T
     L = np.linalg.solve(W.T, ss.C - ss.B.T @ are.X) if ss.d else np.zeros((ss.n, 0))
-    Z = build_zx(ss, L, W)
-
-    def h_on_axis(w: float) -> np.ndarray:
-        G = ss.transfer_at(1j * w)
-        return G + G.conj().T
-
-    diag = _spectral_diagnostics(Z, h_on_axis, tol)
+    diag = _ss_spectral_check(ss, L, W, tol)
     if not diag["ok"]:
         raise FactorizationError(f"spectral factor failed re-verification: {diag}")
     # Exact premise: G = Q^-1 P, so G + G* = Q^-1 (P Q* + Q P*) Q^-*, and the
-    # sampled diagnostics cannot see a violation between their frequencies.
+    # sampled check cannot see a violation between its frequencies.
     P, Q = realize_behavior(ss)
     _require_axis_psd(P @ Q.star() + Q @ P.star(), tol)
-    return SpectralFactor(Z=Z, r=ss.n, diagnostics=diag), are
+    return SpectralFactor(Z=build_zx(ss, L, W), r=ss.n, diagnostics=diag), are
 
 
 # -- certificate verification ---------------------------------------------------
@@ -505,14 +580,32 @@ class Certificate:
     W: np.ndarray
     residuals: dict
     psd_margin: float
-    Z: RationalMatrix | None = None
     spectral: dict | None = None
+    system: StateSpace | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def Z(self) -> RationalMatrix | None:
+        """Z(s) = W + L (sI - A)^-1 B over the exact characteristic
+        polynomial, built on each read; None when the spectral check was
+        skipped."""
+        if self.spectral is None or self.system is None:
+            return None
+        return build_zx(self.system, self.L, self.W)
 
 
 def verify_certificate(ss: StateSpace, X, L, W, tol: Tolerance = DEFAULT_TOL,
                        check_spectral: bool = True) -> Certificate:
-    """Check the four defining equations (and optionally the spectral-factor
-    property of Z = W + L (sI-A)^-1 B); raises on any violated equation."""
+    """Check the four defining equations, and optionally the spectral-factor
+    property of Z = W + L (sI-A)^-1 B; raises on any violated equation.
+
+    The equations are checked by their relative residuals against
+    tol.residual_tol, and X >= 0 by its least eigenvalue.  The spectral
+    check (`spectral` in the result; see the module docstring) reports
+    `factor_residual`, the largest Frobenius norm of Z^H Z - (G + G^H) at
+    the axis samples, which must stay below 1e-8 (1 + |G + G^H|);
+    `rhp_poles`, the open-RHP poles of Z; `full_rank_rhp`; and `ok` when all
+    three hold.  It does not raise: construct_certificate turns a failed
+    check into a discrepancy."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
     L = np.atleast_2d(np.asarray(L, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -544,18 +637,9 @@ def verify_certificate(ss: StateSpace, X, L, W, tol: Tolerance = DEFAULT_TOL,
     if margin < tol.psd_floor(nrm(X)):
         raise CertificateVerificationError(
             f"certificate violated: X not PSD (min eigenvalue {margin:.3e})")
-    Z = None
-    spectral = None
-    if check_spectral:
-        Z = build_zx(ss, L, W)
-
-        def h_on_axis(w: float) -> np.ndarray:
-            G = ss.transfer_at(1j * w)
-            return G + G.conj().T
-
-        spectral = _spectral_diagnostics(Z, h_on_axis, tol)
+    spectral = _ss_spectral_check(ss, L, W, tol) if check_spectral else None
     return Certificate(X=Xs, L=L, W=W, residuals=residuals, psd_margin=margin,
-                       Z=Z, spectral=spectral)
+                       spectral=spectral, system=ss)
 
 
 # -- the eigenstructure linear system for L ----------------------------------------

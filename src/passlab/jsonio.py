@@ -210,8 +210,9 @@ def certificate_json(cert) -> dict:
         "psd_margin": fnum(cert.psd_margin),
         "residuals": {k: fnum(v) for k, v in cert.residuals.items()},
     }
-    if cert.Z is not None:
-        out["Z"] = rational_matrix_json(cert.Z)
+    Z = cert.Z
+    if Z is not None:
+        out["Z"] = rational_matrix_json(Z)
     if cert.spectral is not None:
         out["spectral"] = {
             "factor_residual": fnum(cert.spectral["factor_residual"]),

@@ -102,7 +102,7 @@ def roots(p: Poly, tol: Tolerance = DEFAULT_TOL) -> RootSet:
     found: list[tuple[complex, int, str]] = []
     robust = True
     for factor, mult in squarefree_decomposition(p):
-        coeffs = [float(c) for c in factor.coeffs]
+        coeffs = factor.float_coeffs()
         rts = np.roots(coeffs[::-1]) if factor.degree >= 1 else []
         df = factor.derivative()
         for z in rts:

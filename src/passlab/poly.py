@@ -7,7 +7,8 @@ A polynomial is stored the way FLINT's `fmpq_poly` stores it
 polynomial has exactly one representation.  Ring operations, pseudo-division,
 the adjoint and evaluation run on Python ints and reduce once per result, with
 one variadic `math.gcd`; `coeffs`, `coeff(k)` and `leading` build `Fraction`s
-on demand.  Every gcd, square-free split and sign decision below is exact.
+on demand, and `float_coeffs()` divides the integers directly.  Every gcd,
+square-free split and sign decision below is exact.
 Polynomials are immutable; the zero polynomial has no numerators and its
 degree is -inf (avoids special-casing leading-zero trims).
 
@@ -101,6 +102,14 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(c, den) for c in self.num)
+
+    def float_coeffs(self) -> list[float]:
+        """The coefficients as floats, num[k] / den with no `Fraction` built.
+        Integer true division is correctly rounded, so each equals
+        float(coeffs[k]) bit for bit, and it raises OverflowError where that
+        does."""
+        den = self.den
+        return [c / den for c in self.num]
 
     @property
     def degree(self):

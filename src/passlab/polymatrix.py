@@ -207,6 +207,19 @@ class PolyMat:
                 out[i, j] = e.eval_complex(z)
         return out
 
+    def eval_stack(self, zs) -> np.ndarray:
+        """Values at every point of zs, stacked: shape (len(zs), rows, cols).
+        Each entry runs one Horner pass over the whole point array."""
+        zs = np.asarray(zs, dtype=complex)
+        out = np.zeros((zs.size, self.rows, self.cols), dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                acc = np.zeros(zs.size, dtype=complex)
+                for c in reversed(e.num):
+                    acc = acc * zs + c / e.den
+                out[:, i, j] = acc
+        return out
+
     # -- determinants ------------------------------------------------------------------
 
     def det(self) -> Poly:

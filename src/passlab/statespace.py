@@ -105,10 +105,17 @@ class StateSpace:
 
     def transfer_at(self, z: complex) -> np.ndarray:
         """G(z) = D + C (zI - A)^-1 B."""
-        if self.d == 0:
-            return self.D.astype(complex)
-        M = z * np.eye(self.d) - self.A
-        return self.D + self.C @ np.linalg.solve(M, self.B.astype(complex))
+        return self.D + self.C @ shifted_solve(self.A, self.B, [z])[0]
+
+
+def shifted_solve(A: np.ndarray, B: np.ndarray, zs) -> np.ndarray:
+    """(zI - A)^-1 B at every point z of zs, stacked: shape (len(zs), d, cols)."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    d = A.shape[0]
+    if d == 0:
+        return np.zeros((zs.size, 0, B.shape[1]), dtype=complex)
+    Bs = np.broadcast_to(B.astype(complex), (zs.size,) + B.shape)
+    return np.linalg.solve(zs[:, None, None] * np.eye(d) - A, Bs)
 
 
 def si_matrix(A_exact) -> PolyMat:
@@ -324,22 +331,37 @@ def realize_behavior(ss: StateSpace, check: bool = True
     return P, Q
 
 
+def _consistency_points(ss: StateSpace, Q: PolyMat, points: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The first `points` seeded random points z where neither |det Q(z)|
+    nor |det(zI - A)| is below 1e-8, and Q at them.  Candidates are drawn
+    `points` at a time from one seeded sequence, so the accepted points do
+    not depend on the batching; the dets are stacked."""
+    rng = random.Random(20170907)
+    zs, Qs = [], []
+    while len(zs) < points:
+        cand = np.array([complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
+                         for _ in range(points)])
+        Qc = Q.eval_stack(cand)
+        keep = ~(np.abs(np.linalg.det(Qc)) < 1e-8)
+        if ss.d:
+            keep &= ~(np.abs(np.linalg.det(cand[:, None, None] * np.eye(ss.d)
+                                           - ss.A)) < 1e-8)
+        zs.extend(cand[keep])
+        Qs.extend(Qc[keep])
+    return np.array(zs[:points]), np.array(Qs[:points])
+
+
 def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
                                 points: int = 5, rtol: float = 1e-8):
-    rng = random.Random(20170907)
-    done = 0
-    while done < points:
-        z = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-        Qz = Q.eval_complex(z)
-        if abs(np.linalg.det(Qz)) < 1e-8:
-            continue
-        if ss.d and abs(np.linalg.det(z * np.eye(ss.d) - ss.A)) < 1e-8:
-            continue
-        G1 = np.linalg.solve(Qz, P.eval_complex(z))
-        G2 = ss.transfer_at(z)
-        if np.linalg.norm(G1 - G2) > rtol * (1.0 + np.linalg.norm(G2)):
-            raise AssertionError("transfer function mismatch in realization")
-        done += 1
+    """Q^-1 P against D + C (zI - A)^-1 B at the _consistency_points, by
+    stacked solves."""
+    zs, Qz = _consistency_points(ss, Q, points)
+    G1 = np.linalg.solve(Qz, P.eval_stack(zs))
+    G2 = ss.D + ss.C @ shifted_solve(ss.A, ss.B, zs)
+    gap = np.linalg.norm(G1 - G2, axis=(1, 2))
+    if np.any(gap > rtol * (1.0 + np.linalg.norm(G2, axis=(1, 2)))):
+        raise AssertionError("transfer function mismatch in realization")
 
 
 def realize_statespace(P: PolyMat, Q: PolyMat, check: bool = True) -> StateSpace:

@@ -51,6 +51,18 @@ def rand_nonsingular(rng: random.Random, n: int, max_deg: int) -> PolyMat:
             return F
 
 
+def siso_sweep_system(rng: random.Random, d: int) -> StateSpace:
+    """A = -(M M^T + I) + S - S^T, B random, C = B^T, D = 1, entries p/q
+    with |p|, q <= 3: passive, with X = I solving the KYP inequality."""
+    rat = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    M = [[rat() for _ in range(d)] for _ in range(d)]
+    S = [[rat() for _ in range(d)] for _ in range(d)]
+    B = [[rat()] for _ in range(d)]
+    A = [[-(sum(M[i][k] * M[j][k] for k in range(d)) + (i == j))
+          + S[i][j] - S[j][i] for j in range(d)] for i in range(d)]
+    return StateSpace.from_arrays(A, B, [[b[0] for b in B]], [[1]])
+
+
 def corpus():
     """30 small systems: passive and not, controllable and not, observable
     and not, stable, lossless, static; all within the supported
