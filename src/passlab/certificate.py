@@ -213,7 +213,7 @@ _AXIS_SAMPLES = (0.31, 0.77, 1.23, 1.91, 2.63, 3.47, 5.11)
 _RANK_POINTS = (complex(0.5, 0.9), complex(1.7, -0.4), complex(3.1, 2.2))
 _RANK_RTOL = 1e-9  # Z(z) drops rank where sv_min <= 1e-9 (1 + sv_max)
 _MODE_RTOL = 1e-8  # rank cut of the PBH and spectrum tests, about sqrt(eps)
-_SHIFTS = (0.6180339887, -1.3247179572, 2.2360679775)  # shift-invert candidates
+_PENCIL_RTOL = 1e-14  # rank cut of the zero reduction, a few eps
 
 
 def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
@@ -412,32 +412,38 @@ def _z_at(A: np.ndarray, B: np.ndarray, L: np.ndarray, W: np.ndarray,
 
 def _invariant_zeros(A: np.ndarray, B: np.ndarray, L: np.ndarray,
                      W: np.ndarray) -> np.ndarray | None:
-    """Finite zeros of the Rosenbrock pencil (M, N) = ([[A, B T], [L, W T]],
-    diag(I, 0)) (Emami-Naeini and Van Dooren, Automatica 18, 1982).  T = I
-    when Z is square, and a fixed generic n x q matrix otherwise, so that
-    Z T drops rank wherever Z does.
+    """Finite zeros of the Rosenbrock pencil [[A - sI, B T], [L, W T]]
+    (Emami-Naeini and Van Dooren, Automatica 18, 1982).  T = I when Z is
+    square, and a fixed generic n x q matrix otherwise, so that Z T drops
+    rank wherever Z does.
 
-    By shift-invert: lam is a finite zero iff 1 / (lam - sigma) is an
-    eigenvalue of S = (M - sigma N)^-1 N, and the infinite zeros go to 0;
-    eigenvalues below 1e-6 ||S||_F count as infinite.  sigma is the best
-    conditioned of _SHIFTS.  None when M - sigma N is singular at all of
-    them: then Z T drops rank everywhere."""
-    d = A.shape[0]
+    With a nonsingular feedthrough D = W T the zeros are the eigenvalues of
+    A - B T D^-1 L.  Otherwise the output rows that D does not reach pin the
+    part of the state they see to zero; eliminating it leaves a smaller
+    square system with the same finite zeros, and the reduction repeats
+    until D is nonsingular.  Rank decisions cut at _PENCIL_RTOL relative to
+    the output block [L, W T], so no finite zero is dropped for being far.
+    None when the pencil is singular: then Z T drops rank everywhere."""
     q, n = W.shape
     T = np.eye(n) if q == n else np.linalg.qr(
         np.random.default_rng(0).standard_normal((n, q)))[0]
-    M = np.block([[A, B @ T], [L, W @ T]])
-    N = np.zeros_like(M)
-    N[:d, :d] = np.eye(d)
-    shifts = np.array(_SHIFTS)
-    sv = np.linalg.svd(M - shifts[:, None, None] * N, compute_uv=False)
-    best = int(np.argmax(sv[:, -1] / sv[:, 0]))
-    if not sv[best, -1] > 1e-12 * sv[best, 0]:
-        return None
-    S = np.linalg.solve(M - shifts[best] * N, N)
-    mu = np.linalg.eigvals(S)
-    mu = mu[np.abs(mu) > 1e-6 * np.linalg.norm(S)]
-    return shifts[best] + 1.0 / mu
+    B, C, D = B @ T, L, W @ T
+    cut = _PENCIL_RTOL * (1.0 + np.linalg.norm(np.hstack([C, D])))
+    while True:
+        U, sv, _ = np.linalg.svd(D)
+        rho = int(np.count_nonzero(sv > cut))
+        if rho == q:
+            return np.linalg.eigvals(A - B @ np.linalg.solve(D, C))
+        C0 = U[:, rho:].conj().T @ C  # the output rows D does not reach
+        _, sv, Vh = np.linalg.svd(C0)
+        sigma = int(np.count_nonzero(sv > cut))
+        if sigma < q - rho:
+            return None
+        V = Vh.conj().T  # x = V [x2; x1] with C0 seeing x2 only: x2 = 0
+        A, B, C2 = V.conj().T @ A @ V, V.conj().T @ B, U[:, :rho].conj().T @ C @ V
+        C = np.vstack([A[:sigma, sigma:], C2[:, sigma:]])
+        D = np.vstack([B[:sigma], U[:, :rho].conj().T @ D])
+        A, B = A[sigma:, sigma:], B[sigma:]
 
 
 # -- algebraic Riccati equation ---------------------------------------------------

@@ -308,7 +308,8 @@ class Poly:
         return Fraction(acc, self.den * (pw // td))
 
     def eval_complex(self, z: complex) -> complex:
-        # int true division is correctly rounded, so c / den == float(coeff)
+        # z may also be an ndarray of points, evaluated elementwise.  int true
+        # division is correctly rounded, so c / den == float(coeff)
         den = self.den
         acc = 0j
         for c in reversed(self.num):

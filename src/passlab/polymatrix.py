@@ -214,10 +214,7 @@ class PolyMat:
         out = np.zeros((zs.size, self.rows, self.cols), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, e in enumerate(row):
-                acc = np.zeros(zs.size, dtype=complex)
-                for c in reversed(e.num):
-                    acc = acc * zs + c / e.den
-                out[:, i, j] = acc
+                out[:, i, j] = e.eval_complex(zs)
         return out
 
     # -- determinants ------------------------------------------------------------------

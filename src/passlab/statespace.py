@@ -331,33 +331,22 @@ def realize_behavior(ss: StateSpace, check: bool = True
     return P, Q
 
 
-def _consistency_points(ss: StateSpace, Q: PolyMat, points: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The first `points` seeded random points z where neither |det Q(z)|
-    nor |det(zI - A)| is below 1e-8, and Q at them.  Candidates are drawn
-    `points` at a time from one seeded sequence, so the accepted points do
-    not depend on the batching; the dets are stacked."""
+def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
+                                points: int = 5, rtol: float = 1e-8):
+    """Q^-1 P against D + C (zI - A)^-1 B at seeded random points z where
+    neither |det Q(z)| nor |det(zI - A)| is below 1e-8, by stacked solves."""
     rng = random.Random(20170907)
     zs, Qs = [], []
     while len(zs) < points:
-        cand = np.array([complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-                         for _ in range(points)])
-        Qc = Q.eval_stack(cand)
-        keep = ~(np.abs(np.linalg.det(Qc)) < 1e-8)
-        if ss.d:
-            keep &= ~(np.abs(np.linalg.det(cand[:, None, None] * np.eye(ss.d)
-                                           - ss.A)) < 1e-8)
-        zs.extend(cand[keep])
-        Qs.extend(Qc[keep])
-    return np.array(zs[:points]), np.array(Qs[:points])
-
-
-def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
-                                points: int = 5, rtol: float = 1e-8):
-    """Q^-1 P against D + C (zI - A)^-1 B at the _consistency_points, by
-    stacked solves."""
-    zs, Qz = _consistency_points(ss, Q, points)
-    G1 = np.linalg.solve(Qz, P.eval_stack(zs))
+        z = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
+        Qz = Q.eval_complex(z)
+        if abs(np.linalg.det(Qz)) < 1e-8:
+            continue
+        if ss.d and abs(np.linalg.det(z * np.eye(ss.d) - ss.A)) < 1e-8:
+            continue
+        zs.append(z)
+        Qs.append(Qz)
+    G1 = np.linalg.solve(np.array(Qs), P.eval_stack(zs))
     G2 = ss.D + ss.C @ shifted_solve(ss.A, ss.B, zs)
     gap = np.linalg.norm(G1 - G2, axis=(1, 2))
     if np.any(gap > rtol * (1.0 + np.linalg.norm(G2, axis=(1, 2)))):

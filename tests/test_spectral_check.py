@@ -257,6 +257,15 @@ def test_zero_mirrored_into_rhp_rejected():
     assert good["ok"], good
     bad = _ss_spectral_check(ss, np.diag([2 - SQ2, -c2 - 2 * SQ2]), W, DEFAULT_TOL)
     assert bad["factor_residual"] < 1e-12 and not bad["full_rank_rhp"]
+    # a small feedthrough puts the zero far out: D = 5e-15, C = 1/2 - 1e-7
+    # and the anti-stabilizing X = 1/2, L = -1, W = 1e-7 satisfy all four
+    # equations; Z = (1e-7 s - 0.9999999)/(s + 1) vanishes near s = 1e7
+    ss = StateSpace.from_arrays([[-1]], [[1]], [[Fraction(1, 2) - Fraction(1, 10**7)]],
+                                [[Fraction(5, 10**15)]])
+    L, W = np.array([[-1.0]]), np.array([[1e-7]])
+    far = _ss_spectral_check(ss, L, W, DEFAULT_TOL)
+    assert far["factor_residual"] < 1e-12 and not far["full_rank_rhp"]
+    assert_same(ss_old(ss, L, W), far, "zero near 1e7")
     # and on the polynomial route: 2 - sqrt2 s for the density 4 - 2 s^2
     H = PolyMat([[4 - 2 * S * S]])
     assert _poly_spectral_check([(0, np.array([2.0, SQ2]))], H, DEFAULT_TOL)["ok"]
@@ -309,6 +318,29 @@ def test_zero_on_a_decoupled_unstable_mode():
     # with W = -l/3, Z = l (2 - s) / (3 (s + 1)) also vanishes at 2
     diag = _ss_spectral_check(ss, L, np.array([[-0.5]]), DEFAULT_TOL)
     assert not diag["full_rank_rhp"] and not diag["ok"]
+
+
+def test_strictly_proper_factor_zeros():
+    # W = 0 and relative degree 4: Z = L (sI - A)^-1 B on the chain
+    # 1/(s + 1)^4 has no finite zero, and 3 - s has one in the RHP
+    A = np.diag([-1] * 4) + np.diag([1] * 3, 1)
+    B = [[0], [0], [0], [1]]
+    ss = StateSpace.from_arrays(A.tolist(), B, [[1, 0, 0, 0]], [[0]])
+    W = np.zeros((1, 1))
+    for L, full in (([[1.0, 0, 0, 0]], True), ([[4.0, -1, 0, 0]], False)):
+        diag = _ss_spectral_check(ss, np.array(L), W, DEFAULT_TOL)
+        assert diag["full_rank_rhp"] is full and diag["rhp_poles"] == ()
+        assert_same(ss_old(ss, np.array(L), W), diag, f"chain {L}")
+    # a 2-port with the singular W = diag(1, 0), A = diag(-1, -2), B = I and
+    # L = [[1/2, c], [1, 1]]: det Z = (s + 3/2 - c) / ((s + 1)(s + 2))
+    ss = StateSpace.from_arrays([[-1, 0], [0, -2]], [[1, 0], [0, 1]],
+                                [[1, 0], [0, 1]], [[1, 0], [0, 0]])
+    W = np.diag([1.0, 0.0])
+    for c, full in ((1.0, True), (3.0, False)):
+        L = np.array([[0.5, c], [1.0, 1.0]])
+        diag = _ss_spectral_check(ss, L, W, DEFAULT_TOL)
+        assert diag["full_rank_rhp"] is full and diag["rhp_poles"] == ()
+        assert_same(ss_old(ss, L, W), diag, f"2-port c = {c}")
 
 
 def test_diagonal_rc_8_port_certifies():

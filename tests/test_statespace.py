@@ -12,8 +12,7 @@ from passlab.polymatrix import (PolyMat, _finverse, _fmatmul, _frank, delta,
                                 unimodularly_equivalent)
 from passlab.signals import Signal
 from passlab.statespace import (RealizationError, StateSpace,
-                                _check_transfer_consistency,
-                                _consistency_points, controllable,
+                                _check_transfer_consistency, controllable,
                                 observability_matrix, observable,
                                 realize_behavior,
                                 realize_statespace, resolvent, si_matrix,
@@ -391,42 +390,7 @@ class TestSimulate:
             assert np.linalg.norm(G1 - G2) <= 1e-8 * (1 + np.linalg.norm(G1))
 
 
-def consistency_points_by_loop(ss, Q, points):
-    """The one-point-at-a-time draw the stacked selection replaced."""
-    rng = random.Random(20170907)
-    out = []
-    while len(out) < points:
-        z = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-        if abs(np.linalg.det(Q.eval_complex(z))) < 1e-8:
-            continue
-        if ss.d and abs(np.linalg.det(z * np.eye(ss.d) - ss.A)) < 1e-8:
-            continue
-        out.append(z)
-    return out
-
-
 class TestTransferConsistency:
-    def test_points_equal_the_loop(self):
-        """Same seeded draws and the same accepted points, also when many
-        candidates are rejected: det (s/2)^40 is below 1e-8 for |s| < 1.26,
-        and det(zI - A) is for |z| < 0.94 with A = 0 of size 300."""
-        rng = random.Random(4242)
-        cases = [(siso_sweep_system(rng, d), None) for d in (2, 5, 8)]
-        cases.append((StateSpace.from_arrays(np.zeros((0, 0)), np.zeros((0, 1)),
-                                             np.zeros((1, 0)), [[1]]),
-                      PolyMat([[Poly([0, Fraction(1, 2)]) ** 40]])))
-        zero300 = np.zeros((300, 300))
-        cases.append((StateSpace.from_arrays(zero300, np.ones((300, 1)),
-                                             np.ones((1, 300)), [[1]]),
-                      PolyMat([[S + 1]])))
-        for ss, Q in cases:
-            Q = realize_behavior(ss)[1] if Q is None else Q
-            for points in (1, 5, 9):
-                zs, Qz = _consistency_points(ss, Q, points)
-                assert zs.tolist() == consistency_points_by_loop(ss, Q, points)
-                for z, Qv in zip(zs, Qz):
-                    assert np.allclose(Qv, Q.eval_complex(z), rtol=1e-14, atol=0)
-
     def test_mismatch_raises(self):
         ss = uncontrollable_oscillator()
         P, Q = realize_behavior(ss)
