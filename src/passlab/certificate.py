@@ -25,10 +25,12 @@ The exact rational Z is built (`build_zx`) only where a report prints it.
 `construct_certificate` builds one from scratch:
 
     observer staircase -> stable/unstable spectral split -> positive-definite
-    lossless solve on the axis block -> spectral factor K of M*N + N*M on the
-    controllable image pair (M, N) -> constant L from the eigenstructure
-    linear system -> stable Lyapunov solve -> feedthrough W = lim K M^-1 ->
-    assembly and a mandatory verify pass.
+    lossless solve on the axis block -> image pair (M, N) of the controllable
+    part from one forward syzygy sweep, [P -Q] [M; N] = 0 -> spectral factor
+    K of M*N + N*M -> constant L from the eigenstructure linear system
+    (Jordan chains where the stable block is defective) -> stable Lyapunov
+    solve -> feedthrough W = lim K M^-1 -> assembly and a mandatory verify
+    pass.
 
 Spectral factorization of the para-Hermitian density is implemented for the
 scalar and diagonal polynomial cases and, for proper rational G + G* with
@@ -43,14 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .behavior import decompose
 from .numeric import (AXIS, DEFAULT_TOL, OPEN_RHP, LosslessInfeasibleError,
                       LyapunovError, SpectralSplitError, Tolerance,
                       lossless_lyap_solve, lyapunov_solve, region_of,
                       stable_unstable_split)
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
-from .polymatrix import PolyMat
+from .polymatrix import PolyMat, syzygy_basis
 from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
 from .statespace import (StateSpace, realize_behavior, resolvent, shifted_solve,
                          staircase)
@@ -74,10 +75,6 @@ class AREInfeasibleError(Exception):
 
 class StableStageError(Exception):
     """The eigenstructure linear system for L is inconsistent."""
-
-
-class DefectiveSpectrumError(StableStageError):
-    """Default mode assumes a semisimple stable block; rerun with Jordan chains."""
 
 
 # -- float polynomials (coefficient arrays, low to high) ---------------------
@@ -152,11 +149,6 @@ class RationalMatrix:
                   ) -> "RationalMatrix":
         return RationalMatrix(tuple(tuple(_fp_trim(e) for e in r) for r in num),
                               _fp_trim(den), rows, cols)
-
-    @staticmethod
-    def constant(M: np.ndarray) -> "RationalMatrix":
-        return RationalMatrix.from_grid(_const_to_fp(M), [1.0],
-                                        M.shape[0], M.shape[1])
 
     def eval(self, z: complex) -> np.ndarray:
         d = _fp_eval(self.den, z)
@@ -303,7 +295,10 @@ def _spectral_report(Zs: np.ndarray, Hs: np.ndarray, rhp_poles: list,
 
 
 def _full_rank(Zs: np.ndarray) -> bool:
-    """No stacked value Z(z) drops rank: sv_min > 1e-9 (1 + sv_max) at each."""
+    """No stacked value Z(z) drops rank: sv_min > 1e-9 (1 + sv_max) at each.
+    A Z with more rows than columns has full row rank nowhere."""
+    if Zs.shape[1] > Zs.shape[2]:
+        return False
     if Zs.size == 0:
         return True
     sv = np.linalg.svd(Zs, compute_uv=False)
@@ -341,7 +336,7 @@ def _ss_spectral_check(ss: StateSpace, L: np.ndarray, W: np.ndarray,
     can drop row rank in the open RHP only at a finite zero of the Rosenbrock
     pencil, so those zeros and three fixed points are checked by SVD of Z
     evaluated by solve; a pole among them counts as a rank drop.  A Z with
-    more rows than columns is checked at the fixed points only.
+    more rows than columns drops rank everywhere.
     """
     A, B = ss.A, ss.B
     q, n = W.shape
@@ -666,8 +661,9 @@ def _jordan_chains(As: np.ndarray, tol: Tolerance
                    ) -> list[tuple[complex, list[np.ndarray]]]:
     """Numeric Jordan chains (lam, [v1, v2, ...]) with (As - lam) v1 = 0 and
     (As - lam) v_{k+1} = v_k, matching the (sI - A) orientation of the
-    eigenstructure equations.  Rank decisions use an SVD cutoff; inherently
-    tolerance-dependent, which is why this path sits behind a flag."""
+    eigenstructure equations.  Rank decisions use an SVD cutoff, so the
+    chains are tolerance-dependent; `remark61_solve` reads them only when
+    the eigenvector matrix of As is rank-deficient."""
     d = As.shape[0]
     lams = np.linalg.eigvals(As)
     scale = 1.0 + max(abs(lams), default=0.0)
@@ -706,32 +702,26 @@ def _jordan_chains(As: np.ndarray, tol: Tolerance
     return chains
 
 
-def remark61_solve(K: RationalMatrix | list, M: PolyMat, As: np.ndarray,
-                   Cs: np.ndarray, tol: Tolerance = DEFAULT_TOL,
-                   jordan: bool = False) -> np.ndarray:
+def remark61_solve(K: RationalMatrix, M: PolyMat, As: np.ndarray,
+                   Cs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solve for the constant L in  K*(s) L + J(s)(sI - As) = M*(s) Cs.
 
     Evaluating at each eigenvalue lam of As with eigenvector v kills the J
-    term:  K*(lam) L v = M*(lam) Cs v.  With Jordan chains (behind `jordan`)
-    the Taylor coefficients of K* and M* at lam enter up to the chain depth.
+    term:  K*(lam) L v = M*(lam) Cs v.  When the eigenvectors of As are
+    rank-deficient (a defective block), Jordan chains replace them and the
+    Taylor coefficients of K* and M* at lam enter up to the chain depth.
     The stacked real system is solved by least squares and the residual must
     vanish within tolerance, otherwise no L exists and the stable stage of
     the construction fails.
     """
-    if isinstance(K, RationalMatrix):
-        Kgrid = [list(row) for row in K.num]
-        r, n = K.rows, K.cols
-    else:
-        Kgrid = K
-        r = len(Kgrid)
-        n = len(Kgrid[0]) if r else M.rows
+    r, n = K.rows, K.cols
     ds = As.shape[0] if As.size else 0
     if r == 0 or ds == 0:
         return np.zeros((r, ds))
     Cs = np.asarray(Cs, dtype=float).reshape(n, ds)
     Mstar = M.star()
     # K*(s) = K(-s)^T: entry (j, i) is K[i][j] with odd coefficients negated
-    Kstar = [[_fp_star(Kgrid[i][j]) for i in range(r)] for j in range(n)]
+    Kstar = [[_fp_star(K.num[i][j]) for i in range(r)] for j in range(n)]
     Mstar_fp = _polymat_to_fp(Mstar)
 
     rows_re: list[np.ndarray] = []
@@ -757,17 +747,13 @@ def remark61_solve(K: RationalMatrix | list, M: PolyMat, As: np.ndarray,
             rows_re.append(np.vstack([lhs.real, lhs.imag]))
             rhs_re.append(np.concatenate([rhs.real, rhs.imag]))
 
-    if jordan:
-        for lam, chain in _jordan_chains(As, tol):
-            add_equations(lam, chain)
+    lams, V = np.linalg.eig(As)
+    if np.linalg.matrix_rank(V, tol=1e-8) < ds:
+        chains = _jordan_chains(As, tol)
     else:
-        lams, V = np.linalg.eig(As)
-        if np.linalg.matrix_rank(V, tol=1e-8) < ds:
-            raise DefectiveSpectrumError(
-                "defective spectrum of the stable block; rerun with the "
-                "Jordan-chain option")
-        for i in range(ds):
-            add_equations(complex(lams[i]), [V[:, i]])
+        chains = [(complex(lams[i]), [V[:, i]]) for i in range(ds)]
+    for lam, chain in chains:
+        add_equations(lam, chain)
 
     Amat = np.vstack(rows_re)
     bvec = np.concatenate(rhs_re)
@@ -798,15 +784,16 @@ def certificate_status_exit(status: str) -> int:
             "inconclusive": 3, "unsupported": 3, "discrepancy": 3}[status]
 
 
-def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
-                          jordan: bool = False) -> CertifyResult:
+def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
+                          ) -> CertifyResult:
     """Build a Lur'e triple for (A, B, C, D), or report why none exists.
 
     Pipeline: positive-real gate on the external behavior pair; observer
     staircase; stable/unstable split of the observable block; lossless
-    Lyapunov solve for the axis block; spectral factor K of M*N + N*M on the
-    controllable image pair; L from the eigenstructure system; stable
-    Lyapunov solve; W = lim K M^-1; assembly and a mandatory verify pass.
+    Lyapunov solve for the axis block; the controllable image pair (M, N)
+    from the left syzygy of [P -Q]^T; spectral factor K of M*N + N*M; L from
+    the eigenstructure system; stable Lyapunov solve; W = lim K M^-1;
+    assembly and a mandatory verify pass.
     """
     P, Q = realize_behavior(ss)
     verdict = check_pair(P, Q, tol)
@@ -832,8 +819,8 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
         return CertifyResult(status="discrepancy", verdict=verdict,
                              message=f"positive-real check passed but the "
                                      f"lossless stage failed: {e}")
-    dec = decompose(P, Q)
-    Phi = dec.M.star() @ dec.N + dec.N.star() @ dec.M
+    M, N = _image_pair(P, Q)
+    Phi = M.star() @ N + N.star() @ M
     try:
         sf = spectral_factor_poly(Phi, tol)
     except UnsupportedFactorizationError as e:
@@ -843,9 +830,7 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
                              message=f"positive-real check passed but the "
                                      f"density failed to factor: {e}")
     try:
-        L = remark61_solve(sf.Z, dec.M, split.As, Cs, tol, jordan=jordan)
-    except DefectiveSpectrumError as e:
-        return CertifyResult(status=INCONCLUSIVE, verdict=verdict, message=str(e))
+        L = remark61_solve(sf.Z, M, split.As, Cs, tol)
     except StableStageError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
     try:
@@ -853,7 +838,7 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
     except LyapunovError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
     try:
-        W = _limit_KMinv(sf.Z, dec.M)
+        W = _limit_KMinv(sf.Z, M)
     except ValueError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
 
@@ -882,12 +867,25 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL,
     return CertifyResult(status="certified", certificate=cert, verdict=verdict)
 
 
+def _image_pair(P: PolyMat, Q: PolyMat) -> tuple[PolyMat, PolyMat]:
+    """(M, N) with [P -Q] [M; N] = 0 spanning the controllable part: the
+    left syzygy of the tall [P -Q]^T, transposed.  A positive-real pair has
+    full normalrank, so the basis has n rows; P M == Q N is re-verified."""
+    n = P.rows
+    K = syzygy_basis(P.hstack(-Q).transpose()).transpose()
+    M = K.submatrix(range(n), range(n))
+    N = K.submatrix(range(n, 2 * n), range(n))
+    if not (P @ M == Q @ N):
+        raise AssertionError("image representation inconsistent with the pair")
+    return M, N
+
+
 def _limit_KMinv(K: RationalMatrix, M: PolyMat) -> np.ndarray:
     """W = lim_{s->inf} K(s) M(s)^-1, exactly proper by construction."""
     r = K.rows
     n = M.rows
     den = _poly_to_fp(M.det())
     adj = _polymat_to_fp(M.adjugate())
-    num = _fp_matmul([list(row) for row in K.num], adj, r, n, n)
+    num = _fp_matmul(K.num, adj, r, n, n)
     Z = RationalMatrix.from_grid(num, den, r, n)
     return Z.limit_at_infinity()

@@ -146,7 +146,7 @@ def cmd_certify(args) -> int:
     tol = _tol_from_args(args)
     kind, payload = load_system(args.input)
     _require_kind(kind, "ss", args.input)
-    res = construct_certificate(payload, tol, jordan=args.jordan)
+    res = construct_certificate(payload, tol)
     doc = {"status": res.status}
     if res.message:
         doc["message"] = res.message
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[common],
                        help="construct a Lur'e certificate for a state-space system")
     p.add_argument("input")
-    p.add_argument("--jordan", action="store_true",
-                   help="enable numeric Jordan chains for defective stable blocks")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify-cert", parents=[common],

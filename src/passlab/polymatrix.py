@@ -2,11 +2,12 @@
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
 row/column echelon reductions, the inverse of a unimodular matrix (one
-more echelon pass), fraction-free Bareiss determinants, syzygy bases,
-right-divisibility, normal rank, the max-degree-of-full-size-minors
-functional used for properness tests, and constant-rank tests over a region
-of the complex plane.  The dense rational-matrix helpers (`_frref` and the
-rank, kernel, inverse and product built on it) live here too.
+more echelon pass), fraction-free Bareiss determinants and normal rank,
+syzygy bases, right-divisibility, kernel equality by row Hermite forms, the
+max-degree-of-full-size-minors functional used for properness tests, and
+constant-rank tests over a region of the complex plane.  The dense
+rational-matrix helpers (`_frref` and the rank, kernel, inverse and product
+built on it) live here too.
 
 Conventions:
   * row echelon:     U @ M == stack(E, zero rows),  U unimodular
@@ -390,12 +391,17 @@ def _fmatmul(A, B):
 
 
 def normalrank(M: PolyMat) -> int:
-    """Rank of M over Q(s), by fraction-free forward elimination."""
+    """Rank of M over Q(s), by Bareiss fraction-free forward elimination
+    (Bareiss, Math. Comp. 22, 1968).  Every row below the pivot is updated,
+    zero entry or not, and divided exactly by the previous pivot: each entry
+    stays a minor of M, so degrees grow linearly, not exponentially."""
     a = [list(row) for row in M.entries]
     r, c = M.rows, M.cols
-    rank = 0
     row = 0
+    prev = Poly.one()
     for col in range(c):
+        if row == r:
+            break
         piv = None
         for i in range(row, r):
             if not a[i][col].is_zero:
@@ -404,17 +410,15 @@ def normalrank(M: PolyMat) -> int:
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
+        p, prow = a[row][col], a[row]
         for i in range(row + 1, r):
             e = a[i][col]
-            if e.is_zero:
-                continue
-            a[i] = [p * a[i][j] - e * a[row][j] for j in range(c)]
-        rank += 1
+            a[i][col + 1:] = [(p * x - e * y) // prev  # exact
+                              for x, y in zip(a[i][col + 1:], prow[col + 1:])]
+            a[i][col] = Poly.zero()
+        prev = p
         row += 1
-        if row == r:
-            break
-    return rank
+    return row
 
 
 # -- unimodular echelon reductions ------------------------------------------------------
@@ -529,9 +533,10 @@ def syzygy_basis(M: PolyMat) -> PolyMat | None:
     above-pivot reduction never touches, so only the forward sweep runs.
     The fraction-free `normalrank` decides the trivial case first, since
     Euclidean sweeps grow coefficients: on the full-rank PQ* + QP* of
-    random pairs it costs a tenth of a sweep without transform."""
+    random pairs it costs a tenth of a sweep without transform.  A tall M
+    always has a syzygy, so it skips that pass."""
     l = M.rows
-    if normalrank(M) == l:
+    if l <= M.cols and normalrank(M) == l:
         return None
     u = [list(row) for row in PolyMat.identity(l).entries]
     rank = len(_triangularize([list(row) for row in M.entries], u))
@@ -636,23 +641,12 @@ def divisible_on_right(A: PolyMat, F: PolyMat) -> tuple[bool, PolyMat | None]:
 
 def unimodularly_equivalent(R1: PolyMat, R2: PolyMat) -> bool:
     """Do R1 and R2 define the same kernel, i.e. R1 == U @ R2 for unimodular U?
-    Both must have full row normalrank."""
+    Both must have full row normalrank.  The row Hermite form is canonical
+    under left unimodular equivalence (Kailath, Linear Systems, 1980, sec.
+    6.3), so the kernels agree exactly when the forms do."""
     if (R1.rows, R1.cols) != (R2.rows, R2.cols):
         return False
-
-    def divides(Ra, Rb) -> bool:
-        # exists H with Ra == H @ Rb
-        res = column_echelon(Rb)
-        G = Ra @ res.U
-        tail = G.submatrix(range(G.rows), range(res.rank, G.cols)) \
-            if res.rank < G.cols else None
-        if tail is not None and not tail.is_zero:
-            return False
-        head = G.select_columns(range(res.rank))
-        ok, _ = divisible_on_right(head, res.E)
-        return ok
-
-    return divides(R1, R2) and divides(R2, R1)
+    return row_echelon(R1).E == row_echelon(R2).E
 
 
 def left_coprime(A: PolyMat, B: PolyMat) -> bool:

@@ -353,7 +353,7 @@ def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
         raise AssertionError("transfer function mismatch in realization")
 
 
-def realize_statespace(P: PolyMat, Q: PolyMat, check: bool = True) -> StateSpace:
+def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
     """Observer-style realization of a proper pair P(d/dt) u = Q(d/dt) y.
 
     Requires Q nonsingular and Q^-1 P proper, certified exactly by
@@ -361,7 +361,8 @@ def realize_statespace(P: PolyMat, Q: PolyMat, check: bool = True) -> StateSpace
     construction row-reduces Q, peels off the feedthrough D, and realizes the
     strictly proper remainder with one integrator chain per output channel,
     so the external behavior equals ker [P -Q] exactly (uncontrollable modes
-    included).
+    included).  The round trip is re-checked on every call: the realization's
+    own pair must have the row Hermite form of [P -Q].
     """
     n = Q.rows
     if not (Q.is_square and P.rows == n and P.cols == n):
@@ -418,10 +419,9 @@ def realize_statespace(P: PolyMat, Q: PolyMat, check: bool = True) -> StateSpace
         for j, st in top_state.items():
             C[c][st] = lam_inv[c][j]
     ss = StateSpace.from_arrays(A, B, C, Dg)
-    if check:
-        Pr, Qr = realize_behavior(ss, check=False)
-        if not unimodularly_equivalent(Pr.hstack(-Qr), P.hstack(-Q)):
-            raise AssertionError("round trip changed the behavior")
+    Pr, Qr = realize_behavior(ss, check=False)
+    if not unimodularly_equivalent(Pr.hstack(-Qr), P.hstack(-Q)):
+        raise AssertionError("round trip changed the behavior")
     return ss
 
 

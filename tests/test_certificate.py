@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from conftest import corpus
+from conftest import corpus, rand_fullrank_pair
 
+from passlab.behavior import decompose
 from passlab.certificate import (AREInfeasibleError, CertificateVerificationError,
                                  FactorizationError, RationalMatrix,
-                                 UnsupportedFactorizationError, are_solve,
-                                 build_zx, construct_certificate,
+                                 UnsupportedFactorizationError, _image_pair,
+                                 are_solve, build_zx, construct_certificate,
                                  remark61_solve, spectral_factor_from_ss,
                                  spectral_factor_poly, verify_certificate)
 from passlab.numeric import Tolerance
@@ -185,17 +186,29 @@ class TestRemark61:
         assert res.status == "certified"
         assert max(res.certificate.residuals.values()) < 1e-8
 
-    def test_jordan_flag_on_defective_block(self):
-        # A_s = [[-1, 1], [0, -1]] is defective; G = C (sI-A)^-1 B + D
-        ss = StateSpace.from_arrays([[-1, 1], [0, -1]], [[0], [1]],
-                                    [[1, 0]], [[1]])
-        res_plain = construct_certificate(ss)
-        res_jordan = construct_certificate(ss, jordan=True)
-        # at least one of the routes must certify; the jordan route must
-        # succeed whenever the plain route does
-        assert res_jordan.status == "certified" or res_plain.status == "certified"
-        if res_jordan.status == "certified":
-            assert max(res_jordan.certificate.residuals.values()) < 1e-8
+    def test_defective_blocks_certify_without_a_flag(self):
+        # one Jordan block at -1 of size 2 and of size 3: the eigenvectors
+        # are rank-deficient, so the stable stage reads Jordan chains
+        for d in (2, 3):
+            A = [[-1 if i == j else int(j == i + 1) for j in range(d)]
+                 for i in range(d)]
+            B = [[int(i == d - 1)] for i in range(d)]
+            C = [[int(j == 0) for j in range(d)]]
+            res = construct_certificate(StateSpace.from_arrays(A, B, C, [[1]]))
+            assert res.status == "certified", (d, res.message)
+            assert max(res.certificate.residuals.values()) < 1e-8
+
+
+class TestImagePair:
+    def test_old_equals_new(self):
+        """The syzygy pair against decompose's M and N, bit for bit, on the
+        corpus pairs and on random full-rank pairs."""
+        rng = random.Random(7919)
+        pairs = [realize_behavior(ss) for _, ss in corpus()]
+        pairs += [rand_fullrank_pair(rng, 1 + k % 3, 2) for k in range(30)]
+        for P, Q in pairs:
+            dec = decompose(P, Q)
+            assert _image_pair(P, Q) == (dec.M, dec.N)
 
 
 class TestAre:

@@ -471,7 +471,127 @@ class TestCoprimeAndRank:
             assert g == direct.monic()
 
 
+def normalrank_undivided(M: PolyMat) -> int:
+    """Reference: the former normalrank, fraction-free elimination with no
+    division, which skipped rows with a zero entry in the pivot column."""
+    a = [list(row) for row in M.entries]
+    r, c = M.rows, M.cols
+    row = 0
+    for col in range(c):
+        piv = None
+        for i in range(row, r):
+            if not a[i][col].is_zero:
+                if piv is None or a[i][col].degree < a[piv][col].degree:
+                    piv = i
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        p = a[row][col]
+        for i in range(row + 1, r):
+            e = a[i][col]
+            if not e.is_zero:
+                a[i] = [p * a[i][j] - e * a[row][j] for j in range(c)]
+        row += 1
+        if row == r:
+            break
+    return row
+
+
+def equivalent_by_division(R1: PolyMat, R2: PolyMat) -> bool:
+    """Reference: the former kernel-equality route, right divisibility each
+    way through a column echelon form and an adjugate."""
+    if (R1.rows, R1.cols) != (R2.rows, R2.cols):
+        return False
+
+    def divides(Ra, Rb) -> bool:  # exists H with Ra == H @ Rb
+        res = column_echelon(Rb)
+        G = Ra @ res.U
+        if not G.select_columns(range(res.rank, G.cols)).is_zero:
+            return False
+        return divisible_on_right(G.select_columns(range(res.rank)), res.E)[0]
+
+    return divides(R1, R2) and divides(R2, R1)
+
+
+def rand_unimodular(rng: random.Random, n: int) -> PolyMat:
+    """A product of elementary row operations: swaps, nonzero constant
+    scalings and additions of a polynomial multiple of another row."""
+    rows = [list(row) for row in PolyMat.identity(n).entries]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 1:
+            k = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            rows[i] = [x * k for x in rows[i]]
+        elif n > 1:
+            q = rand_poly(rng, 2, 3)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return PolyMat(rows, cols=n)
+
+
+def exact_normalrank(M: PolyMat, monkeypatch) -> int:
+    """normalrank(M) with every polynomial division asserted exact."""
+    def exact_floordiv(a, b):
+        q, rem = divmod(a, Poly.of(b))
+        assert rem.is_zero, "inexact Bareiss division"
+        return q
+
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "__floordiv__", exact_floordiv)
+        return normalrank(M)
+
+
+class TestBareissNormalrank:
+    def test_old_equals_new_on_400_random_ranks(self, monkeypatch):
+        """Products of random r x k and k x c factors, k = 0..5, so every
+        rank up to 5 occurs."""
+        rng = random.Random(4001)
+        seen = set()
+        for _ in range(400):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(0, min(r, c))
+            M = rand_polymat(rng, r, k, 1, 3) @ rand_polymat(rng, k, c, 1, 3) \
+                if k else PolyMat.zeros(r, c)
+            rank = exact_normalrank(M, monkeypatch)
+            assert rank == normalrank_undivided(M) == row_echelon(M).rank
+            seen.add(rank)
+        assert seen == set(range(6))
+
+    def test_zero_entries_below_pivot_keep_divisions_exact(self, monkeypatch):
+        # the second row is zero in the first pivot column; left unscaled
+        # there, it would make the next division inexact
+        M = PolyMat([[S, Poly.one(), S + 1], [Poly.zero(), S, Poly.one()],
+                     [S + 2, Poly.zero(), S * S]])
+        assert exact_normalrank(M, monkeypatch) == normalrank_undivided(M) == 3
+
+
 class TestEquivalence:
+    def test_old_equals_new_on_150_random_pairs(self):
+        """Hermite-form equality against the divisibility route, on seeded
+        unimodular multiples and on perturbations of them."""
+        rng = random.Random(1511)
+        equivalent = done = 0
+        while done < 150:
+            r = rng.randint(1, 3)
+            R1 = rand_polymat(rng, r, rng.randint(r, r + 2), 2, 4)
+            if normalrank(R1) < r:
+                continue
+            R2 = rand_unimodular(rng, r) @ R1
+            if rng.random() < 0.5:
+                i, j = rng.randrange(r), rng.randrange(R1.cols)
+                rows = [list(row) for row in R2.entries]
+                rows[i][j] = rows[i][j] + rand_poly(rng, 1, 2, nonzero=True)
+                R2 = PolyMat(rows, cols=R1.cols)
+                if normalrank(R2) < r:
+                    continue
+            got = unimodularly_equivalent(R1, R2)
+            assert got == equivalent_by_division(R1, R2), (R1, R2)
+            equivalent += got
+            done += 1
+        assert 30 <= equivalent <= 120
+
     def test_scalar_scaling(self):
         A1 = PolyMat([[S + 1, -S]])
         assert unimodularly_equivalent(A1, PolyMat([[2 * (S + 1), -2 * S]]))

@@ -273,6 +273,15 @@ def test_zero_mirrored_into_rhp_rejected():
     assert mirrored["factor_residual"] < 1e-12 and not mirrored["full_rank_rhp"]
 
 
+def test_tall_factor_rejected():
+    # the RC factor with a zero row appended: Z^H Z is still G + G^H, but a
+    # 2 x 1 Z has full row rank nowhere
+    X, L, W = [[3 - 2 * SQ2]], [[2 - SQ2], [0]], [[SQ2], [0]]
+    diag = verify_certificate(rc(), X, L, W).spectral
+    assert diag["factor_residual"] < 1e-12 and diag["rhp_poles"] == ()
+    assert not diag["full_rank_rhp"] and not diag["ok"]
+
+
 def test_wrong_degree_rejected():
     H = PolyMat([[4 - 2 * S * S]])
     for coeffs in ([2.0], [2.0, SQ2, 1.0]):
