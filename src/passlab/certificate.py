@@ -22,7 +22,14 @@ of G + G*.  That check works on the state space, in floats:
 `spectral_factor_poly` checks its polynomial factor the same way, except
 that a polynomial Z has no poles and drops rank only at its factors' roots.
 The exact rational Z is built (`build_zx`) only where a report prints it.
-`construct_certificate` builds one from scratch:
+`construct_certificate` builds one from scratch, by three routes in order:
+
+  1. the positive-real gate: `check_pair` on the external behavior pair
+     decides every not-passive and inconclusive verdict;
+  2. the Riccati route, when D + D^T > 0: the stabilizing solution X of the
+     algebraic Riccati equation, W the Cholesky factor of D + D^T,
+     L = W^-T (C - B^T X), and the mandatory verify pass;
+  3. the pipeline, where the Riccati route raises or fails its check:
 
     observer staircase -> stable/unstable spectral split -> positive-definite
     lossless solve on the axis block -> image pair (M, N) of the controllable
@@ -482,14 +489,13 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     S = ss.B @ Rinv @ ss.B.T
     Qbar = ss.C.T @ Rinv @ ss.C
     H = np.block([[-Ahat, -S], [Qbar, Ahat.T]])
-    lams = np.linalg.eigvals(H)
+    lams, V = np.linalg.eig(H)
     near_axis = any(abs(z.real) <= 10 * tol.axis_band * (1.0 + abs(z))
                     for z in lams)
     X = None
     if not near_axis:
         idx = [k for k, z in enumerate(lams) if z.real > 0]
         if len(idx) == d:
-            _, V = np.linalg.eig(H)
             V1 = V[:d, idx]
             V2 = V[d:, idx]
             if np.linalg.cond(V1) < 1e12:
@@ -553,14 +559,23 @@ def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray,
     return unpack(x)
 
 
+def _riccati_factor(ss: StateSpace, tol: Tolerance
+                    ) -> tuple[AREResult, np.ndarray, np.ndarray]:
+    """The stabilizing Riccati solution X (`are_solve`) with its L and W: W
+    is the upper Cholesky factor of D + D^T, so W^T W = D + D^T, and
+    L = W^-T (C - B^T X).  Raises ValueError unless D + D^T > 0,
+    AREInfeasibleError without a PSD solution."""
+    are = are_solve(ss, tol)
+    W = np.linalg.cholesky(ss.D + ss.D.T).T
+    L = np.linalg.solve(W.T, ss.C - ss.B.T @ are.X) if ss.d else np.zeros((ss.n, 0))
+    return are, L, W
+
+
 def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                             ) -> tuple[SpectralFactor, AREResult]:
     """Spectral factor of G + G* from a realization with D + D^T > 0, via the
-    Riccati route: W^T W = D + D^T, L = (W^T)^-1 (C - B^T X)."""
-    are = are_solve(ss, tol)
-    R = ss.D + ss.D.T
-    W = np.linalg.cholesky(R).T
-    L = np.linalg.solve(W.T, ss.C - ss.B.T @ are.X) if ss.d else np.zeros((ss.n, 0))
+    Riccati route (`_riccati_factor`)."""
+    are, L, W = _riccati_factor(ss, tol)
     diag = _ss_spectral_check(ss, L, W, tol)
     if not diag["ok"]:
         raise FactorizationError(f"spectral factor failed re-verification: {diag}")
@@ -788,12 +803,19 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                           ) -> CertifyResult:
     """Build a Lur'e triple for (A, B, C, D), or report why none exists.
 
-    Pipeline: positive-real gate on the external behavior pair; observer
-    staircase; stable/unstable split of the observable block; lossless
-    Lyapunov solve for the axis block; the controllable image pair (M, N)
-    from the left syzygy of [P -Q]^T; spectral factor K of M*N + N*M; L from
-    the eigenstructure system; stable Lyapunov solve; W = lim K M^-1;
-    assembly and a mandatory verify pass.
+    Routes, in order:
+
+      1. the positive-real gate on the external behavior pair; every
+         not-passive and inconclusive verdict comes from it;
+      2. the Riccati certificate (`_riccati_certificate`), tried whenever
+         the system has ports; it needs D + D^T > 0 and a Hamiltonian whose
+         stable subspace can be ordered or reached by Newton;
+      3. otherwise the pipeline: observer staircase; stable/unstable split
+         of the observable block; lossless Lyapunov solve for the axis
+         block; the controllable image pair (M, N) from the left syzygy of
+         [P -Q]^T; spectral factor K of M*N + N*M; L from the eigenstructure
+         system; stable Lyapunov solve; W = lim K M^-1; assembly and a
+         mandatory verify pass.
     """
     P, Q = realize_behavior(ss)
     verdict = check_pair(P, Q, tol)
@@ -803,6 +825,9 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                              message="external behavior pair is not positive real"
                              if status == "not-passive" else
                              "positive-real check inconclusive at tolerance")
+    cert = _riccati_certificate(ss, tol) if ss.n else None
+    if cert is not None:
+        return CertifyResult(status="certified", certificate=cert, verdict=verdict)
     st = staircase(ss)
     try:
         split = stable_unstable_split(st.A11, tol)
@@ -865,6 +890,19 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                              message=f"constructed Z is not a spectral factor: "
                                      f"{cert.spectral}")
     return CertifyResult(status="certified", certificate=cert, verdict=verdict)
+
+
+def _riccati_certificate(ss: StateSpace, tol: Tolerance) -> Certificate | None:
+    """The Riccati triple (`_riccati_factor`) after the mandatory verify
+    pass with its spectral check, or None when any step fails: D + D^T not
+    positive definite, no PSD Riccati solution, a violated equation or a
+    failed spectral check (LinAlgError is a ValueError)."""
+    try:
+        are, L, W = _riccati_factor(ss, tol)
+        cert = verify_certificate(ss, are.X, L, W, tol, check_spectral=True)
+    except (ValueError, AREInfeasibleError, CertificateVerificationError):
+        return None
+    return cert if cert.spectral["ok"] else None
 
 
 def _image_pair(P: PolyMat, Q: PolyMat) -> tuple[PolyMat, PolyMat]:

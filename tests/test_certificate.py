@@ -1,10 +1,14 @@
+import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import corpus, rand_fullrank_pair
+from conftest import corpus, rand_fullrank_pair, siso_sweep_system
+from test_corpus_reports import GOLDEN
 
+from passlab import certificate
 from passlab.behavior import decompose
 from passlab.certificate import (AREInfeasibleError, CertificateVerificationError,
                                  FactorizationError, RationalMatrix,
@@ -15,7 +19,7 @@ from passlab.certificate import (AREInfeasibleError, CertificateVerificationErro
 from passlab.numeric import Tolerance
 from passlab.poly import Poly
 from passlab.polymatrix import PolyMat
-from passlab.prpair import FAIL, PASS
+from passlab.prpair import FAIL, PASS, check_pair
 from passlab.signals import Signal
 from passlab.statespace import (StateSpace, observable, realize_behavior,
                                 simulate, storage_check)
@@ -26,6 +30,22 @@ SQ2 = math.sqrt(2)
 
 def rc() -> StateSpace:
     return StateSpace.from_arrays([[-1]], [[1]], [[1]], [[1]])
+
+
+def coupled_rc(n: int, feedthrough: int = 1) -> StateSpace:
+    """A = -diag(1..n), B = C = I + (J - I)/4, D = feedthrough I."""
+    B = [[Fraction(1) if i == j else Fraction(1, 4) for j in range(n)]
+         for i in range(n)]
+    A = [[-(i + 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    D = [[feedthrough * int(i == j) for j in range(n)] for i in range(n)]
+    return StateSpace.from_arrays(A, B, B, D)
+
+
+def assert_reverifies(ss: StateSpace, cert) -> None:
+    """The certificate passes verify_certificate again, spectral check
+    included."""
+    again = verify_certificate(ss, cert.X, cert.L, cert.W)
+    assert again.spectral["ok"], again.spectral
 
 
 def uncontrollable_oscillator() -> StateSpace:
@@ -285,19 +305,109 @@ class TestRandomPassiveFamily:
 
 class TestUnsupportedReporting:
     def test_coupled_mimo_density_reports_unsupported(self):
-        """A passive 2x2 system whose controllable density is a full
-        polynomial matrix is outside the implemented factorization
-        sub-cases: the status must be 'unsupported', never a silent
-        approximation or a bogus certificate."""
-        ss = StateSpace.from_arrays([[-1.0, 0.0], [0.0, -1.0]],
-                                    [[1.0, 0.0], [0.0, 1.0]],
-                                    [[1.0, 1.0], [0.0, 1.0]],
-                                    [[2.0, 0.0], [0.0, 2.0]])
+        """A passive strictly proper coupled 2-port (D = 0, so no Riccati
+        route) whose controllable density is a full polynomial matrix is
+        outside the implemented factorization sub-cases: the status must be
+        'unsupported', never a silent approximation or a bogus
+        certificate."""
+        ss = coupled_rc(2, feedthrough=0)
         res = construct_certificate(ss)
         assert res.status == "unsupported"
         assert "unsupported" in res.message
         # the pair verdict itself is still decided
         assert res.verdict is not None and res.verdict.overall == PASS
+
+    def test_coupled_mimo_with_pd_feedthrough_certifies(self):
+        """The same kind of full density with D + D^T > 0 certifies by the
+        Riccati route."""
+        ss = StateSpace.from_arrays([[-1.0, 0.0], [0.0, -1.0]],
+                                    [[1.0, 0.0], [0.0, 1.0]],
+                                    [[1.0, 1.0], [0.0, 1.0]],
+                                    [[2.0, 0.0], [0.0, 2.0]])
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        assert res.verdict.overall == PASS
+        assert_reverifies(ss, res.certificate)
+
+
+class TestRiccatiRoute:
+    """Once check_pair passes, D + D^T > 0 certifies from one Riccati solve;
+    the pipeline runs only where that route raises or fails its check."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [12, 14])
+    def test_large_siso_certifies(self, seed, d):
+        ss = siso_sweep_system(random.Random(seed), d)
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        assert_reverifies(ss, res.certificate)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_coupled_rc_certifies(self, n):
+        ss = coupled_rc(n)
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        assert_reverifies(ss, res.certificate)
+
+    def test_notch_certifies_through_newton(self, monkeypatch):
+        # G = (s^2 + 1)/(s^2 + s + 1): G + G* vanishes at w = 1, so the
+        # Hamiltonian has axis eigenvalues and Newton solves the equation
+        calls = []
+        newton = certificate._newton_care
+        monkeypatch.setattr(certificate, "_newton_care",
+                            lambda *a, **k: calls.append(1) or newton(*a, **k))
+        ss = StateSpace.from_arrays([[0, 1], [-1, -1]], [[0], [1]],
+                                    [[0, -1]], [[1]])
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        assert calls
+        assert_reverifies(ss, res.certificate)
+
+    def test_pipeline_fallback_keeps_golden_statuses(self, monkeypatch):
+        def infeasible(ss, tol=None):
+            raise AREInfeasibleError("forced")
+
+        monkeypatch.setattr(certificate, "are_solve", infeasible)
+        golden = json.loads(GOLDEN.read_text())
+        passive = 0
+        for name, ss in corpus():
+            want = json.loads(golden[f"certify {name}"]["stdout"])["status"]
+            if want != "certified":
+                continue
+            passive += 1
+            res = construct_certificate(ss)
+            assert res.status == want, (name, res.message)
+            assert_reverifies(ss, res.certificate)
+        assert passive == 20
+
+    def test_certified_implies_positive_real_pair(self):
+        """Seeded random systems, passive (C = B^T, A + A^T < 0, D + D^T >=
+        0, so X = I solves the KYP inequality) and perturbed: a certificate
+        comes only with a passing pair check and re-verifies."""
+        rng = random.Random(271828)
+        rat = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        statuses = []
+        for k in range(40):
+            d, n = 1 + k % 3, 1 + k % 2
+            M = np.array([[rat() for _ in range(d)] for _ in range(d)])
+            Sk = np.array([[rat() for _ in range(d)] for _ in range(d)])
+            A = -(M @ M.T + np.eye(d, dtype=int)) + Sk - Sk.T
+            B = np.array([[rat() for _ in range(n)] for _ in range(d)])
+            C = B.T.copy()
+            D = np.eye(n, dtype=int) * Fraction(rng.randint(0, 2), 2)
+            if k % 4 == 1:
+                C[0, 0] += rat()
+            elif k % 4 == 2:
+                D = D - Fraction(3, 2) * np.eye(n, dtype=int)
+            ss = StateSpace.from_arrays(A.tolist(), B.tolist(), C.tolist(),
+                                        D.tolist())
+            res = construct_certificate(ss)
+            statuses.append(res.status)
+            if res.status == "certified":
+                assert check_pair(*realize_behavior(ss)).overall == PASS, k
+                assert_reverifies(ss, res.certificate)
+        assert statuses.count("certified") >= 20
+        assert statuses.count("not-passive") >= 5
 
 
 class TestCertificatePairEquivalence:
@@ -309,7 +419,6 @@ class TestCertificatePairEquivalence:
         unsupported = 0
         for name, ss in corpus():
             P, Q = realize_behavior(ss)
-            from passlab.prpair import check_pair
             verdict = check_pair(P, Q)
             res = construct_certificate(ss)
             if res.status == "unsupported":

@@ -383,8 +383,21 @@ class TestLazyScipy:
         assert codes == [0] * 7
         assert scipy == set()
 
+    def test_riccati_certify_loads_no_scipy(self, files):
+        # D + D^T > 0: the Riccati route certifies, and verify-cert checks it
+        codes, scipy = _fresh_run([
+            ["certify", files["rc"]],
+            ["verify-cert", "--ss", files["rc"], "--cert", files["cert"]],
+        ])
+        assert codes == [0, 0]
+        assert scipy == set()
+
     def test_certify_loads_linalg_only(self, files):
-        codes, scipy = _fresh_run([["certify", files["rc"]]])
+        # D = 0: no Riccati route, so the pipeline's spectral split runs
+        cap = files["tmp"] / "capacitor.json"
+        cap.write_text(json.dumps({"kind": "ss", "A": [[0]], "B": [[1]],
+                                   "C": [[1]], "D": [[0]]}))
+        codes, scipy = _fresh_run([["certify", str(cap)]])
         assert codes == [0]
         assert "scipy.linalg" in scipy
         assert not any(m.startswith("scipy.integrate") for m in scipy)
