@@ -34,10 +34,10 @@ The exact rational Z is built (`build_zx`) only where a report prints it.
     observer staircase -> stable/unstable spectral split -> positive-definite
     lossless solve on the axis block -> image pair (M, N) of the controllable
     part from one forward syzygy sweep, [P -Q] [M; N] = 0 -> spectral factor
-    K of M*N + N*M -> constant L from the eigenstructure linear system
-    (Jordan chains where the stable block is defective) -> stable Lyapunov
-    solve -> feedthrough W = lim K M^-1 -> assembly and a mandatory verify
-    pass.
+    K of M*N + N*M -> constant L from the remainder system (the stage
+    equation's remainder on division by sI - As vanishes) -> stable
+    Lyapunov solve -> feedthrough W = lim K M^-1 -> assembly and a
+    mandatory verify pass.
 
 Spectral factorization of the para-Hermitian density is implemented for the
 scalar and diagonal polynomial cases and, for proper rational G + G* with
@@ -81,7 +81,7 @@ class AREInfeasibleError(Exception):
 
 
 class StableStageError(Exception):
-    """The eigenstructure linear system for L is inconsistent."""
+    """The remainder system for L is inconsistent."""
 
 
 # -- float polynomials (coefficient arrays, low to high) ---------------------
@@ -658,120 +658,47 @@ def verify_certificate(ss: StateSpace, X, L, W, tol: Tolerance = DEFAULT_TOL,
                        spectral=spectral, system=ss)
 
 
-# -- the eigenstructure linear system for L ----------------------------------------
+# -- the remainder system for L --------------------------------------------------
 
 
-def _taylor_coeffs_fp(c: np.ndarray, lam: complex, depth: int) -> list[complex]:
-    out = []
-    fac = 1.0
-    cur = _fp(c)
-    for j in range(depth):
-        out.append(_fp_eval(cur, lam) / fac)
-        cur = npp.polyder(cur)
-        fac *= (j + 1)
+def _coeff_stack(grid: list[list[np.ndarray]]) -> np.ndarray:
+    """Coefficient matrices of a nonempty float polynomial matrix, lowest
+    degree first: out[k] is the coefficient of s^k."""
+    depth = max(len(c) for row in grid for c in row)
+    out = np.zeros((depth, len(grid), len(grid[0])))
+    for i, row in enumerate(grid):
+        for j, c in enumerate(row):
+            out[:len(c), i, j] = c
     return out
-
-
-def _jordan_chains(As: np.ndarray, tol: Tolerance
-                   ) -> list[tuple[complex, list[np.ndarray]]]:
-    """Numeric Jordan chains (lam, [v1, v2, ...]) with (As - lam) v1 = 0 and
-    (As - lam) v_{k+1} = v_k, matching the (sI - A) orientation of the
-    eigenstructure equations.  Rank decisions use an SVD cutoff, so the
-    chains are tolerance-dependent; `remark61_solve` reads them only when
-    the eigenvector matrix of As is rank-deficient."""
-    d = As.shape[0]
-    lams = np.linalg.eigvals(As)
-    scale = 1.0 + max(abs(lams), default=0.0)
-    clusters: list[tuple[complex, int]] = []
-    used = [False] * d
-    for i in range(d):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for j in range(i + 1, d):
-            if not used[j] and abs(lams[i] - lams[j]) < 1e-6 * scale:
-                group.append(j)
-                used[j] = True
-        clusters.append((complex(np.mean([lams[g] for g in group])), len(group)))
-    chains = []
-    for lam, mult in clusters:
-        Ashift = As - lam * np.eye(d)
-        U, sv, Vh = np.linalg.svd(Ashift)
-        ker_dim = int(np.sum(sv <= 1e-8 * scale))
-        kernel = Vh[d - ker_dim:].conj().T if ker_dim else np.zeros((d, 0))
-        per_chain = [1] * ker_dim
-        # distribute the remaining multiplicity by extending chains greedily
-        remaining = mult - ker_dim
-        for c in range(ker_dim):
-            chain = [kernel[:, c]]
-            while remaining > 0:
-                nxt, res, *_ = np.linalg.lstsq(Ashift, chain[-1], rcond=None)
-                if np.linalg.norm(Ashift @ nxt - chain[-1]) > 1e-6 * scale:
-                    break
-                chain.append(nxt)
-                remaining -= 1
-            chains.append((lam, chain))
-        if ker_dim == 0:
-            raise StableStageError("eigenvalue cluster with empty kernel")
-    return chains
 
 
 def remark61_solve(K: RationalMatrix, M: PolyMat, As: np.ndarray,
                    Cs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solve for the constant L in  K*(s) L + J(s)(sI - As) = M*(s) Cs.
 
-    Evaluating at each eigenvalue lam of As with eigenvector v kills the J
-    term:  K*(lam) L v = M*(lam) Cs v.  When the eigenvectors of As are
-    rank-deficient (a defective block), Jordan chains replace them and the
-    Taylor coefficients of K* and M* at lam enter up to the chain depth.
-    The stacked real system is solved by least squares and the residual must
-    vanish within tolerance, otherwise no L exists and the stable stage of
-    the construction fails.
+    By the matrix remainder theorem, F(s) = sum_k F_k s^k is right-divisible
+    by sI - As exactly when sum_k F_k As^k = 0.  With F = K* L - M* Cs this
+    is one real linear system, needing no eigenvectors:
+
+        sum_k K*_k L As^k = sum_k M*_k Cs As^k,
+
+    vectorised as (sum_k (As^k)^T kron K*_k) vec L = vec(rhs).  It is solved
+    by least squares and the residual must vanish within tolerance,
+    otherwise no L exists and the stable stage of the construction fails.
     """
     r, n = K.rows, K.cols
     ds = As.shape[0] if As.size else 0
     if r == 0 or ds == 0:
         return np.zeros((r, ds))
     Cs = np.asarray(Cs, dtype=float).reshape(n, ds)
-    Mstar = M.star()
     # K*(s) = K(-s)^T: entry (j, i) is K[i][j] with odd coefficients negated
-    Kstar = [[_fp_star(K.num[i][j]) for i in range(r)] for j in range(n)]
-    Mstar_fp = _polymat_to_fp(Mstar)
-
-    rows_re: list[np.ndarray] = []
-    rhs_re: list[np.ndarray] = []
-
-    def add_equations(lam: complex, chain: list[np.ndarray]):
-        depth = len(chain)
-        Ks_taylor = [[_taylor_coeffs_fp(Kstar[j][i], lam, depth)
-                      for i in range(r)] for j in range(n)]
-        Ms_taylor = [[_taylor_coeffs_fp(Mstar_fp[j][i], lam, depth)
-                      for i in range(n)] for j in range(n)]
-        for k in range(1, depth + 1):
-            lhs = np.zeros((n, r * ds), dtype=complex)
-            rhs = np.zeros(n, dtype=complex)
-            for j in range(k):
-                v = chain[k - j - 1]
-                Kj = np.array([[Ks_taylor[a][b][j] for b in range(r)]
-                               for a in range(n)])
-                Mj = np.array([[Ms_taylor[a][b][j] for b in range(n)]
-                               for a in range(n)])
-                lhs += np.kron(v.reshape(1, ds), Kj)
-                rhs += Mj @ (Cs @ v)
-            rows_re.append(np.vstack([lhs.real, lhs.imag]))
-            rhs_re.append(np.concatenate([rhs.real, rhs.imag]))
-
-    lams, V = np.linalg.eig(As)
-    if np.linalg.matrix_rank(V, tol=1e-8) < ds:
-        chains = _jordan_chains(As, tol)
-    else:
-        chains = [(complex(lams[i]), [V[:, i]]) for i in range(ds)]
-    for lam, chain in chains:
-        add_equations(lam, chain)
-
-    Amat = np.vstack(rows_re)
-    bvec = np.concatenate(rhs_re)
+    Kstar = _coeff_stack([[_fp_star(K.num[i][j]) for i in range(r)]
+                          for j in range(n)])
+    Mstar = _coeff_stack(_polymat_to_fp(M.star()))
+    powers = [np.linalg.matrix_power(As, k)
+              for k in range(max(len(Kstar), len(Mstar)))]
+    Amat = sum(np.kron(P.T, Kk) for P, Kk in zip(powers, Kstar))
+    bvec = sum(Mk @ Cs @ P for P, Mk in zip(powers, Mstar)).flatten(order="F")
     sol, *_ = np.linalg.lstsq(Amat, bvec, rcond=None)
     resid = float(np.linalg.norm(Amat @ sol - bvec))
     scale = 1.0 + float(np.linalg.norm(bvec))
@@ -813,7 +740,7 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
       3. otherwise the pipeline: observer staircase; stable/unstable split
          of the observable block; lossless Lyapunov solve for the axis
          block; the controllable image pair (M, N) from the left syzygy of
-         [P -Q]^T; spectral factor K of M*N + N*M; L from the eigenstructure
+         [P -Q]^T; spectral factor K of M*N + N*M; L from the remainder
          system; stable Lyapunov solve; W = lim K M^-1; assembly and a
          mandatory verify pass.
     """

@@ -1,8 +1,8 @@
 """Small dense numeric kernel and the axis-tolerance policy.
 
 Complex roots of exact polynomials (via square-free splitting, companion
-eigenvalues and a short Newton polish), Lyapunov solves by Kronecker
-vectorization, the lossless two-equation Lyapunov feasibility solve,
+eigenvalues and a short Newton polish), Lyapunov solves by Bartels-Stewart
+(scipy), the lossless two-equation Lyapunov feasibility solve,
 Hermitian PSD tests with eigenvector witnesses, and the ordered real
 Schur stable/unstable spectral split.
 
@@ -137,7 +137,7 @@ def hermitian_psd(H: np.ndarray, tol: Tolerance = DEFAULT_TOL
 
 def lyapunov_solve(A: np.ndarray, Qrhs: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unique symmetric X with -A^T X - X A = Qrhs, by Kronecker vectorization.
+    """Unique symmetric X with -A^T X - X A = Qrhs, by Bartels-Stewart.
 
     Requires spec(A) and spec(-A) disjoint; otherwise the operator is singular.
     """
@@ -148,14 +148,10 @@ def lyapunov_solve(A: np.ndarray, Qrhs: np.ndarray,
         return np.zeros((0, 0))
     lams = np.linalg.eigvals(A)
     scale = 1.0 + max(abs(lams), default=0.0)
-    for i in range(d):
-        for j in range(d):
-            if abs(lams[i] + lams[j]) <= 1e-10 * scale:
-                raise LyapunovError("singular Lyapunov operator")
-    eye = np.eye(d)
-    K = np.kron(eye, A.T) + np.kron(A.T, eye)
-    x = np.linalg.solve(K, -Qrhs.flatten(order="F"))
-    X = x.reshape((d, d), order="F")
+    if np.any(np.abs(lams[:, None] + lams[None, :]) <= 1e-10 * scale):
+        raise LyapunovError("singular Lyapunov operator")
+    import scipy.linalg  # loaded already by stable_unstable_split on this path
+    X = scipy.linalg.solve_continuous_lyapunov(A.T, -Qrhs)
     X = (X + X.T) / 2.0
     res = np.linalg.norm(-A.T @ X - X @ A - Qrhs)
     if res > tol.residual_tol * (1.0 + np.linalg.norm(Qrhs)):
