@@ -51,16 +51,25 @@ def rand_nonsingular(rng: random.Random, n: int, max_deg: int) -> PolyMat:
             return F
 
 
-def siso_sweep_system(rng: random.Random, d: int) -> StateSpace:
-    """A = -(M M^T + I) + S - S^T, B random, C = B^T, D = 1, entries p/q
-    with |p|, q <= 3: passive, with X = I solving the KYP inequality."""
+def siso_sweep_system(rng: random.Random, d: int, D=((1,),)) -> StateSpace:
+    """A = -(M M^T + I) + S - S^T, B random, C = B^T, entries p/q with
+    |p|, q <= 3, and D = 1 unless given: passive when D + D^T >= 0, with
+    X = I solving the KYP inequality."""
     rat = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     M = [[rat() for _ in range(d)] for _ in range(d)]
     S = [[rat() for _ in range(d)] for _ in range(d)]
     B = [[rat()] for _ in range(d)]
     A = [[-(sum(M[i][k] * M[j][k] for k in range(d)) + (i == j))
           + S[i][j] - S[j][i] for j in range(d)] for i in range(d)]
-    return StateSpace.from_arrays(A, B, [[b[0] for b in B]], [[1]])
+    return StateSpace.from_arrays(A, B, [[b[0] for b in B]], D)
+
+
+def jordan_system(C, D) -> StateSpace:
+    """One Jordan block at -1 of size len(C[0]), B the last unit vector."""
+    d = len(C[0])
+    A = [[-1 if i == j else int(j == i + 1) for j in range(d)] for i in range(d)]
+    B = [[int(i == d - 1)] for i in range(d)]
+    return StateSpace.from_arrays(A, B, C, D)
 
 
 def corpus():

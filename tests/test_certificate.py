@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import corpus, rand_fullrank_pair, siso_sweep_system
+from conftest import (corpus, jordan_system, rand_fullrank_pair,
+                      siso_sweep_system)
 from test_corpus_reports import GOLDEN
 
 from passlab import certificate
@@ -210,13 +211,9 @@ class TestRemark61:
         # one Jordan block at -1 of size 2 and of size 3 with D = 1: the
         # Riccati route certifies these, so the pipeline's stable stage is
         # not reached (test_defective_stable_block_certifies covers it)
-        for d in (2, 3):
-            A = [[-1 if i == j else int(j == i + 1) for j in range(d)]
-                 for i in range(d)]
-            B = [[int(i == d - 1)] for i in range(d)]
-            C = [[int(j == 0) for j in range(d)]]
-            res = construct_certificate(StateSpace.from_arrays(A, B, C, [[1]]))
-            assert res.status == "certified", (d, res.message)
+        for C in ([[1, 0]], [[1, 0, 0]]):
+            res = construct_certificate(jordan_system(C, [[1]]))
+            assert res.status == "certified", (C, res.message)
             assert max(res.certificate.residuals.values()) < 1e-8
 
     @pytest.mark.parametrize("C", [[[1, 2]], [[1, 3, 3]]])
@@ -224,11 +221,7 @@ class TestRemark61:
         # one Jordan block at -1 with D = 0, so the Riccati route declines and
         # the stable stage solves for L on a defective block:
         # G = (2s + 3)/(s + 1)^2 and (3s^2 + 9s + 7)/(s + 1)^3
-        d = len(C[0])
-        A = [[-1 if i == j else int(j == i + 1) for j in range(d)]
-             for i in range(d)]
-        B = [[int(i == d - 1)] for i in range(d)]
-        ss = StateSpace.from_arrays(A, B, C, [[0]])
+        ss = jordan_system(C, [[0]])
         assert certificate._riccati_certificate(ss, Tolerance()) is None
         res = construct_certificate(ss)
         assert res.status == "certified", res.message
