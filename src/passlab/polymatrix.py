@@ -375,14 +375,19 @@ def _finverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in rref]
 
 
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """A rational grid as integers over the lcm of its denominators."""
+    rows = [list(row) for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def _fmatmul(A, B):
     """Exact product of rational matrices.  Each factor is scaled to one
     integer matrix over the lcm of its denominators, so the inner products
     run on ints and only the output entries are built as Fractions."""
-    da = lcm(*(x.denominator for row in A for x in row))
-    db = lcm(*(x.denominator for row in B for x in row))
-    ia = [[x.numerator * (da // x.denominator) for x in row] for row in A]
-    ib = [[x.numerator * (db // x.denominator) for x in col] for col in zip(*B)]
+    ia, da = _scaled(A)
+    ib, db = _scaled(zip(*B))
     den = da * db
     return [[Fraction(sum(map(mul, row, col)), den) for col in ib] for row in ia]
 
@@ -647,12 +652,6 @@ def unimodularly_equivalent(R1: PolyMat, R2: PolyMat) -> bool:
     if (R1.rows, R1.cols) != (R2.rows, R2.cols):
         return False
     return row_echelon(R1).E == row_echelon(R2).E
-
-
-def left_coprime(A: PolyMat, B: PolyMat) -> bool:
-    """Full row rank of [A B] at every complex point: a constant nonzero gcd
-    of maximal minors (a zero gcd is normalrank deficiency)."""
-    return minor_gcd(A.hstack(B)).degree == 0
 
 
 # -- constant-rank tests over a region --------------------------------------------

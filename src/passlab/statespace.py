@@ -16,15 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 import numpy as np
 
 from .numeric import DEFAULT_TOL, Tolerance
-from .poly import Poly
+from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
-                         _rref_kernel, delta, left_coprime, row_reduced,
+                         _rref_kernel, _scaled, delta, row_reduced,
                          unimodularly_equivalent)
 from .signals import Signal
 
@@ -118,14 +117,6 @@ def shifted_solve(A: np.ndarray, B: np.ndarray, zs) -> np.ndarray:
     return np.linalg.solve(zs[:, None, None] * np.eye(d) - A, Bs)
 
 
-def si_matrix(A_exact) -> PolyMat:
-    """The polynomial matrix sI - A, exact."""
-    d = len(A_exact)
-    s = Poly.x()
-    return PolyMat([[s - A_exact[i][j] if i == j else Poly.constant(-A_exact[i][j])
-                     for j in range(d)] for i in range(d)])
-
-
 def resolvent(A_exact) -> tuple[Poly, PolyMat]:
     """(det(sI - A), adj(sI - A)), exact, by the Faddeev-LeVerrier recurrence.
 
@@ -163,10 +154,8 @@ def _krylov_blocks(C, A, count: int) -> list[list[list[Fraction]]]:
     """[C, C A, ..., C A^(count-1)] (at least [C]), exact.  The powers run on
     ints: with c and a the lcms of the denominators of C and A, block k is
     the integer matrix (c C)(a A)^k over c a^k."""
-    dc = lcm(*(x.denominator for row in C for x in row))
-    da = lcm(*(x.denominator for row in A for x in row))
-    a_cols = [[x.numerator * (da // x.denominator) for x in col] for col in zip(*A)]
-    blk = [[x.numerator * (dc // x.denominator) for x in row] for row in C]
+    blk, dc = _scaled(C)
+    a_cols, da = _scaled(zip(*A))
     den = dc
     blocks = [[[Fraction(x, den) for x in row] for row in blk]]
     for _ in range(count - 1):
@@ -262,72 +251,80 @@ def staircase(ss: StateSpace) -> StaircaseForm:
 # -- behavior <-> state-space -----------------------------------------------------------------
 
 
-def realize_behavior(ss: StateSpace, check: bool = True
-                     ) -> tuple[PolyMat, PolyMat]:
+def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
     """External behavior of the state-space system as a polynomial pair.
 
     Returns (P, Q) with P(d/dt) u = Q(d/dt) y describing exactly the set of
     (u, y) admitting a compatible state trajectory: P = N B + M D and Q = M
     for the left-coprime (M, N) with M C = N (sI - A) that the observability
     indices of (C, A) give (Wolovich, Linear Multivariable Systems, 1974;
-    Kailath, Linear Systems, 1980, sec. 6.4), from constant-matrix work only.
+    Kailath, Linear Systems, 1980, sec. 6.4).  Unobservable modes drop out;
+    uncontrollable observable modes stay as common factors of P and Q.
 
     One exact reduction of the Krylov rows c_i A^k, taken in crate order
     (k outer, output i inner), keeps the first independent ones: output i
-    keeps k < nu_i, and its first dependent row
+    keeps k < nu_i, and its first dependent row c_i A^nu_i = sum over kept
+    (k, l) of alpha_ikl c_l A^k gives row i of M = s^nu_i e_i - sum
+    alpha_ikl s^k e_l.  With M(s) = sum_k M_k s^k, the same rows give
+    N(s) = sum_p s^p sum_(k>p) M_k C A^(k-1-p).  Constant matrices then
+    certify the pair, with no polynomial echelon form:
 
-        c_i A^nu_i = sum over kept (k, l) of alpha_ikl c_l A^k
+      (a) M C = N (sI - A): M_k C + N_k A = N_(k-1) for every k (N_(-1) = 0),
+          in integers, each row scaled by the lcm of its denominators;
+      (b) the leading row-coefficient matrix [coeff(M[i, l], nu_i)] is
+          nonsingular, so M is row reduced and deg det M = sum nu_i;
+      (c) sum nu_i equals the rank of the Krylov rows.
 
-    gives row i of M = s^nu_i e_i - sum alpha_ikl s^k e_l.  Its leading
-    row-coefficient matrix is unit lower triangular, so M is row reduced and
-    deg det M = sum nu_i is the observable dimension.  With
-    M(s) = sum_k M_k s^k the dependencies read sum_k M_k C A^k = 0, and
-    s^k I - A^k = (sum_(q<k) s^(k-1-q) A^q)(sI - A) gives M C = N (sI - A)
-    for N(s) = sum_p s^p sum_(k>p) M_k C A^(k-1-p), from the same Krylov
-    rows.  Unobservable modes drop out; uncontrollable observable modes stay
-    as common factors of P and Q.
+    By (a) and (b), M^-1 N = C (sI - A)^-1, and deg det M is at least its
+    McMillan degree, the rank of the observability matrix as (A, I) is
+    controllable, with equality exactly when (M, N) is left coprime
+    (Kailath, ch. 6): that is (c).
     """
     n, d = ss.n, ss.d
-    if d == 0:
-        Dm = PolyMat.constant(ss.D_exact)
-        return Dm, PolyMat.identity(n)
     krylov = [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
               for row in blk]  # row k n + i is c_i A^k
     rref, pivots = _frref([list(col) for col in zip(*krylov)])  # d x n(d+1)
     kept = set(pivots)
-    width = n * (d + 1)
-    # row i of [M_0 M_1 ... M_d], for M(s) = sum_k M_k s^k
-    nus, m_rows = [], []
+    coeffs = []
     for i in range(n):
         nu = next(k for k in range(d + 1) if k * n + i not in kept)
         dep = nu * n + i
-        row = [Fraction(0)] * width
+        row = [Fraction(0)] * ((nu + 1) * n)  # row i of [M_0 M_1 ... M_nu]
         row[dep] = Fraction(1)
         for r, p in enumerate(pivots):
-            row[p] = -rref[r][dep]
-        nus.append(nu)
-        m_rows.append(row)
-    # N_p = [M_(p+1) ... M_d 0] krylov
-    n_coeffs = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
-                         for row, nu in zip(m_rows, nus) for p in range(nu)], krylov)
-    M_rows, N_rows = [], []
-    for row, nu in zip(m_rows, nus):
-        M_rows.append([Poly(row[l:(nu + 1) * n:n]) for l in range(n)])
-        N_rows.append([Poly([n_coeffs[p][col] for p in range(nu)]) for col in range(d)])
-        n_coeffs = n_coeffs[nu:]
-    M = PolyMat(M_rows, cols=n)
-    N = PolyMat(N_rows, cols=d)
-    Bm = PolyMat.constant(ss.B_exact)
-    Dm = PolyMat.constant(ss.D_exact)
-    P = N @ Bm + M @ Dm
-    Q = M
-    if check:
-        Cm = PolyMat.constant(ss.C_exact)
-        if not (M @ Cm - N @ si_matrix(ss.A_exact)).is_zero:
-            raise AssertionError("M C != N (sI - A)")
-        if not left_coprime(M, N):
-            raise AssertionError("observability-index pair is not left coprime")
-        _check_transfer_consistency(ss, P, Q)
+            if p < dep:
+                row[p] = -rref[r][dep]
+        # N_p = [M_(p+1) ... M_nu 0] krylov, so N_nu = 0
+        n_blocks = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
+                             for p in range(nu + 1)], krylov[:len(row)])
+        coeffs.append([row[k * n:(k + 1) * n] + nk for k, nk in enumerate(n_blocks)])
+    return _certified_pair(ss, coeffs, len(pivots))
+
+
+def _certified_pair(ss: StateSpace, coeffs, rank: int) -> tuple[PolyMat, PolyMat]:
+    """(N B + M D, M), once certificates (a) to (c) of `realize_behavior`
+    and the transfer function check pass.  coeffs[i][k] is row i of
+    [M_k N_k] for k = 0..nu_i, where M(s) = sum_k M_k s^k and N(s) likewise;
+    rank is the observable dimension."""
+    n, d = ss.n, ss.d
+    ca_cols, dca = _scaled(zip(*(ss.C_exact + ss.A_exact)))  # [C; A]
+    db_cols, ddb = _scaled(zip(*(ss.D_exact + ss.B_exact)))  # [D; B]
+    zero = [0] * (n + d)
+    P_rows, Q_rows = [], []
+    for row_coeffs in coeffs:
+        mn, den = _scaled(row_coeffs)
+        for row, prev in zip(mn + [zero], [zero] + mn):  # [M_k N_k] [C; A] = N_(k-1)
+            if any(sum(map(mul, row, col)) != dca * p for col, p in zip(ca_cols, prev[n:])):
+                raise AssertionError("M C != N (sI - A)")
+        P_rows.append([_lowest([sum(map(mul, row, col)) for row in mn], den * ddb)
+                       for col in db_cols])
+        Q_rows.append([_lowest([row[l] for row in mn], den) for l in range(n)])
+    if _frank([c[-1][:n] for c in coeffs]) < n:
+        raise AssertionError("observability-index M is not row reduced")
+    if sum(len(c) - 1 for c in coeffs) != rank:
+        raise AssertionError("observability-index pair is not left coprime")
+    P, Q = PolyMat(P_rows, cols=n), PolyMat(Q_rows, cols=n)
+    _check_transfer_consistency(ss, P, Q)
     return P, Q
 
 
@@ -419,7 +416,7 @@ def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
         for j, st in top_state.items():
             C[c][st] = lam_inv[c][j]
     ss = StateSpace.from_arrays(A, B, C, Dg)
-    Pr, Qr = realize_behavior(ss, check=False)
+    Pr, Qr = realize_behavior(ss)
     if not unimodularly_equivalent(Pr.hstack(-Qr), P.hstack(-Q)):
         raise AssertionError("round trip changed the behavior")
     return ss

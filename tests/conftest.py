@@ -1,4 +1,6 @@
-"""Shared generators for randomized checks.  Everything is seeded."""
+"""Shared generators for randomized checks, and the polynomial references
+`si_matrix` and `left_coprime` that realizations are checked against.
+Everything is seeded."""
 
 from __future__ import annotations
 
@@ -9,13 +11,27 @@ import numpy as np
 from hypothesis import settings
 
 from passlab.poly import Poly
-from passlab.polymatrix import PolyMat, normalrank
+from passlab.polymatrix import PolyMat, minor_gcd, normalrank
 from passlab.statespace import StateSpace
 
 # Same examples on every run, and no per-example deadline: big-coefficient
 # examples must not flake on a slow host.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def si_matrix(A_exact) -> PolyMat:
+    """The polynomial matrix sI - A, exact."""
+    d = len(A_exact)
+    s = Poly.x()
+    return PolyMat([[s - A_exact[i][j] if i == j else Poly.constant(-A_exact[i][j])
+                     for j in range(d)] for i in range(d)])
+
+
+def left_coprime(A: PolyMat, B: PolyMat) -> bool:
+    """Full row rank of [A B] at every complex point: a constant nonzero gcd
+    of maximal minors (a zero gcd is normalrank deficiency)."""
+    return minor_gcd(A.hstack(B)).degree == 0
 
 
 def rand_poly(rng: random.Random, max_deg: int, coeff_bound: int = 5,

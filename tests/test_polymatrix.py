@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import rand_poly, rand_polymat
+from conftest import left_coprime, rand_poly, rand_polymat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,7 @@ from passlab.poly import Poly, poly_gcd
 from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, EchelonResult,
                                 PolyMat, _fmatmul, _frref,
                                 column_echelon, delta, divisible_on_right,
-                                fullrank_everywhere, left_coprime, minor_gcd,
+                                fullrank_everywhere, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
                                 syzygy_basis, unimodular_inverse,
                                 unimodularly_equivalent)

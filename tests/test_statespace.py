@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import rand_poly, siso_sweep_system
+from conftest import rand_poly, si_matrix, siso_sweep_system
 
 from passlab.poly import Poly
 from passlab.polymatrix import (PolyMat, _finverse, _fmatmul, _frank, delta,
@@ -15,7 +15,7 @@ from passlab.statespace import (RealizationError, StateSpace,
                                 _check_transfer_consistency, controllable,
                                 observability_matrix, observable,
                                 realize_behavior,
-                                realize_statespace, resolvent, si_matrix,
+                                realize_statespace, resolvent,
                                 simulate, staircase,
                                 storage_check)
 
