@@ -13,7 +13,8 @@ the matrices themselves are unique only up to unimodular freedom.
 `passive_partition` selects, for a positive-real pair, which external
 variable of each port acts as an input so that the re-arranged pair is a
 proper input-output system with the same power product.  The selection
-follows the max-degree term in the column expansion of det(P + Q).
+follows the max-degree term in the column expansion of det(P + Q), read
+from the constant leading row-coefficient matrix of [P -Q].
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import itertools
 from dataclasses import dataclass
 
 from .numeric import DEFAULT_TOL, Tolerance
-from .poly import NEG_INF, Poly
-from .polymatrix import (PolyMat, column_echelon, delta, divisible_on_right,
+from .poly import Poly
+from .polymatrix import (PolyMat, _frank, column_echelon, delta,
+                         divisible_on_right, normalrank, row_reduced,
                          syzygy_basis, unimodular_inverse)
 from .prpair import PASS, PRPairVerdict, check_pair
 
@@ -151,6 +153,15 @@ def passive_partition(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     choosing column j from P or from Q; a maximal-degree term dictates the
     selection (T1 = ports whose column came from Q).  Ties break to the
     lexicographically smallest choice bitmask (bit j = column j from P).
+
+    The degrees are read from constants, not from the 2^n determinants.
+    Each term is, up to sign, a maximal minor of [P -Q].  With E a row
+    reduced form of [P -Q] and L its leading row-coefficient matrix, such
+    a minor has degree delta([P -Q]) = sum of E's row degrees exactly when
+    the matching n x n minor of L is nonzero (predictable degree, Forney,
+    SIAM J. Control 13, 1975; see `delta`).  So the first mask whose
+    minor of L is nonsingular is the first of maximal degree.  When no
+    mask is, the partitioned pair cannot be proper.
     """
     n = P.rows
     if verdict is None:
@@ -158,20 +169,21 @@ def passive_partition(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     if verdict.overall != PASS:
         raise NotPositiveRealError("not a positive-real pair")
 
-    best_deg = NEG_INF
-    best_mask: tuple[int, ...] | None = None
-    for mask in itertools.product((0, 1), repeat=n):
-        cols = [[P[i, j] if mask[j] else Q[i, j] for j in range(n)]
-                for i in range(n)]
-        d = PolyMat(cols).det().degree
-        if d > best_deg:
-            best_deg = d
-            best_mask = mask
-    if best_mask is None or best_deg == NEG_INF:
+    PQ = P.hstack(-Q)
+    if normalrank(PQ) < n:
         raise NotPositiveRealError("det(P+Q) vanishes identically")
+    lead = [[e.coeff(int(max(x.degree for x in row))) for e in row]
+            for row in row_reduced(PQ).E.entries]
+    for mask in itertools.product((0, 1), repeat=n):
+        sel = [j if mask[j] else n + j for j in range(n)]
+        if _frank([[row[c] for c in sel] for row in lead]) == n:
+            break
+    else:
+        # every mask's degree falls short of delta([P -Q])
+        raise AssertionError("partitioned pair is not proper")
 
-    from_q = [j for j in range(n) if best_mask[j] == 0]
-    from_p = [j for j in range(n) if best_mask[j] == 1]
+    from_q = [j for j in range(n) if mask[j] == 0]
+    from_p = [j for j in range(n) if mask[j] == 1]
     T1 = _selector(from_q, n)
     T2 = _selector(from_p, n)
 

@@ -2,12 +2,14 @@
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
 row/column echelon reductions, the inverse of a unimodular matrix (one
-more echelon pass), fraction-free Bareiss determinants and normal rank,
-syzygy bases, right-divisibility, kernel equality by row Hermite forms, the
+more echelon pass), fraction-free Bareiss determinants, the normal rank
+from exact ranks of constant matrices M(lam), syzygy bases,
+right-divisibility, kernel equality by row Hermite forms, the
 max-degree-of-full-size-minors functional used for properness tests, and
 constant-rank tests over a region of the complex plane.  The dense
 rational-matrix helpers (`_frref` and the rank, kernel, inverse and product
-built on it) live here too.
+built on it) live here too; their elimination, `_irref`, runs on integer
+rows, and `normalrank` reuses it.
 
 Conventions:
   * row echelon:     U @ M == stack(E, zero rows),  U unimodular
@@ -18,11 +20,14 @@ Conventions:
 
 Every echelon route shares one forward Euclidean sweep, `_triangularize`,
 and builds only what its caller reads: `row_echelon` tracks the transform
-and then reduces above each pivot; `syzygy_basis` tracks the transform but
+and then reduces above each pivot; `unimodularly_equivalent` reduces above
+each pivot with no transform; `syzygy_basis` tracks the transform but
 skips that back-reduction, whose row operations never touch the syzygy
-rows; `minor_gcd` tracks no transform and multiplies the pivots, and reads
-a missing pivot as rank deficiency (a zero gcd), so it needs no separate
-`normalrank` pass.
+rows.  `minor_gcd` needs no transform and only the pivots up to constant
+factors, so it runs the same sweep, `_primitive_sweep`, on primitive
+integer rows with no `Poly` built inside; it multiplies the pivots, and
+reads a missing pivot as rank deficiency (a zero gcd), so it needs no
+separate `normalrank` pass.
 """
 
 from __future__ import annotations
@@ -304,14 +309,27 @@ def _frref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column list, exact.
 
     Scaling a row leaves the reduced form unchanged, so each row is scaled
-    to integers and the Gauss-Jordan sweep runs on ints: an update
-    a row_i - b row_r clears column c with a and b coprime, and the
-    updated row is divided by the gcd of its entries.  Only the final
+    to integers and `_irref` runs the sweep on ints.  Only the final
     division of each pivot row by its pivot builds Fractions."""
-    m = []
-    for row in M:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [_int_row(row) for row in M]
+    pivots = _irref(m)
+    cols = len(m[0]) if m else 0
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(0)] * cols for _ in range(len(m) - len(pivots))]
+    return out, pivots
+
+
+def _int_row(row) -> list[int]:
+    """A rational row as integers, scaled by the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _irref(m: list[list[int]]) -> list[int]:
+    """Gauss-Jordan sweep on integer rows, in place; returns the pivot
+    columns.  An update a row_i - b row_r clears column c with a and b
+    coprime, and the updated row is divided by the gcd of its entries, so
+    row k ends as a primitive multiple of row k of the reduced form."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -335,13 +353,11 @@ def _frref(M: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == rows:
             break
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    out += [[Fraction(0)] * cols for _ in range(rows - r)]
-    return out, pivots
+    return pivots
 
 
 def _frank(M: list[list[Fraction]]) -> int:
-    return len(_frref(M)[1])
+    return len(_irref([_int_row(row) for row in M]))
 
 
 def _fkernel(M: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -396,34 +412,42 @@ def _fmatmul(A, B):
 
 
 def normalrank(M: PolyMat) -> int:
-    """Rank of M over Q(s), by Bareiss fraction-free forward elimination
-    (Bareiss, Math. Comp. 22, 1968).  Every row below the pivot is updated,
-    zero entry or not, and divided exactly by the previous pivot: each entry
-    stays a minor of M, so degrees grow linearly, not exponentially."""
-    a = [list(row) for row in M.entries]
-    r, c = M.rows, M.cols
-    row = 0
-    prev = Poly.one()
-    for col in range(c):
-        if row == r:
+    """Rank of M over Q(s): the largest exact rank of the constant M(lam)
+    over lam = 0, 1, ..., D, where D is the sum of the min(rows, cols)
+    largest row degrees; it stops as soon as the rank is full.
+
+    No rank can exceed the normal rank, and no minor of order r <= min(rows,
+    cols) has degree above D, so a nonzero one vanishes at no more than D
+    of the D + 1 points.  Each row is evaluated on ints over the lcm of its
+    denominators, which scales it and keeps its rank, and `_irref` decides
+    the rank."""
+    full = min(M.rows, M.cols)
+    if full == 0:
+        return 0
+    rows = [_int_polys(row) for row in M.entries]
+    degs = sorted((max(len(e) for e in row) - 1 for row in rows), reverse=True)
+    rank = 0
+    for lam in range(sum(max(d, 0) for d in degs[:full]) + 1):
+        rank = max(rank, len(_irref([[_horner(e, lam) for e in row]
+                                     for row in rows])))
+        if rank == full:
             break
-        piv = None
-        for i in range(row, r):
-            if not a[i][col].is_zero:
-                if piv is None or a[i][col].degree < a[piv][col].degree:
-                    piv = i
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p, prow = a[row][col], a[row]
-        for i in range(row + 1, r):
-            e = a[i][col]
-            a[i][col + 1:] = [(p * x - e * y) // prev  # exact
-                              for x, y in zip(a[i][col + 1:], prow[col + 1:])]
-            a[i][col] = Poly.zero()
-        prev = p
-        row += 1
-    return row
+    return rank
+
+
+def _int_polys(polys) -> list[list[int]]:
+    """Poly entries as integer coefficient lists (low to high), scaled by
+    the lcm of their denominators."""
+    polys = list(polys)
+    den = lcm(*(e.den for e in polys))
+    return [[x * (den // e.den) for x in e.num] for e in polys]
+
+
+def _horner(c: list[int], lam: int) -> int:
+    acc = 0
+    for x in reversed(c):
+        acc = acc * lam + x
+    return acc
 
 
 # -- unimodular echelon reductions ------------------------------------------------------
@@ -489,25 +513,32 @@ def _triangularize(a: list[list[Poly]], u: list[list[Poly]] | None = None
     return pivots
 
 
-def row_echelon(M: PolyMat) -> EchelonResult:
-    """Upper (Hermite-style) row echelon form via exact Euclidean column sweeps.
-
-    `_triangularize` with the transform tracked, then pivot by pivot: the
-    pivot is made monic and the entries above it are reduced modulo it.
-    """
-    a = [list(row) for row in M.entries]
-    u = [list(row) for row in PolyMat.identity(M.rows).entries]
+def _hermite(a: list[list[Poly]], u: list[list[Poly]] | None = None
+             ) -> list[int]:
+    """`_triangularize`, then pivot by pivot: the pivot is made monic and
+    the entries above it are reduced modulo it.  In place, on the transform
+    `u` too when one is given; returns the pivot columns."""
     pivots = _triangularize(a, u)
     for r, col in enumerate(pivots):
         s = 1 / a[r][col].leading
         a[r] = [x * s for x in a[r]]
-        u[r] = [x * s for x in u[r]]
+        if u is not None:
+            u[r] = [x * s for x in u[r]]
         for i in range(r):
             q = a[i][col] // a[r][col]
             if not q.is_zero:
                 _addmul(a, i, r, q, col)  # row r is zero left of col
-                _addmul(u, i, r, q)
-    r = len(pivots)
+                if u is not None:
+                    _addmul(u, i, r, q)
+    return pivots
+
+
+def row_echelon(M: PolyMat) -> EchelonResult:
+    """Upper (Hermite-style) row echelon form via exact Euclidean column
+    sweeps: `_hermite` with the transform tracked."""
+    a = [list(row) for row in M.entries]
+    u = [list(row) for row in PolyMat.identity(M.rows).entries]
+    r = len(_hermite(a, u))
     E = PolyMat(a[:r]) if r > 0 else None
     return EchelonResult(U=PolyMat(u), E=E, rank=r)
 
@@ -536,10 +567,10 @@ def syzygy_basis(M: PolyMat) -> PolyMat | None:
 
     The basis is the last rows of the `row_echelon` transform U, which its
     above-pivot reduction never touches, so only the forward sweep runs.
-    The fraction-free `normalrank` decides the trivial case first, since
-    Euclidean sweeps grow coefficients: on the full-rank PQ* + QP* of
-    random pairs it costs a tenth of a sweep without transform.  A tall M
-    always has a syzygy, so it skips that pass."""
+    `normalrank`, from constant ranks, decides the trivial case first, since
+    Euclidean sweeps grow coefficients; on a full-rank M it usually stops
+    at the first sample point.  A tall M always has a syzygy, so it skips
+    that pass."""
     l = M.rows
     if l <= M.cols and normalrank(M) == l:
         return None
@@ -613,15 +644,80 @@ def minor_gcd(M: PolyMat) -> Poly:
     unimodular and T lower triangular.  By Cauchy-Binet every maximal minor
     of M is det(T) times a maximal minor of V^-1, and those have trivial
     gcd, so the gcd is the monic product of the pivots on T's diagonal.
+    The sweep, `_primitive_sweep`, runs on the columns of M as integer
+    rows, each divided by its content after every step: its pivots are
+    constant multiples of `_triangularize`'s, so the monic product is the
+    same.
     """
-    a = [list(row) for row in M.transpose().entries]
-    pivots = _triangularize(a)
+    pivots = _primitive_sweep([_int_polys(col) for col in zip(*M.entries)])
     if len(pivots) < M.rows:
         return Poly.zero()
     g = Poly.one()
-    for k in range(M.rows):
-        g = g * a[k][k]
+    for p in pivots:
+        g = g * Poly(p)
     return g.monic()
+
+
+def _primitive_sweep(a: list[list[list[int]]]) -> list[list[int]]:
+    """`_triangularize` with no transform, on integer rows, in place:
+    a[i][j] is the coefficient list of entry (i, j), low to high with no
+    trailing zero.  Returns the pivots, in order.
+
+    The pivot rule is `_triangularize`'s: least degree first, ties to the
+    lowest row.  A row drops its entry e modulo the pivot p by
+    pseudo-division steps (Brown, J. ACM 18, 1971),
+    row_i <- (lp/g) row_i - (lc/g) s^k row_r, where lp and lc are the
+    leading coefficients of p and e, g = gcd(lp, lc) and k = deg e - deg p,
+    and after each step the row is divided by its content.  Each row ends
+    as a nonzero constant multiple of `_triangularize`'s, so every degree
+    and every zero entry, hence every pivot choice, is the same."""
+    l = len(a)
+    c = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for col in range(c):
+        if r == l:
+            break
+        while True:
+            piv = None
+            for i in range(r, l):
+                e = a[i][col]
+                if e and (piv is None or len(e) < len(a[piv][col])):
+                    piv = i
+            if piv is None:
+                break
+            a[r], a[piv] = a[piv], a[r]
+            others = [i for i in range(r + 1, l) if a[i][col]]
+            if not others:
+                break
+            prow = a[r][col:]  # rows r.. are zero left of col
+            dp, lp = len(prow[0]), prow[0][-1]
+            for i in others:
+                row = a[i][col:]
+                while len(row[0]) >= dp:
+                    e = row[0]
+                    g = gcd(lp, e[-1])
+                    f, t, k = lp // g, e[-1] // g, len(e) - dp
+                    row = [_axpy(f, x, t, y, k) for x, y in zip(row, prow)]
+                    g = gcd(*(v for x in row for v in x))
+                    if g > 1:
+                        row = [[v // g for v in x] for x in row]
+                a[i][col:] = row
+        if a[r][col]:
+            pivots.append(a[r][col])
+            r += 1
+    return pivots
+
+
+def _axpy(f: int, x: list[int], t: int, y: list[int], k: int) -> list[int]:
+    """f x - t s^k y on coefficient lists, trailing zeros trimmed."""
+    out = [f * v for v in x]
+    out += [0] * (len(y) + k - len(out))
+    for j, v in enumerate(y, k):
+        out[j] -= t * v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def divisible_on_right(A: PolyMat, F: PolyMat) -> tuple[bool, PolyMat | None]:
@@ -648,10 +744,14 @@ def unimodularly_equivalent(R1: PolyMat, R2: PolyMat) -> bool:
     """Do R1 and R2 define the same kernel, i.e. R1 == U @ R2 for unimodular U?
     Both must have full row normalrank.  The row Hermite form is canonical
     under left unimodular equivalence (Kailath, Linear Systems, 1980, sec.
-    6.3), so the kernels agree exactly when the forms do."""
+    6.3), so the kernels agree exactly when the forms do.  Only the forms
+    are compared, so `_hermite` builds no transform."""
     if (R1.rows, R1.cols) != (R2.rows, R2.cols):
         return False
-    return row_echelon(R1).E == row_echelon(R2).E
+    forms = [[list(row) for row in R.entries] for R in (R1, R2)]
+    for a in forms:
+        _hermite(a)
+    return forms[0] == forms[1]
 
 
 # -- constant-rank tests over a region --------------------------------------------

@@ -102,8 +102,10 @@ def pr_form(P: PolyMat, Q: PolyMat, lam: complex) -> np.ndarray:
 
 
 def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
-    """PQ* + QP*, which conditions 1 and 3 both read."""
-    return P @ Q.star() + Q @ P.star()
+    """PQ* + QP*, which conditions 1 and 3 both read.  It is X + X* with
+    X = PQ*, since (PQ*)* = QP*, so only one product is built."""
+    X = P @ Q.star()
+    return X + X.star()
 
 
 # -- condition 2 -------------------------------------------------------------

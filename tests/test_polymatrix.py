@@ -329,6 +329,15 @@ class TestEchelonSplit:
         if rows >= 3 and data.draw(st.booleans()):  # a dependent last row
             p, q = data.draw(polys), data.draw(polys)
             M[-1] = [p * x + q * y for x, y in zip(M[0], M[1])]
+        if data.draw(st.booleans()):
+            # numerators of at least 2^80, one big factor per column, over
+            # mixed denominators: the integer sweep's rows then carry
+            # content, which each step divides out
+            dens = st.sampled_from([1, 2, 3, 7, 2**81 + 1])
+            for j in range(cols):
+                c = data.draw(st.integers(2**80, 2**85))
+                for row in M:
+                    row[j] = row[j] * Fraction(c, data.draw(dens))
         M = PolyMat(M, cols=cols)
         g = minor_gcd(M)
         assert g == minor_gcd_by_hermite(M) == minor_gcd_by_minors(M)
@@ -531,8 +540,40 @@ def rand_unimodular(rng: random.Random, n: int) -> PolyMat:
     return PolyMat(rows, cols=n)
 
 
+def normalrank_bareiss(M: PolyMat) -> int:
+    """Reference: the former normalrank, Bareiss fraction-free forward
+    elimination over Q[s] (Bareiss, Math. Comp. 22, 1968).  Every row below
+    the pivot is updated, zero entry or not, and divided exactly by the
+    previous pivot, so each entry stays a minor of M."""
+    a = [list(row) for row in M.entries]
+    r, c = M.rows, M.cols
+    row = 0
+    prev = Poly.one()
+    for col in range(c):
+        if row == r:
+            break
+        piv = None
+        for i in range(row, r):
+            if not a[i][col].is_zero:
+                if piv is None or a[i][col].degree < a[piv][col].degree:
+                    piv = i
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        p, prow = a[row][col], a[row]
+        for i in range(row + 1, r):
+            e = a[i][col]
+            a[i][col + 1:] = [(p * x - e * y) // prev  # exact
+                              for x, y in zip(a[i][col + 1:], prow[col + 1:])]
+            a[i][col] = Poly.zero()
+        prev = p
+        row += 1
+    return row
+
+
 def exact_normalrank(M: PolyMat, monkeypatch) -> int:
-    """normalrank(M) with every polynomial division asserted exact."""
+    """normalrank_bareiss(M) with every polynomial division asserted
+    exact."""
     def exact_floordiv(a, b):
         q, rem = divmod(a, Poly.of(b))
         assert rem.is_zero, "inexact Bareiss division"
@@ -540,7 +581,7 @@ def exact_normalrank(M: PolyMat, monkeypatch) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(Poly, "__floordiv__", exact_floordiv)
-        return normalrank(M)
+        return normalrank_bareiss(M)
 
 
 class TestBareissNormalrank:
@@ -555,7 +596,8 @@ class TestBareissNormalrank:
             M = rand_polymat(rng, r, k, 1, 3) @ rand_polymat(rng, k, c, 1, 3) \
                 if k else PolyMat.zeros(r, c)
             rank = exact_normalrank(M, monkeypatch)
-            assert rank == normalrank_undivided(M) == row_echelon(M).rank
+            assert rank == normalrank(M) == normalrank_undivided(M) \
+                == row_echelon(M).rank
             seen.add(rank)
         assert seen == set(range(6))
 
@@ -564,7 +606,48 @@ class TestBareissNormalrank:
         # there, it would make the next division inexact
         M = PolyMat([[S, Poly.one(), S + 1], [Poly.zero(), S, Poly.one()],
                      [S + 2, Poly.zero(), S * S]])
-        assert exact_normalrank(M, monkeypatch) == normalrank_undivided(M) == 3
+        assert exact_normalrank(M, monkeypatch) == normalrank(M) \
+            == normalrank_undivided(M) == 3
+
+
+class TestNormalrankByEvaluation:
+    """normalrank from constant ranks at lam = 0..D against the Bareiss
+    reference."""
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    @settings(max_examples=150)
+    def test_matches_bareiss(self, rows, cols, data):
+        coeff = st.one_of(st.integers(-3, 3),
+                          st.builds(Fraction, st.integers(-3, 3),
+                                    st.integers(1, 4)))
+        polys = st.lists(coeff, max_size=4).map(Poly)
+        M = [[data.draw(polys) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and data.draw(st.booleans()):  # a dependent last row
+            p, q = data.draw(polys), data.draw(polys)
+            M[-1] = [p * x + q * y for x, y in zip(M[0], M[1])]
+        if data.draw(st.booleans()):
+            # every minor then vanishes at lam = 0, 1, 2, the first samples
+            f = S * (S - 1) * (S - 2)
+            M = [[f * x for x in row] for row in M]
+        M = PolyMat(M, cols=cols)
+        assert normalrank(M) == normalrank_bareiss(M)
+
+    @pytest.mark.parametrize("M, rank", [
+        (PolyMat([], cols=0), 0),
+        (PolyMat([], cols=3), 0),
+        (PolyMat([[], []], cols=0), 0),
+        (PolyMat.zeros(2, 3), 0),
+        # the only minor has degree D = 3 and roots 0, 1, 2: full at lam = 3
+        (PolyMat([[S * (S - 1) * (S - 2)]]), 1),
+        # det = s(s - 1) vanishes at lam = 0, 1; D = 2, the sum of the
+        # row degrees
+        (PolyMat([[S, Poly.zero()], [Poly.one(), S - 1]]), 2),
+        # tall, both columns a multiple of one polynomial column
+        (PolyMat([[S, 2 * S], [Poly.one(), Poly.constant(2)],
+                  [S * S, 2 * S * S]]), 1),
+    ])
+    def test_edge_cases(self, M, rank):
+        assert normalrank(M) == normalrank_bareiss(M) == rank
 
 
 class TestEquivalence:

@@ -185,9 +185,12 @@ class SweepCalled(Exception):
 
 
 def test_realize_behavior_runs_no_euclidean_sweep(monkeypatch):
+    """Both Euclidean sweeps refuse: `_triangularize` on Poly rows and
+    `minor_gcd`'s `_primitive_sweep` on integer rows."""
     def refuse(*args, **kwargs):
         raise SweepCalled
     monkeypatch.setattr(polymatrix, "_triangularize", refuse)
+    monkeypatch.setattr(polymatrix, "_primitive_sweep", refuse)
     with pytest.raises(SweepCalled):  # the patch reaches the old check
         left_coprime(PolyMat([[S]]), PolyMat([[S + 1]]))
     for ss in (siso_sweep_system(random.Random(104729), 8), coupled_rc(3)):
