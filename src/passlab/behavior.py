@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly
-from .polymatrix import (PolyMat, _frank, column_echelon, delta,
-                         divisible_on_right, normalrank, row_reduced,
-                         syzygy_basis, unimodular_inverse)
+from .polymatrix import (PolyMat, _frank, _leading_rows, column_echelon,
+                         divisible_on_right, row_reduced, syzygy_basis,
+                         unimodular_inverse)
 from .prpair import PASS, PRPairVerdict, check_pair
 
 
@@ -133,7 +133,6 @@ class Partition:
     T1: PolyMat
     T2: PolyMat
     S1: PolyMat
-    S2_doubled: PolyMat  # 2*S2 = [[I, I], [-I, I]], kept integral
     Pio: PolyMat
     Qio: PolyMat
 
@@ -162,6 +161,11 @@ def passive_partition(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     SIAM J. Control 13, 1975; see `delta`).  So the first mask whose
     minor of L is nonsingular is the first of maximal degree.  When no
     mask is, the partitioned pair cannot be proper.
+
+    The chosen pair is proper by the same reading.  With E = U [P -Q],
+    U [Pio -Qio] = E S1 has E's row degrees and the leading matrix L S1,
+    whose Qio block is, up to sign and column order, the nonsingular minor
+    of L just found (Kailath, Linear Systems, 1980, Lemma 6.3-11).
     """
     n = P.rows
     if verdict is None:
@@ -169,11 +173,11 @@ def passive_partition(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     if verdict.overall != PASS:
         raise NotPositiveRealError("not a positive-real pair")
 
-    PQ = P.hstack(-Q)
-    if normalrank(PQ) < n:
-        raise NotPositiveRealError("det(P+Q) vanishes identically")
-    lead = [[e.coeff(int(max(x.degree for x in row))) for e in row]
-            for row in row_reduced(PQ).E.entries]
+    try:
+        E = row_reduced(P.hstack(-Q)).E
+    except ValueError:
+        raise NotPositiveRealError("det(P+Q) vanishes identically") from None
+    _, lead = _leading_rows(E.entries)
     for mask in itertools.product((0, 1), repeat=n):
         sel = [j if mask[j] else n + j for j in range(n)]
         if _frank([[row[c] for c in sel] for row in lead]) == n:
@@ -187,45 +191,20 @@ def passive_partition(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     T1 = _selector(from_q, n)
     T2 = _selector(from_p, n)
 
-    Pio = (P @ T1.T).hstack(-(Q @ T2.T))
-    Qio = (Q @ T1.T).hstack(-(P @ T2.T))
+    Pio = P.select_columns(from_q).hstack(-Q.select_columns(from_p))
+    Qio = Q.select_columns(from_q).hstack(-P.select_columns(from_p))
 
     k, kp = len(from_q), len(from_p)
     S1 = PolyMat.block([
         [T1.T, PolyMat.zeros(n, kp), PolyMat.zeros(n, k), T2.T],
         [PolyMat.zeros(n, k), T2.T, T1.T, PolyMat.zeros(n, kp)],
     ])
-
-    eyen = PolyMat.identity(n)
-    S2d = PolyMat.block([[eyen, eyen], [-eyen, eyen]])
-
-    part = Partition(T1=T1, T2=T2, S1=S1, S2_doubled=S2d, Pio=Pio, Qio=Qio)
-    _verify_partition(P, Q, part)
-    return part
+    return Partition(T1=T1, T2=T2, S1=S1, Pio=Pio, Qio=Qio)
 
 
 def _selector(idx: list[int], n: int) -> PolyMat:
     return PolyMat([[Poly.one() if j == k else Poly.zero() for k in range(n)]
                     for j in idx], cols=n)
-
-
-def _verify_partition(P: PolyMat, Q: PolyMat, part: Partition):
-    n = P.rows
-    eyen = PolyMat.identity(n)
-    if not (part.T1.T @ part.T1 + part.T2.T @ part.T2 == eyen):
-        raise AssertionError("T1'T1 + T2'T2 != I")
-    if not (part.S1 @ part.S1.T == PolyMat.identity(2 * n)):
-        raise AssertionError("S1 S1' != I")
-    s2 = part.S2_doubled
-    if not (s2 @ s2.T == 2 * PolyMat.identity(2 * n)):
-        raise AssertionError("2 S2 S2' != I (doubled form)")
-    if not (part.Pio.hstack(-part.Qio) == P.hstack(-Q) @ part.S1):
-        raise AssertionError("[Pio -Qio] != [P -Q] S1")
-    dq = part.Qio.det()
-    if dq.is_zero:
-        raise AssertionError("partitioned Q is singular")
-    if delta(part.Pio.hstack(-part.Qio)) != dq.degree:
-        raise AssertionError("partitioned pair is not proper")
 
 
 def behavior_is_passive(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL

@@ -59,7 +59,8 @@ from .numeric import (AXIS, DEFAULT_TOL, OPEN_RHP, LosslessInfeasibleError,
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat, syzygy_basis
-from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
+from .prpair import (PASS, INCONCLUSIVE, PRPairVerdict, _pr_density, axis_psd,
+                     check_pair)
 from .statespace import (StateSpace, realize_behavior, resolvent, shifted_solve,
                          staircase)
 
@@ -582,7 +583,7 @@ def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     # Exact premise: G = Q^-1 P, so G + G* = Q^-1 (P Q* + Q P*) Q^-*, and the
     # sampled check cannot see a violation between its frequencies.
     P, Q = realize_behavior(ss)
-    _require_axis_psd(P @ Q.star() + Q @ P.star(), tol)
+    _require_axis_psd(_pr_density(P, Q), tol)
     return SpectralFactor(Z=build_zx(ss, L, W), r=ss.n, diagnostics=diag), are
 
 

@@ -5,7 +5,8 @@ row/column echelon reductions, the inverse of a unimodular matrix (one
 more echelon pass), fraction-free Bareiss determinants, the normal rank
 from exact ranks of constant matrices M(lam), syzygy bases,
 right-divisibility, kernel equality by row Hermite forms, the
-max-degree-of-full-size-minors functional used for properness tests, and
+max-degree-of-full-size-minors functional `delta` (kept as the reference
+for properness, which callers read from leading row coefficients), and
 constant-rank tests over a region of the complex plane.  The dense
 rational-matrix helpers (`_frref` and the rank, kernel, inverse and product
 built on it) live here too; their elimination, `_irref`, runs on integer
@@ -579,23 +580,27 @@ def syzygy_basis(M: PolyMat) -> PolyMat | None:
     return PolyMat(u[rank:], cols=l)
 
 
+def _leading_rows(rows) -> tuple[list, list[list[Fraction]]]:
+    """Row degrees of a grid of Polys (NEG_INF for a zero row) and its
+    constant leading row-coefficient matrix: row i holds the coefficients
+    of s^(degree of row i)."""
+    degs = [max((e.degree for e in row), default=NEG_INF) for row in rows]
+    return degs, [[e.coeff(d) for e in row] for row, d in zip(rows, degs)]
+
+
 def row_reduced(M: PolyMat) -> EchelonResult:
     """Row-reduced form: the matrix of highest-row-degree coefficients has full
-    row rank.  Requires normalrank(M) == rows."""
+    row rank.  Requires normalrank(M) == rows; raises ValueError otherwise."""
     l, c = M.rows, M.cols
     a = [list(row) for row in M.entries]
     U = PolyMat.identity(l)
 
-    def row_degree(i):
-        return max((a[i][j].degree for j in range(c)), default=NEG_INF)
-
     while True:
-        degs = [row_degree(i) for i in range(l)]
-        if any(d == NEG_INF for d in degs):
+        degs, lead = _leading_rows(a)
+        if NEG_INF in degs:
             raise ValueError("rank deficient: zero row during row reduction")
         # left kernel of the leading row-coefficient matrix
-        lead_t = [[a[i][j].coeff(int(degs[i])) for i in range(l)] for j in range(c)]
-        basis = _fkernel(lead_t)
+        basis = _fkernel(list(zip(*lead)))
         if not (basis and basis[0]):
             break
         kern = [row[0] for row in basis]
@@ -632,8 +637,7 @@ def delta(M: PolyMat) -> int:
     """
     if normalrank(M) < M.rows:
         raise ValueError("rank deficient")
-    E = row_reduced(M).E
-    return sum(int(max(e.degree for e in row)) for row in E.entries)
+    return sum(_leading_rows(row_reduced(M).E.entries)[0])
 
 
 def minor_gcd(M: PolyMat) -> Poly:

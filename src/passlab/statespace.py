@@ -23,7 +23,7 @@ import numpy as np
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
-                         _rref_kernel, _scaled, delta, row_reduced,
+                         _leading_rows, _rref_kernel, _scaled, row_reduced,
                          unimodularly_equivalent)
 from .signals import Signal
 
@@ -353,9 +353,11 @@ def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
 def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
     """Observer-style realization of a proper pair P(d/dt) u = Q(d/dt) y.
 
-    Requires Q nonsingular and Q^-1 P proper, certified exactly by
-    deg det Q == max degree of the full-size minors of [P -Q].  The
-    construction row-reduces Q, peels off the feedthrough D, and realizes the
+    Requires Q nonsingular and Q^-1 P proper.  Both are read from the row
+    reduction Q1 = U Q: it exists exactly when Q is nonsingular, and then
+    Q^-1 P is proper exactly when no row of P1 = U P has a higher degree
+    than the same row of Q1 (Kailath, Linear Systems, 1980, Lemma 6.3-11).
+    The construction peels off the feedthrough D, and realizes the
     strictly proper remainder with one integrator chain per output channel,
     so the external behavior equals ker [P -Q] exactly (uncontrollable modes
     included).  The round trip is re-checked on every call: the realization's
@@ -364,21 +366,20 @@ def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
     n = Q.rows
     if not (Q.is_square and P.rows == n and P.cols == n):
         raise ValueError("pair must be square of matching size")
-    detq = Q.det()
-    if detq.is_zero:
+    try:
+        rr = row_reduced(Q)
+    except ValueError:
         raise RealizationError(
-            "no state-space realization (input-output form violated): Q singular")
-    if delta(P.hstack(-Q)) != detq.degree:
-        raise RealizationError(
-            "no state-space realization (input-output form violated): improper")
-    rr = row_reduced(Q)
+            "no state-space realization (input-output form violated): Q singular"
+        ) from None
     Q1 = rr.E
     P1 = rr.U @ P
-    mu = [max(int(Q1[i, j].degree) for j in range(n) if not Q1[i, j].is_zero)
-          for i in range(n)]
-    # leading row-coefficient matrix of the row-reduced Q1 (nonsingular) and
-    # the matching top coefficients of P1; D = G(inf) = Lam^-1 T
-    lam = [[Q1[i, j].coeff(mu[i]) for j in range(n)] for i in range(n)]
+    # mu: row degrees of Q1; lam: its (nonsingular) leading row-coefficient
+    # matrix; T: the s^mu_i coefficients of P1; D = G(inf) = Lam^-1 T
+    mu, lam = _leading_rows(Q1.entries)
+    if any(e.degree > d for row, d in zip(P1.entries, mu) for e in row):
+        raise RealizationError(
+            "no state-space realization (input-output form violated): improper")
     lam_inv = _finverse(lam)
     T = [[P1[i, j].coeff(mu[i]) for j in range(n)] for i in range(n)]
     Dg = _fmatmul(lam_inv, T)

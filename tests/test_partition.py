@@ -3,7 +3,10 @@
 The reference below is the earlier selection, kept here to test its
 replacement against: it expanded det(P + Q) into its 2^n column-choice
 determinants and took the first one of maximal degree.  The new selection
-reads the constant leading row-coefficient matrix of [P -Q] instead.
+reads the constant leading row-coefficient matrix of [P -Q] instead, and
+the properness of the chosen pair follows from that reading.  The check
+that re-verified each partition with delta and det(Qio) now lives in
+`assert_matches_reference`.
 """
 
 import itertools
@@ -70,11 +73,26 @@ def diagonal_rc(n: int) -> StateSpace:
 
 
 def assert_matches_reference(P: PolyMat, Q: PolyMat) -> None:
+    """The selection equals the determinant scan's, and the partition
+    passes the checks `passive_partition` once re-ran on every call: the
+    selector identities, [Pio -Qio] = [P -Q] S1, and properness as
+    delta([Pio -Qio]) == deg det Qio."""
     v = check_pair(P, Q)
     assert v.overall == PASS
     part = passive_partition(P, Q, verdict=v)
     ports, Pio, Qio, _ = partition_by_dets(P, Q)
     assert (part.input_ports_current, part.Pio, part.Qio) == (ports, Pio, Qio)
+
+    n = P.rows
+    eye = PolyMat.identity(n)
+    assert part.T1.T @ part.T1 + part.T2.T @ part.T2 == eye
+    assert part.S1 @ part.S1.T == PolyMat.identity(2 * n)
+    S2_doubled = PolyMat.block([[eye, eye], [-eye, eye]])  # 2 S2, integral
+    assert S2_doubled @ S2_doubled.T == 2 * PolyMat.identity(2 * n)
+    assert Pio.hstack(-Qio) == P.hstack(-Q) @ part.S1
+    dq = Qio.det()
+    assert not dq.is_zero
+    assert delta(Pio.hstack(-Qio)) == dq.degree
 
 
 def test_random_passive_multiports_and_their_swaps():

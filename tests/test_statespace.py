@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import rand_poly, si_matrix, siso_sweep_system
+from conftest import rand_poly, rand_polymat, si_matrix, siso_sweep_system
+from test_partition import random_passive_multiport
 
 from passlab.poly import Poly
 from passlab.polymatrix import (PolyMat, _finverse, _fmatmul, _frank, delta,
@@ -241,6 +242,48 @@ class TestRealizeStateSpace:
             Pr, Qr = realize_behavior(ss)
             assert pairs_equal(Pr, Qr, P, Q)
             done += 1
+
+    def test_properness_rule_matches_delta_and_det(self):
+        """realize_statespace reads Q's nonsingularity and the properness of
+        Q^-1 P from the row reduction of Q.  Reference: Q singular when
+        det Q = 0, else proper exactly when delta([P -Q]) == deg det Q."""
+        singular = ("no state-space realization (input-output form "
+                    "violated): Q singular")
+        improper = ("no state-space realization (input-output form "
+                    "violated): improper")
+        rng = random.Random(104729)
+        pairs = []
+        for k in range(40):  # passive multiports and their swaps
+            P, Q = realize_behavior(random_passive_multiport(rng, 1 + k % 4))
+            pairs += [(P, Q), (Q, P)]
+        for k in range(160):  # random pairs, n = 1..4
+            n = 1 + k % 4
+            pairs.append((rand_polymat(rng, n, n, 2, 3),
+                          rand_polymat(rng, n, n, 2, 3)))
+        for k in range(80):  # Q with a repeated row, n = 2..4
+            n = 2 + k % 3
+            P = rand_polymat(rng, n, n, 2, 3)
+            rows = [list(r) for r in rand_polymat(rng, n, n, 2, 3).entries]
+            i, j = rng.sample(range(n), 2)
+            rows[j] = rows[i]
+            pairs.append((P, PolyMat(rows)))
+        counts = {}
+        for P, Q in pairs:
+            dq = Q.det()
+            if dq.is_zero:
+                ref = singular
+            elif delta(P.hstack(-Q)) == dq.degree:
+                ref = "proper"
+            else:
+                ref = improper
+            try:
+                realize_statespace(P, Q)
+                got = "proper"
+            except RealizationError as e:
+                got = str(e)
+            assert got == ref
+            counts[ref] = counts.get(ref, 0) + 1
+        assert len(counts) == 3 and min(counts.values()) >= 50, counts
 
 
 class TestResolvent:
