@@ -19,16 +19,18 @@ Conventions:
     echelon transform; being rows of a unimodular matrix they have full
     row rank at every complex point.
 
-Every echelon route shares one forward Euclidean sweep, `_triangularize`,
-and builds only what its caller reads: `row_echelon` tracks the transform
-and then reduces above each pivot; `unimodularly_equivalent` reduces above
-each pivot with no transform; `syzygy_basis` tracks the transform but
-skips that back-reduction, whose row operations never touch the syzygy
-rows.  `minor_gcd` needs no transform and only the pivots up to constant
-factors, so it runs the same sweep, `_primitive_sweep`, on primitive
-integer rows with no `Poly` built inside; it multiplies the pivots, and
-reads a missing pivot as rank deficiency (a zero gcd), so it needs no
-separate `normalrank` pass.
+One forward Euclidean sweep, `_primitive_sweep`, serves every echelon
+route.  It runs on integer coefficient lists, by pseudo-division steps that
+each end with the row divided by its content, so no `Poly` is built inside
+the loop.  A transform is carried in the row, appended after the swept
+columns, and `_sweep_polys` tracks each row's multiplier (integer row =
+multiplier * rational row) to map the rows back exactly.  `row_echelon`
+carries the transform, then makes each pivot monic and reduces above it;
+`unimodularly_equivalent` does that with no transform; `syzygy_basis`
+carries the transform but skips the back-reduction, which never touches
+the syzygy rows.  `minor_gcd` sweeps with no transform or multiplier,
+multiplies the pivots, and reads a missing pivot as rank deficiency (a
+zero gcd), so it needs no separate `normalrank` pass.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .numeric import AXIS, DEFAULT_TOL, OPEN_RHP, Tolerance, region_of
 from .numeric import roots as numeric_roots
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF, Poly, _lowest
 
 
 class PolyMat:
@@ -468,58 +470,35 @@ def _addmul(rows: list[list[Poly]], i: int, j: int, q: Poly, start: int = 0):
     rows[i] = ri[:start] + [x - q * y for x, y in zip(ri[start:], rj[start:])]
 
 
-def _triangularize(a: list[list[Poly]], u: list[list[Poly]] | None = None
-                   ) -> list[int]:
-    """Forward Euclidean column sweeps on the rows of `a`, in place; returns
-    the pivot columns.  Row k ends with its first nonzero entry, the pivot,
-    at column pivots[k], and rows len(pivots).. end zero.
-
-    Each column is swept until at most one row below the finished pivots is
-    nonzero there: the nonzero entry of least degree (ties: lowest row)
-    moves up to become the pivot, and every other row drops its entry
-    modulo it.  Each row operation is applied to the transform `u` as well,
-    when one is given.  A finished pivot row is never read again, so
-    `row_echelon` can scale and reduce above it afterwards."""
-    l = len(a)
-    c = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(c):
-        if r == l:
-            break
-        while True:
-            piv = None
-            for i in range(r, l):
-                if not a[i][col].is_zero:
-                    if piv is None or a[i][col].degree < a[piv][col].degree:
-                        piv = i
-            if piv is None:
-                break
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                if u is not None:
-                    u[r], u[piv] = u[piv], u[r]
-            others = [i for i in range(r + 1, l) if not a[i][col].is_zero]
-            if not others:
-                break
-            for i in others:
-                # rows r.. are zero left of col
-                q = a[i][col] // a[r][col]
-                _addmul(a, i, r, q, col)
-                if u is not None:
-                    _addmul(u, i, r, q)
-        if not a[r][col].is_zero:
-            pivots.append(col)
-            r += 1
+def _sweep_polys(a: list[list[Poly]], u: list[list[Poly]] | None = None
+                 ) -> list[int]:
+    """`_primitive_sweep` on the Poly rows of `a`, in place, with the
+    transform `u`, when one is given, carried in each row; returns the
+    pivot columns.  Each row enters as integers over the lcm of its
+    denominators, its first multiplier, and leaves divided by its last
+    one: the exact row that the sweep over Q[s] leaves."""
+    width = len(a[0]) if a else 0
+    rows = a if u is None else [x + y for x, y in zip(a, u)]
+    ints = [_int_polys(row) for row in rows]
+    mult = [Fraction(lcm(*(e.den for e in row))) for row in rows]
+    pivots = _primitive_sweep(ints, width, mult)
+    for i, (row, m) in enumerate(zip(ints, mult)):
+        num, den = m.numerator, m.denominator
+        if num < 0:
+            num, den = -num, -den
+        polys = [_lowest([x * den for x in e], num) for e in row]
+        a[i] = polys[:width]
+        if u is not None:
+            u[i] = polys[width:]
     return pivots
 
 
 def _hermite(a: list[list[Poly]], u: list[list[Poly]] | None = None
              ) -> list[int]:
-    """`_triangularize`, then pivot by pivot: the pivot is made monic and
+    """`_sweep_polys`, then pivot by pivot: the pivot is made monic and
     the entries above it are reduced modulo it.  In place, on the transform
     `u` too when one is given; returns the pivot columns."""
-    pivots = _triangularize(a, u)
+    pivots = _sweep_polys(a, u)
     for r, col in enumerate(pivots):
         s = 1 / a[r][col].leading
         a[r] = [x * s for x in a[r]]
@@ -576,7 +555,7 @@ def syzygy_basis(M: PolyMat) -> PolyMat | None:
     if l <= M.cols and normalrank(M) == l:
         return None
     u = [list(row) for row in PolyMat.identity(l).entries]
-    rank = len(_triangularize([list(row) for row in M.entries], u))
+    rank = len(_sweep_polys([list(row) for row in M.entries], u))
     return PolyMat(u[rank:], cols=l)
 
 
@@ -593,7 +572,7 @@ def row_reduced(M: PolyMat) -> EchelonResult:
     row rank.  Requires normalrank(M) == rows; raises ValueError otherwise."""
     l, c = M.rows, M.cols
     a = [list(row) for row in M.entries]
-    U = PolyMat.identity(l)
+    u = [list(row) for row in PolyMat.identity(l).entries]
 
     while True:
         degs, lead = _leading_rows(a)
@@ -607,17 +586,14 @@ def row_reduced(M: PolyMat) -> EchelonResult:
         support = [i for i, ci in enumerate(kern) if ci != 0]
         k = max(support, key=lambda i: degs[i])
         # row_k <- sum_i c_i s^(d_k - d_i) row_i ; strictly drops sum of degrees
-        op = [[Poly.zero()] * l for _ in range(l)]
-        for i in range(l):
-            op[i][i] = Poly.one()
-        for i in support:
-            shift = Poly([0] * int(degs[k] - degs[i]) + [1])
-            op[k][i] = kern[i] * shift if i != k else Poly.constant(kern[k])
-        opm = PolyMat(op)
-        a_new = opm @ PolyMat(a)
-        a = [list(row) for row in a_new.entries]
-        U = opm @ U
-    return EchelonResult(U=U, E=PolyMat(a, cols=c), rank=l)
+        terms = [(Poly([0] * int(degs[k] - degs[i]) + [kern[i]]), i)
+                 for i in support]
+        for rows in (a, u):
+            new = [Poly.zero()] * len(rows[k])
+            for q, i in terms:
+                new = [x + q * y for x, y in zip(new, rows[i])]
+            rows[k] = new
+    return EchelonResult(U=PolyMat(u, cols=l), E=PolyMat(a, cols=c), rank=l)
 
 
 # -- minors, properness degree, divisibility ----------------------------------------------
@@ -648,38 +624,48 @@ def minor_gcd(M: PolyMat) -> Poly:
     unimodular and T lower triangular.  By Cauchy-Binet every maximal minor
     of M is det(T) times a maximal minor of V^-1, and those have trivial
     gcd, so the gcd is the monic product of the pivots on T's diagonal.
-    The sweep, `_primitive_sweep`, runs on the columns of M as integer
-    rows, each divided by its content after every step: its pivots are
-    constant multiples of `_triangularize`'s, so the monic product is the
-    same.
+    `_primitive_sweep` runs on the columns of M as integer rows and tracks
+    no multiplier: its pivots are constant multiples of the sweep's over
+    Q[s], so the monic product is the same.
     """
-    pivots = _primitive_sweep([_int_polys(col) for col in zip(*M.entries)])
+    a = [_int_polys(col) for col in zip(*M.entries)]
+    pivots = _primitive_sweep(a, M.rows)
     if len(pivots) < M.rows:
         return Poly.zero()
     g = Poly.one()
-    for p in pivots:
-        g = g * Poly(p)
+    for row, col in zip(a, pivots):
+        g = g * Poly(row[col])
     return g.monic()
 
 
-def _primitive_sweep(a: list[list[list[int]]]) -> list[list[int]]:
-    """`_triangularize` with no transform, on integer rows, in place:
+def _primitive_sweep(a: list[list[list[int]]], width: int,
+                     c: list[Fraction] | None = None) -> list[int]:
+    """The forward Euclidean column sweep on integer rows, in place:
     a[i][j] is the coefficient list of entry (i, j), low to high with no
-    trailing zero.  Returns the pivots, in order.
+    trailing zero.  Columns 0..width-1 are swept; a row's entries after
+    `width` (an appended transform) take every row operation but are never
+    pivots.  Returns the pivot columns: row k's first nonzero entry is at
+    pivots[k], and rows len(pivots).. end zero in the swept columns.
 
-    The pivot rule is `_triangularize`'s: least degree first, ties to the
-    lowest row.  A row drops its entry e modulo the pivot p by
+    Each column is swept until at most one row below the finished pivots
+    is nonzero there: the entry of least degree (ties: lowest row) moves up
+    as the pivot p, and every other row drops its entry e modulo p by
     pseudo-division steps (Brown, J. ACM 18, 1971),
-    row_i <- (lp/g) row_i - (lc/g) s^k row_r, where lp and lc are the
-    leading coefficients of p and e, g = gcd(lp, lc) and k = deg e - deg p,
-    and after each step the row is divided by its content.  Each row ends
-    as a nonzero constant multiple of `_triangularize`'s, so every degree
-    and every zero entry, hence every pivot choice, is the same."""
+    row_i <- f row_i - t s^k row_r, with f = lp/g, t = le/g for the leading
+    coefficients lp, le of p, e, g = gcd(lp, le) and k = deg e - deg p;
+    after each step the row is divided by its content.  Over Q[s] the
+    sweep subtracts one quotient, row_i - (e div p) row_r; remainders are
+    unique, so each integer row ends as a nonzero constant multiple of that
+    rational row, and every degree, hence every pivot choice, is the same.
+
+    When `c` is given, c[i] is that multiple (integer row i = c[i] times
+    rational row i): it is multiplied by f at each step, divided by the
+    content g when g > 1 (a zero row has g = 0), and swapped with its
+    row."""
     l = len(a)
-    c = len(a[0]) if a else 0
     pivots = []
     r = 0
-    for col in range(c):
+    for col in range(width):
         if r == l:
             break
         while True:
@@ -691,6 +677,8 @@ def _primitive_sweep(a: list[list[list[int]]]) -> list[list[int]]:
             if piv is None:
                 break
             a[r], a[piv] = a[piv], a[r]
+            if c is not None:
+                c[r], c[piv] = c[piv], c[r]
             others = [i for i in range(r + 1, l) if a[i][col]]
             if not others:
                 break
@@ -706,9 +694,11 @@ def _primitive_sweep(a: list[list[list[int]]]) -> list[list[int]]:
                     g = gcd(*(v for x in row for v in x))
                     if g > 1:
                         row = [[v // g for v in x] for x in row]
+                    if c is not None:
+                        c[i] = c[i] * f / g if g > 1 else c[i] * f
                 a[i][col:] = row
         if a[r][col]:
-            pivots.append(a[r][col])
+            pivots.append(col)
             r += 1
     return pivots
 

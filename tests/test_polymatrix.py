@@ -7,9 +7,9 @@ from conftest import left_coprime, rand_poly, rand_polymat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passlab.poly import Poly, poly_gcd
+from passlab.poly import NEG_INF, Poly, poly_gcd
 from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, EchelonResult,
-                                PolyMat, _fmatmul, _frref,
+                                PolyMat, _fkernel, _fmatmul, _frref,
                                 column_echelon, delta, divisible_on_right,
                                 fullrank_everywhere, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
@@ -302,6 +302,16 @@ class TestEchelonSplit:
     former routes."""
 
     def test_row_echelon_and_syzygy_match_interleaved(self):
+        def check(M: PolyMat) -> bool:
+            ref = row_echelon_interleaved(M)
+            res = row_echelon(M)
+            assert (res.U, res.E, res.rank) == (ref.U, ref.E, ref.rank)
+            r = M.rows
+            want = (None if ref.rank == r
+                    else ref.U.submatrix(range(ref.rank, r), range(r)))
+            assert syzygy_basis(M) == want
+            return ref.rank < r
+
         rng = random.Random(104723)
         deficient = 0
         for k in range(180):
@@ -309,14 +319,33 @@ class TestEchelonSplit:
             M = rand_polymat(rng, r, c, rng.randint(0, 3), 4)
             if r >= 3 and k % 3 == 0:
                 M = plant_dependent_row(rng, M)
-            ref = row_echelon_interleaved(M)
-            res = row_echelon(M)
-            assert (res.U, res.E, res.rank) == (ref.U, ref.E, ref.rank)
-            want = (None if ref.rank == r
-                    else ref.U.submatrix(range(ref.rank, r), range(r)))
-            assert syzygy_basis(M) == want
-            deficient += ref.rank < r
+            deficient += check(M)
         assert deficient >= 30
+
+        # Rows whose integer form carries content, and rows whose leading
+        # coefficients are negative: the sweep's row multipliers then take
+        # large and negative values, and dividing them out must still give
+        # the reference's rows exactly.
+        rng = random.Random(104717)
+        dens = [1, 2, 3, 7, 2**81 + 1]
+        deficient = 0
+        for k in range(120):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [list(row) for row in
+                    rand_polymat(rng, r, c, rng.randint(0, 3), 4).entries]
+            if k % 2 == 0:  # numerators of at least 2^80, one per column
+                for j in range(c):
+                    f = rng.randint(2**80, 2**85)
+                    for row in rows:
+                        row[j] = row[j] * Fraction(f, rng.choice(dens))
+            else:
+                rows = [[-x if x.leading > 0 else x for x in row]
+                        for row in rows]
+            M = PolyMat(rows, cols=c)
+            if r >= 3 and k % 3 == 0:
+                M = plant_dependent_row(rng, M)
+            deficient += check(M)
+        assert deficient >= 15
 
     @given(st.integers(1, 4), st.integers(0, 8), st.data())
     @settings(max_examples=100)
@@ -361,7 +390,70 @@ class TestEchelonSplit:
                 fullrank_everywhere(A.hstack(B), region)
 
 
+def row_reduced_by_operators(M: PolyMat) -> EchelonResult:
+    """Reference: row_reduced as it was before its in-place row update.
+    Each step builds the l x l operator that replaces row k by
+    sum_i c_i s^(d_k - d_i) row_i, and multiplies it into the matrix and
+    into the transform."""
+    l, c = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    U = PolyMat.identity(l)
+    while True:
+        degs = [max((e.degree for e in row), default=NEG_INF) for row in a]
+        if NEG_INF in degs:
+            raise ValueError("rank deficient: zero row during row reduction")
+        lead = [[e.coeff(d) for e in row] for row, d in zip(a, degs)]
+        basis = _fkernel(list(zip(*lead)))
+        if not (basis and basis[0]):
+            break
+        kern = [row[0] for row in basis]
+        support = [i for i, ci in enumerate(kern) if ci != 0]
+        k = max(support, key=lambda i: degs[i])
+        op = [[Poly.zero()] * l for _ in range(l)]
+        for i in range(l):
+            op[i][i] = Poly.one()
+        for i in support:
+            shift = Poly([0] * int(degs[k] - degs[i]) + [1])
+            op[k][i] = kern[i] * shift if i != k else Poly.constant(kern[k])
+        opm = PolyMat(op)
+        a = [list(row) for row in (opm @ PolyMat(a)).entries]
+        U = opm @ U
+    return EchelonResult(U=U, E=PolyMat(a, cols=c), rank=l)
+
+
 class TestRowReduced:
+    def test_row_update_matches_operator_products(self):
+        """Old equals new on 320 seeded matrices: two thirds premultiplied
+        by a random unimodular matrix, so that reduction has steps to take,
+        and some with a dependent row or one row more than columns, where
+        both raise the same ValueError."""
+        rng = random.Random(104711)
+        stepped = deficient = 0
+        for k in range(320):
+            r = rng.randint(1, 4)
+            c = rng.randint(max(1, r - 1), 5)
+            M = rand_polymat(rng, r, c, rng.randint(0, 3), 4)
+            if k % 3 != 2:
+                M = rand_unimodular(rng, r) @ M
+            if r >= 3 and k % 5 == 0:
+                M = plant_dependent_row(rng, M)
+            try:
+                ref = row_reduced_by_operators(M)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    row_reduced(M)
+                assert str(got.value) == str(e)
+                deficient += 1
+                continue
+            res = row_reduced(M)
+            assert (res.U, res.E, res.rank) == (ref.U, ref.E, ref.rank)
+            stepped += res.U != PolyMat.identity(r)
+        assert stepped >= 90 and deficient >= 60
+        empty = PolyMat([], cols=3)
+        ref, res = row_reduced_by_operators(empty), row_reduced(empty)
+        assert (res.U, res.E, res.rank) == (ref.U, ref.E, ref.rank)
+        assert (res.U.cols, res.E.cols) == (0, 3)
+
     def test_leading_matrix_nonsingular(self):
         M = PolyMat([[S**2 + 1, S], [S, Poly.one()]])
         res = row_reduced(M)

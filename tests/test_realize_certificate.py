@@ -185,12 +185,16 @@ class SweepCalled(Exception):
 
 
 def test_realize_behavior_runs_no_euclidean_sweep(monkeypatch):
-    """Both Euclidean sweeps refuse: `_triangularize` on Poly rows and
-    `minor_gcd`'s `_primitive_sweep` on integer rows."""
+    """The one Euclidean sweep, `_primitive_sweep`, refuses; it serves
+    every echelon route, so `row_echelon`, `syzygy_basis` and the old
+    check's `minor_gcd` all reach it."""
     def refuse(*args, **kwargs):
         raise SweepCalled
-    monkeypatch.setattr(polymatrix, "_triangularize", refuse)
     monkeypatch.setattr(polymatrix, "_primitive_sweep", refuse)
+    M = PolyMat([[S, S + 1], [S * S, S * S + S]])
+    for route in (polymatrix.row_echelon, polymatrix.syzygy_basis):
+        with pytest.raises(SweepCalled):
+            route(M)
     with pytest.raises(SweepCalled):  # the patch reaches the old check
         left_coprime(PolyMat([[S]]), PolyMat([[S + 1]]))
     for ss in (siso_sweep_system(random.Random(104729), 8), coupled_rc(3)):
