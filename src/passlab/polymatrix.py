@@ -2,7 +2,8 @@
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
 row/column echelon reductions, the inverse of a unimodular matrix (one
-more echelon pass), fraction-free Bareiss determinants, the normal rank
+more echelon pass), fraction-free Bareiss determinants, the characteristic
+polynomial by Berkowitz's division-free algorithm, the normal rank
 from exact ranks of constant matrices M(lam), syzygy bases,
 right-divisibility, kernel equality by row Hermite forms, the
 max-degree-of-full-size-minors functional `delta` (kept as the reference
@@ -303,6 +304,34 @@ class PolyMat:
                 cof = minor.det()
                 out[j][i] = cof if (i + j) % 2 == 0 else -cof
         return PolyMat(out)
+
+
+def charpoly(M: PolyMat) -> list[Poly]:
+    """[c_0, ..., c_n] with det(tI - M) = sum_k c_k t^(n - k), so c_0 = 1
+    and (-1)^k c_k is the sum of the k x k principal minors of M.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): with
+    A the leading r x r block of M, R and S the rest of row and column r and
+    a = M[r, r], the coefficients for the leading (r + 1) x (r + 1) block are
+    the lower-triangular Toeplitz matrix with first column
+    (1, -a, -R S, -R A S, ..., -R A^(r-1) S) times those for A: O(n^4) ring
+    operations over Q[s], no division."""
+    if not M.is_square:
+        raise ValueError("characteristic polynomial of non-square matrix")
+    a = M.entries
+    c = [Poly.one()]
+    for r in range(M.rows):
+        row = a[r][:r]
+        v = [a[i][r] for i in range(r)]
+        col = [Poly.one(), -a[r][r]]
+        for k in range(r):
+            col.append(-sum((x * y for x, y in zip(row, v)), Poly.zero()))
+            if k + 1 < r:
+                v = [sum((x * y for x, y in zip(a[i][:r], v)), Poly.zero())
+                     for i in range(r)]
+        c = [sum((col[i - j] * c[j] for j in range(min(i, r) + 1)), Poly.zero())
+             for i in range(r + 2)]
+    return c
 
 
 # -- exact rational dense linear algebra (small helpers) -------------------------

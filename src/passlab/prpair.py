@@ -11,8 +11,10 @@ Condition 1 is decided exactly on the boundary and extended inward by
 analyticity instead of by a 2-D region search: with the Cayley-transformed
 pair (Phat, Qhat) = (P - Q, P + Q), the half-plane PSD condition holds iff
 
-  (s1) PQ* + QP* is PSD along the whole imaginary axis (every principal
-       minor, an exact even polynomial, is nonnegative on the reals), and
+  (s1) PQ* + QP* is PSD along the whole imaginary axis (every coefficient
+       E_k of its characteristic polynomial det(tI - PQ* - QP*), the sum of
+       its k x k principal minors and an exact even polynomial, is
+       nonnegative on the reals), and
   (s2) det(P + Q) has no zeros in the closed right half-plane,
 
 because s2 makes H = Qhat^-1 Phat analytic there, s1 makes it a contraction
@@ -22,6 +24,11 @@ together prove it; an s2 failure refutes it only when condition 2 holds
 (the left kernel of (P+Q) then gives a strictly negative energy direction),
 so with condition 2 failed an s2 failure leaves condition 1 undecided and
 the verdict is reported as inconclusive for that condition alone.
+
+The E_k come from one division-free Berkowitz pass, in place of the 2^n - 1
+principal minors.  When some E_k goes negative the principal minors are
+still scanned, smallest first: the witness point w* and the report name
+the first minor negative somewhere on the axis, which E_k does not give.
 
 Condition 3 uses the symbolic test: with V a syzygy basis of PQ* + QP*,
 the condition holds iff V(lam)[P -Q](lam) keeps full row rank on all of C.
@@ -42,7 +49,7 @@ import numpy as np
 from .numeric import AXIS, DEFAULT_TOL, OPEN_RHP, Tolerance, hermitian_psd, region_of
 from .numeric import roots as numeric_roots
 from .poly import Poly, find_negative_point
-from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat,
+from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, charpoly,
                          minor_gcd, rank_drops, syzygy_basis)
 
 PASS = "pass"
@@ -155,8 +162,22 @@ def _even_poly_to_real_axis(g: Poly) -> Poly:
     try:
         return g.real_on_axis()
     except ValueError:
-        raise AssertionError("principal minor of a para-Hermitian matrix "
-                             "must be even") from None
+        raise AssertionError("principal minor of a para-Hermitian matrix, "
+                             "or a sum of them, must be even") from None
+
+
+def _first_negative(minors) -> tuple[tuple[int, ...], Poly, Fraction] | None:
+    """(subset, h, w*) for the first (subset, minor) pair whose real
+    polynomial h(w) = minor(jw) is negative somewhere, with h(w*) < 0; None
+    when there is none."""
+    for subset, minor in minors:
+        if minor.is_zero:
+            continue
+        h = _even_poly_to_real_axis(minor)
+        wstar = find_negative_point(h)
+        if wstar is not None:
+            return subset, h, wstar
+    return None
 
 
 def _axis_violation(Phi: PolyMat
@@ -165,30 +186,39 @@ def _axis_violation(Phi: PolyMat
     Phi, smallest subsets first, whose real polynomial h(w) = minor(jw) is
     negative somewhere, with h(w*) < 0; None when there is none.  Every
     earlier minor is nonnegative on the whole axis, so this minor is also
-    the first one negative at w*."""
+    the first one negative at w*.
+
+    The diagonal (the 1 x 1 minors) is scanned first; for n = 1 that is the
+    whole test.  Then Phi(jw) is PSD for every real w iff each E_k(jw) >= 0
+    there, where E_k, the sum of the k x k principal minors, is read off
+    det(tI - Phi) by `charpoly` (E_1 is the trace, already nonnegative).
+    Only when some E_k goes negative are the minors of size 2 and up
+    scanned, to name the same first minor and w* as the full scan."""
     if not (Phi.star() == Phi):
         raise ValueError("matrix is not para-Hermitian")
     n = Phi.rows
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            minor = Phi.submatrix(subset, subset).det()
-            if minor.is_zero:
-                continue
-            h = _even_poly_to_real_axis(minor)
-            wstar = find_negative_point(h)
-            if wstar is not None:
-                return subset, h, wstar
-    return None
+    found = _first_negative(((i,), Phi[i, i]) for i in range(n))
+    if found is not None or n < 2:
+        return found
+    E = [-c if k & 1 else c for k, c in enumerate(charpoly(Phi))]
+    if all(find_negative_point(_even_poly_to_real_axis(e)) is None
+           for e in E[2:] if not e.is_zero):
+        return None
+    return _first_negative((subset, Phi.submatrix(subset, subset).det())
+                           for size in range(2, n + 1)
+                           for subset in itertools.combinations(range(n), size))
 
 
 def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
              ) -> tuple[bool, Fraction | None]:
     """Exact test: Phi(jw) PSD for every real w, for para-Hermitian Phi.
 
-    A Hermitian matrix is PSD iff every principal minor is nonnegative; each
-    principal minor of Phi(jw) is an exact even polynomial evaluated on jw,
-    so each check reduces to one exact nonnegativity decision on the reals.
-    Returns (False, w*) with a rational w* where some minor is negative.
+    A Hermitian matrix is PSD iff every coefficient E_k of its
+    characteristic polynomial, the sum of its k x k principal minors, is
+    nonnegative.  E_k(Phi(jw)) = E_k(Phi)(jw), and E_k(Phi) is an exact even
+    polynomial, so each check is one exact nonnegativity decision on the
+    reals.  Returns (False, w*) with a rational w* where some principal
+    minor is negative (see `_axis_violation`).
     """
     found = _axis_violation(Phi)
     if found is None:

@@ -117,6 +117,19 @@ def test_rc_multiports(n):
         assert_matches_reference(P, Q)
 
 
+@pytest.mark.parametrize("n", (8, 10))
+def test_large_rc_multiports_pass_and_partition(n):
+    """Verdicts only: the pairs of diagonal and coupled RC n-ports pass
+    check_pair and have a passive partition.  (The determinant scan of the
+    reference is 2^n dets, so it is not run here.)"""
+    for ss in (diagonal_rc(n), coupled_rc(n)):
+        P, Q = realize_behavior(ss)
+        v = check_pair(P, Q)
+        assert v.overall == PASS
+        part = passive_partition(P, Q, verdict=v)
+        assert not part.Qio.det().is_zero
+
+
 def test_deficient_pair_keeps_its_error():
     """[P -Q] of normalrank 1: every column-choice determinant vanishes."""
     P = PolyMat([[Poly.one(), S], [Poly.constant(2), 2 * S]])

@@ -468,26 +468,6 @@ class TestRowReduced:
         assert res.U.det().degree == 0
 
 
-def rand_unimodular(rng: random.Random, n: int) -> PolyMat:
-    """A product of elementary operations: row swaps, nonzero rational
-    scalings and row_i += p * row_j with polynomial p."""
-    rows = [list(row) for row in PolyMat.identity(n).entries]
-    for _ in range(rng.randint(n, 3 * n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        kind = rng.choice(("swap", "scale", "add", "add")) if n > 1 else "scale"
-        if kind == "scale":
-            s = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-            rows[i] = [x * s for x in rows[i]]
-        elif i == j:
-            continue
-        elif kind == "swap":
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            p = S * rand_poly(rng, 1, 3, nonzero=True) + rng.randint(-3, 3)
-            rows[i] = [x + p * y for x, y in zip(rows[i], rows[j])]
-    return PolyMat(rows)
-
-
 class TestUnimodularInverse:
     def test_matches_adjugate_over_det(self):
         rng = random.Random(41)

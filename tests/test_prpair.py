@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import rand_fullrank_pair, rand_nonsingular, rand_poly
+from conftest import (rand_fullrank_pair, rand_nonsingular, rand_poly,
+                      rand_polymat)
+from test_certificate import coupled_rc
 
 from passlab.behavior import (DecompositionError, coupling_condition_direct,
                               decompose)
 from passlab.jsonio import parse_ss
-from passlab.poly import Poly
-from passlab.polymatrix import PolyMat, normalrank
-from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, axis_psd,
+from passlab.poly import Poly, find_negative_point
+from passlab.polymatrix import PolyMat, charpoly, normalrank
+from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, _axis_violation, axis_psd,
                             check_condition1, check_condition2,
                             check_condition3, check_pair, pr_form)
 from passlab.statespace import realize_behavior
@@ -157,7 +160,115 @@ class TestCondition1SamplingOracle:
                 checked_fail += 1
 
 
+def axis_violation_by_minors(Phi: PolyMat):
+    """Reference: the former axis test, every principal minor of the
+    para-Hermitian Phi, smallest subsets first, each decided on the axis by
+    `find_negative_point`.  Returns (subset, h, w*) for the first minor
+    negative somewhere, or None."""
+    n = Phi.rows
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            minor = Phi.submatrix(subset, subset).det()
+            if minor.is_zero:
+                continue
+            h = minor.real_on_axis()
+            wstar = find_negative_point(h)
+            if wstar is not None:
+                return subset, h, wstar
+    return None
+
+
+def para_hermitian_density(rng: random.Random, n: int) -> PolyMat:
+    """PQ* + QP* for P = T P0, Q = T, that is T (P0 + P0*) T*, with
+    P0 = L L* + K - K* + c E: L L* is PSD on the axis, K - K* para-skew, and
+    E constant symmetric with a zero diagonal.  With c = 0 the density is
+    PSD on the axis; with c != 0 and T = I its diagonal still is, so a
+    failure shows first at a minor of size 2 or more."""
+    L = rand_polymat(rng, n, n, 1, 3)
+    K = rand_polymat(rng, n, n, 1, 3)
+    E = [[0 if i == j else rng.randint(-3, 3) for j in range(n)] for i in range(n)]
+    E = [[E[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    c = rng.choice((0, 0, 1, 2))
+    P0 = L @ L.star() + K - K.star() + PolyMat.constant(E) * c
+    T = PolyMat.identity(n) if rng.random() < 0.6 else rand_polymat(rng, n, n, 1, 2)
+    P, Q = T @ P0, T
+    return P @ Q.star() + Q @ P.star()
+
+
+def principal_minor_sums(M: PolyMat) -> list[Poly]:
+    """E_0, ..., E_n: the sums of the k x k principal minors, by brute force."""
+    n = M.rows
+    return [sum((M.submatrix(sub, sub).det()
+                 for sub in itertools.combinations(range(n), k)), Poly.zero())
+            for k in range(n + 1)]
+
+
 class TestAxisPsd:
+    def test_matches_minor_scan(self):
+        """Old-equals-new: the diagonal scan plus the characteristic
+        polynomial name the same (subset, h, w*) as the full minor scan, on
+        passes, failures at a 1 x 1 minor and failures first seen at size 2
+        or more."""
+        rng = random.Random(271828)
+        seen = {"pass": 0, "size 1": 0, "size >= 2": 0}
+        for k in range(72):
+            n = 1 + k % 6
+            if k % 3 == 2:
+                P, Q = rand_fullrank_pair(rng, n, 1)
+                Phi = P @ Q.star() + Q @ P.star()
+            else:
+                Phi = para_hermitian_density(rng, n)
+            want = axis_violation_by_minors(Phi)
+            assert _axis_violation(Phi) == want, Phi
+            assert axis_psd(Phi) == ((True, None) if want is None
+                                     else (False, want[2]))
+            seen["pass" if want is None else
+                 "size 1" if len(want[0]) == 1 else "size >= 2"] += 1
+        assert min(seen.values()) >= 8, seen
+
+    def test_two_negative_eigenvalues(self):
+        """[[1, 2, 2], [2, 1, 2], [2, 2, 1]] has the eigenvalues 5, -1, -1:
+        its diagonal and its determinant are positive, and only E_2 = -9
+        shows the failure."""
+        Phi = PolyMat.constant([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+        want = ((0, 1), Poly.constant(-3), Fraction(0))
+        assert axis_violation_by_minors(Phi) == want
+        assert _axis_violation(Phi) == want
+
+    def test_pass_takes_no_minor(self, monkeypatch):
+        """On a density PSD on the whole axis, the diagonal and the
+        characteristic polynomial decide: no determinant is taken."""
+        P, Q = realize_behavior(coupled_rc(6))
+        Phi = P @ Q.star() + Q @ P.star()
+
+        def no_det(self):
+            raise AssertionError("a principal minor was taken")
+
+        monkeypatch.setattr(PolyMat, "det", no_det)
+        assert _axis_violation(Phi) is None
+
+    def test_charpoly_gives_principal_minor_sums(self):
+        """(-1)^k c_k of det(tI - M) is E_k, on square matrices n = 0..5,
+        some with zero rows and columns, and not para-Hermitian."""
+        rng = random.Random(314159)
+        for draw in range(36):
+            n = draw % 6
+            rows = [[rand_poly(rng, 2, 4) for _ in range(n)] for _ in range(n)]
+            if n and draw % 4 == 1:
+                rows[rng.randrange(n)] = [Poly.zero()] * n
+            if n and draw % 4 == 3:
+                j = rng.randrange(n)
+                rows = [[Poly.zero() if i == j else e for i, e in enumerate(r)]
+                        for r in rows]
+            M = PolyMat(rows, cols=n)
+            c = charpoly(M)
+            assert len(c) == n + 1 and c[0] == Poly.one()
+            assert [-ck if k & 1 else ck for k, ck in enumerate(c)] == \
+                principal_minor_sums(M)
+            assert c[n] == (-M).det()
+        assert charpoly(PolyMat([], cols=0)) == [Poly.one()]
+        assert charpoly(PolyMat.zeros(3, 3)) == [Poly.one()] + [Poly.zero()] * 3
+
     def test_transformer_zero_density(self):
         P = PolyMat.constant([[0, 0], [2, 1]])
         Q = PolyMat.constant([[1, -2], [0, 0]])
