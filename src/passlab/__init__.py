@@ -7,13 +7,12 @@ factors, controllable/autonomous decompositions, passive input-output
 partitions) or concrete witnesses of non-passivity.
 """
 
-from .behavior import (Decomposition, Partition, behavior_is_passive,
-                       decompose, passive_partition)
+from .behavior import Decomposition, Partition, decompose, passive_partition
 from .certificate import (Certificate, CertifyResult, are_solve,
                           construct_certificate, spectral_factor_from_ss,
                           spectral_factor_poly, verify_certificate)
 from .numeric import Tolerance
-from .poly import Poly, TwoVarPoly, bdf_phi, nonneg_on_reals
+from .poly import Poly, TwoVarPoly, bdf_phi
 from .polymatrix import PolyMat
 from .prpair import PRPairVerdict, check_pair
 from .signals import Signal, parse_signal
@@ -25,9 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "CertifyResult", "Decomposition", "PRPairVerdict",
     "Partition", "Poly", "PolyMat", "Signal", "StateSpace", "Tolerance",
-    "Trajectory", "TwoVarPoly", "are_solve", "bdf_phi", "behavior_is_passive",
-    "check_pair", "construct_certificate", "decompose", "nonneg_on_reals",
-    "parse_signal", "passive_partition", "realize_behavior",
-    "realize_statespace", "simulate", "spectral_factor_from_ss",
-    "spectral_factor_poly", "storage_check", "verify_certificate",
+    "Trajectory", "TwoVarPoly", "are_solve", "bdf_phi", "check_pair",
+    "construct_certificate", "decompose", "parse_signal", "passive_partition",
+    "realize_behavior", "realize_statespace", "simulate",
+    "spectral_factor_from_ss", "spectral_factor_poly", "storage_check",
+    "verify_certificate",
 ]

@@ -98,14 +98,6 @@ def decompose(P: PolyMat, Q: PolyMat) -> Decomposition:
     return dec
 
 
-def image_representation(dec: Decomposition) -> tuple[PolyMat, PolyMat]:
-    """The (M, N) pair with i = M(d/dt) w, v = N(d/dt) w spanning the
-    controllable part; consistency Ptil M == Qtil N is re-verified."""
-    if not (dec.Ptil @ dec.M == dec.Qtil @ dec.N):
-        raise AssertionError("image representation inconsistent with the pair")
-    return dec.M, dec.N
-
-
 def coupling_condition_direct(dec: Decomposition) -> bool:
     """Divisibility form of the coupling condition on the decomposition:
     every syzygy row b* of M*N + N*M must give b*(M*Y + N*X) divisible on
@@ -206,11 +198,3 @@ def _selector(idx: list[int], n: int) -> PolyMat:
     return PolyMat([[Poly.one() if j == k else Poly.zero() for k in range(n)]
                     for j in idx], cols=n)
 
-
-def behavior_is_passive(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL
-                        ) -> tuple[PRPairVerdict, Partition | None]:
-    """Overall passivity verdict; on pass, also the passive partition."""
-    verdict = check_pair(P, Q, tol)
-    if verdict.overall != PASS:
-        return verdict, None
-    return verdict, passive_partition(P, Q, tol, verdict=verdict)

@@ -28,7 +28,7 @@ from .jsonio import (InputError, certificate_json, dumps, fnum, load_document,
                      load_system, matrix_json, parse_cert, parse_ss,
                      polymat_json, rational_matrix_json, verdict_json)
 from .numeric import Tolerance
-from .prpair import FAIL, INCONCLUSIVE, PASS, check_pair
+from .prpair import FAIL, PASS, check_pair
 from .signals import parse_signal_vector
 from .statespace import (RealizationError, realize_behavior, realize_statespace,
                          simulate)

@@ -1,9 +1,9 @@
 """Small dense numeric kernel and the axis-tolerance policy.
 
 Complex roots of exact polynomials (via square-free splitting, companion
-eigenvalues and a short Newton polish), Lyapunov solves by Bartels-Stewart
-(scipy), the lossless two-equation Lyapunov feasibility solve,
-Hermitian PSD tests with eigenvector witnesses, and the ordered real
+eigenvalues and a short guarded Newton polish), Lyapunov solves by
+Bartels-Stewart (scipy), the lossless two-equation Lyapunov feasibility
+solve, Hermitian PSD tests with eigenvector witnesses, and the ordered real
 Schur stable/unstable spectral split.
 
 Every pass/fail decision that depends on where a point sits relative to
@@ -79,17 +79,21 @@ class RootSet:
     roots: tuple[tuple[complex, int, str], ...]
     robust: bool  # every tag stable under a 10x wider axis band
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m, _ in self.roots)
-
 
 def _newton_polish(f: Poly, df: Poly, z: complex, steps: int = 3) -> complex:
+    """Up to `steps` Newton steps from z, each taken only when |f| falls: on
+    a high-degree f with wide coefficients a float step can throw a good
+    eigenvalue far off (even across the axis), and |f| shows it."""
+    fz = f.eval_complex(z)
     for _ in range(steps):
         d = df.eval_complex(z)
         if abs(d) < 1e-14:
             break
-        z = z - f.eval_complex(z) / d
+        w = z - fz / d
+        fw = f.eval_complex(w)
+        if not abs(fw) < abs(fz):
+            break
+        z, fz = w, fw
     return z
 
 

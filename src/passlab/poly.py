@@ -316,14 +316,6 @@ class Poly:
             acc = acc * z + c / den
         return acc
 
-    def eval_gauss(self, re: RatLike, im: RatLike) -> tuple[Fraction, Fraction]:
-        """Exact evaluation at the Gaussian rational re + im*i."""
-        re, im = _frac(re), _frac(im)
-        ar, ai = Fraction(0), Fraction(0)
-        for c in reversed(self.coeffs):
-            ar, ai = ar * re - ai * im + c, ar * im + ai * re
-        return ar, ai
-
 
 def _raw(num: tuple, den: int) -> Poly:
     """A Poly from numerators and a denominator already in lowest terms."""
@@ -602,11 +594,6 @@ def find_negative_point(p: Poly) -> Fraction | None:
         if p(t) < 0:
             return t
     return None
-
-
-def nonneg_on_reals(p: Poly) -> bool:
-    """Decide p(t) >= 0 for all real t, exactly."""
-    return find_negative_point(p) is None
 
 
 # -- two-variable polynomials -----------------------------------------------------

@@ -120,9 +120,6 @@ class PolyMat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def max_degree(self):
-        return max((e.degree for row in self.entries for e in row), default=NEG_INF)
-
     # -- shape manipulation -----------------------------------------------------
 
     def transpose(self) -> "PolyMat":

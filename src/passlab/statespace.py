@@ -1,19 +1,17 @@
 """State-space systems: realizations in both directions, observer staircase,
-controllability/observability tests, and trajectory simulation with running
-energy integrals.
+and trajectory simulation with running energy integrals.
 
 The realization bridge works at the behavior level, not just the transfer
 function: converting (A, B, C, D) to a polynomial pair keeps uncontrollable
 dynamics (as common polynomial factors), and converting a proper pair back
 produces a state-space system whose external behavior is the kernel of the
 pair, not merely a system with the same transfer function.  Rank decisions
-(staircase, Krylov tests) are exact over the rationals; float inputs are
+(staircase, Krylov rows) are exact over the rationals; float inputs are
 taken at face value as exact binary rationals.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -25,7 +23,6 @@ from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
                          _leading_rows, _rref_kernel, _scaled, row_reduced,
                          unimodularly_equivalent)
-from .signals import Signal
 
 
 class RealizationError(Exception):
@@ -102,10 +99,6 @@ class StateSpace:
     def n(self) -> int:
         return self.D.shape[0]
 
-    def transfer_at(self, z: complex) -> np.ndarray:
-        """G(z) = D + C (zI - A)^-1 B."""
-        return self.D + self.C @ shifted_solve(self.A, self.B, [z])[0]
-
 
 def shifted_solve(A: np.ndarray, B: np.ndarray, zs) -> np.ndarray:
     """(zI - A)^-1 B at every point z of zs, stacked: shape (len(zs), d, cols)."""
@@ -147,7 +140,7 @@ def resolvent(A_exact) -> tuple[Poly, PolyMat]:
     return det, adj
 
 
-# -- Krylov tests ----------------------------------------------------------------------
+# -- Krylov rows -----------------------------------------------------------------------
 
 
 def _krylov_blocks(C, A, count: int) -> list[list[list[Fraction]]]:
@@ -168,24 +161,6 @@ def _krylov_blocks(C, A, count: int) -> list[list[list[Fraction]]]:
 def observability_matrix(ss: StateSpace) -> list[list[Fraction]]:
     return [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, ss.d)
             for row in blk]
-
-
-def controllability_matrix(ss: StateSpace) -> list[list[Fraction]]:
-    cols = [list(r) for r in ss.B_exact]
-    out = [row[:] for row in cols]
-    for _ in range(ss.d - 1):
-        cols = _fmatmul(ss.A_exact, cols)
-        for i in range(ss.d):
-            out[i].extend(cols[i])
-    return out
-
-
-def observable(ss: StateSpace) -> bool:
-    return ss.d == 0 or _frank(observability_matrix(ss)) == ss.d
-
-
-def controllable(ss: StateSpace) -> bool:
-    return ss.d == 0 or _frank(controllability_matrix(ss)) == ss.d
 
 
 # -- observer staircase ------------------------------------------------------------------
@@ -275,10 +250,12 @@ def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
           nonsingular, so M is row reduced and deg det M = sum nu_i;
       (c) sum nu_i equals the rank of the Krylov rows.
 
-    By (a) and (b), M^-1 N = C (sI - A)^-1, and deg det M is at least its
-    McMillan degree, the rank of the observability matrix as (A, I) is
-    controllable, with equality exactly when (M, N) is left coprime
-    (Kailath, ch. 6): that is (c).
+    By (a) and (b), M^-1 N = C (sI - A)^-1, so the transfer identity
+    Q^-1 P = M^-1 (N B + M D) = C (sI - A)^-1 B + D holds exactly and needs
+    no check of its own.  And deg det M is at least the McMillan degree of
+    M^-1 N, the rank of the observability matrix as (A, I) is controllable,
+    with equality exactly when (M, N) is left coprime (Kailath, ch. 6):
+    that is (c).
     """
     n, d = ss.n, ss.d
     krylov = [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
@@ -303,9 +280,9 @@ def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
 
 def _certified_pair(ss: StateSpace, coeffs, rank: int) -> tuple[PolyMat, PolyMat]:
     """(N B + M D, M), once certificates (a) to (c) of `realize_behavior`
-    and the transfer function check pass.  coeffs[i][k] is row i of
-    [M_k N_k] for k = 0..nu_i, where M(s) = sum_k M_k s^k and N(s) likewise;
-    rank is the observable dimension."""
+    pass.  coeffs[i][k] is row i of [M_k N_k] for k = 0..nu_i, where
+    M(s) = sum_k M_k s^k and N(s) likewise; rank is the observable
+    dimension."""
     n, d = ss.n, ss.d
     ca_cols, dca = _scaled(zip(*(ss.C_exact + ss.A_exact)))  # [C; A]
     db_cols, ddb = _scaled(zip(*(ss.D_exact + ss.B_exact)))  # [D; B]
@@ -323,31 +300,7 @@ def _certified_pair(ss: StateSpace, coeffs, rank: int) -> tuple[PolyMat, PolyMat
         raise AssertionError("observability-index M is not row reduced")
     if sum(len(c) - 1 for c in coeffs) != rank:
         raise AssertionError("observability-index pair is not left coprime")
-    P, Q = PolyMat(P_rows, cols=n), PolyMat(Q_rows, cols=n)
-    _check_transfer_consistency(ss, P, Q)
-    return P, Q
-
-
-def _check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
-                                points: int = 5, rtol: float = 1e-8):
-    """Q^-1 P against D + C (zI - A)^-1 B at seeded random points z where
-    neither |det Q(z)| nor |det(zI - A)| is below 1e-8, by stacked solves."""
-    rng = random.Random(20170907)
-    zs, Qs = [], []
-    while len(zs) < points:
-        z = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
-        Qz = Q.eval_complex(z)
-        if abs(np.linalg.det(Qz)) < 1e-8:
-            continue
-        if ss.d and abs(np.linalg.det(z * np.eye(ss.d) - ss.A)) < 1e-8:
-            continue
-        zs.append(z)
-        Qs.append(Qz)
-    G1 = np.linalg.solve(np.array(Qs), P.eval_stack(zs))
-    G2 = ss.D + ss.C @ shifted_solve(ss.A, ss.B, zs)
-    gap = np.linalg.norm(G1 - G2, axis=(1, 2))
-    if np.any(gap > rtol * (1.0 + np.linalg.norm(G2, axis=(1, 2)))):
-        raise AssertionError("transfer function mismatch in realization")
+    return PolyMat(P_rows, cols=n), PolyMat(Q_rows, cols=n)
 
 
 def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:

@@ -1,5 +1,6 @@
-"""Shared generators for randomized checks, and the polynomial references
-`si_matrix` and `left_coprime` that realizations are checked against.
+"""Shared generators for randomized checks, the polynomial references
+`si_matrix` and `left_coprime` that realizations are checked against, and
+the float transfer function and Krylov rank tests of a state-space system.
 Everything is seeded."""
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import numpy as np
 from hypothesis import settings
 
 from passlab.poly import Poly
-from passlab.polymatrix import PolyMat, minor_gcd, normalrank
-from passlab.statespace import StateSpace
+from passlab.polymatrix import PolyMat, _fmatmul, _frank, minor_gcd, normalrank
+from passlab.statespace import StateSpace, observability_matrix, shifted_solve
 
 # Same examples on every run, and no per-example deadline: big-coefficient
 # examples must not flake on a slow host.
@@ -32,6 +33,27 @@ def left_coprime(A: PolyMat, B: PolyMat) -> bool:
     """Full row rank of [A B] at every complex point: a constant nonzero gcd
     of maximal minors (a zero gcd is normalrank deficiency)."""
     return minor_gcd(A.hstack(B)).degree == 0
+
+
+def transfer_at(ss: StateSpace, z: complex) -> np.ndarray:
+    """G(z) = D + C (zI - A)^-1 B, in floats."""
+    return ss.D + ss.C @ shifted_solve(ss.A, ss.B, [z])[0]
+
+
+def observable(ss: StateSpace) -> bool:
+    """rank [C; C A; ...; C A^(d-1)] = d, exact."""
+    return ss.d == 0 or _frank(observability_matrix(ss)) == ss.d
+
+
+def controllable(ss: StateSpace) -> bool:
+    """rank [B  A B  ...  A^(d-1) B] = d, exact."""
+    cols = [list(r) for r in ss.B_exact]
+    krylov = [row[:] for row in cols]
+    for _ in range(ss.d - 1):
+        cols = _fmatmul(ss.A_exact, cols)
+        for row, new in zip(krylov, cols):
+            row.extend(new)
+    return ss.d == 0 or _frank(krylov) == ss.d
 
 
 def rand_poly(rng: random.Random, max_deg: int, coeff_bound: int = 5,

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import corpus, rand_fullrank_pair, rand_nonsingular
+from conftest import corpus, rand_fullrank_pair, rand_nonsingular, transfer_at
 
 from passlab.behavior import decompose, passive_partition
 from passlab.certificate import are_solve, construct_certificate
@@ -129,7 +129,7 @@ def test_criterion_05_rc_chain():
     # Z = (sqrt2 s + 2)/(s + 1) against G + G* on seven axis points
     for w in (0.17, 0.52, 1.0, 1.63, 2.4, 3.8, 7.7):
         z = c.Z.eval(1j * w)[0, 0]
-        G = ss.transfer_at(1j * w)[0, 0]
+        G = transfer_at(ss, 1j * w)[0, 0]
         ok = ok and abs(abs(z) ** 2 - 2 * G.real) < 1e-8
     report(5, ok, "RC chain: X = 3 - 2*sqrt2, L = 2 - sqrt2, W = sqrt2, "
                   "stabilizing Riccati solution, spectral factor verified")

@@ -1,0 +1,76 @@
+"""Every definition in `src/passlab` has a caller in the package.
+
+A module-level function or class, or a method that is not a dunder, counts
+as called when some module of the package other than `__init__` refers to
+its name, as a `Name` or as an `Attribute`.  The match is by bare name, so
+a method is called as soon as any attribute of that name is read.  What is
+only exported, or only reached by the tests or the benchmark, needs a line
+in `ALLOWED` that says why it stays; a function that nothing calls
+belongs in the tests, as a reference, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "passlab"
+
+SPANNED = "perfbench/tracer.py SPAN_TARGETS names it"
+QDF = "quadratic-differential-form algebra for storage on a pair (ROADMAP item 3)"
+SIGNAL = "a public builder of simulate inputs"
+
+ALLOWED = {
+    "certificate.RationalMatrix.eval": "evaluates the public Z of a Certificate",
+    "poly.TwoVarPoly.eval": QDF,
+    "poly.TwoVarPoly.mul_xi_plus_eta": QDF,
+    "poly.bdf_phi": QDF,
+    "poly.count_real_roots": "the tests' independent reference for Sturm counts",
+    "poly.two_var_of_poly_in_minus_eta": "the tests' reference for bdf_phi",
+    "poly.two_var_of_poly_in_xi": "the tests' reference for bdf_phi",
+    "polymatrix.delta": SPANNED,
+    "polymatrix.fullrank_everywhere": SPANNED,
+    "prpair.check_condition1": SPANNED,
+    "prpair.check_condition3": SPANNED,
+    "signals.Signal.cosine": SIGNAL,
+    "signals.Signal.deriv": SIGNAL + ": the k-th derivative",
+    "signals.Signal.exponential": SIGNAL,
+    "signals.Signal.monomial": SIGNAL,
+    "signals.Signal.sine": SIGNAL,
+    "statespace.storage_check": "exported; the corpus-certify benchmark calls it",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def uncalled_definitions() -> set[str]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs = set()
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            if node.name not in refs:
+                out.add(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.update(f"{mod}.{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, defs[:2]) and not _is_dunder(m.name)
+                           and m.name not in refs)
+    return out
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    uncalled = uncalled_definitions()
+    assert sorted(uncalled - ALLOWED.keys()) == [], "no caller in src/passlab"
+    assert sorted(ALLOWED.keys() - uncalled) == [], "called: drop the entry"
+    assert all(r.strip() and "\n" not in r for r in ALLOWED.values())

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (corpus, jordan_system, rand_fullrank_pair,
-                      siso_sweep_system)
+from conftest import (corpus, jordan_system, observable, rand_fullrank_pair,
+                      siso_sweep_system, transfer_at)
 from test_corpus_reports import GOLDEN
 
 from passlab import certificate
@@ -22,8 +22,8 @@ from passlab.poly import Poly
 from passlab.polymatrix import PolyMat
 from passlab.prpair import FAIL, PASS, check_pair
 from passlab.signals import Signal
-from passlab.statespace import (StateSpace, observable, realize_behavior,
-                                simulate, storage_check)
+from passlab.statespace import (StateSpace, realize_behavior, simulate,
+                                storage_check)
 
 S = Poly.x()
 SQ2 = math.sqrt(2)
@@ -173,7 +173,7 @@ class TestSpectralFactor:
         sf, are = spectral_factor_from_ss(rc())
         for w in (0.3, 1.7):
             z = sf.Z.eval(1j * w)[0, 0]
-            G = rc().transfer_at(1j * w)[0, 0]
+            G = transfer_at(rc(), 1j * w)[0, 0]
             assert abs(abs(z) ** 2 - 2 * G.real) < 1e-9
 
     def test_ss_route_rejects_near_axis_density(self):

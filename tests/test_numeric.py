@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import siso_sweep_system
 
 from passlab.numeric import (AXIS, OPEN_LHP, OPEN_RHP, LosslessInfeasibleError,
                              LyapunovError, Tolerance, hermitian_psd,
                              lossless_lyap_solve, lyapunov_solve, region_of,
                              roots, stable_unstable_split)
 from passlab.poly import Poly
+from passlab.prpair import PASS, check_pair
+from passlab.statespace import realize_behavior
 
 S = Poly.x()
 
@@ -41,10 +44,19 @@ class TestRoots:
             if p.is_zero or p.degree < 1:
                 continue
             rs = roots(p)
-            assert rs.total_multiplicity == p.degree
+            assert sum(m for _, m, _ in rs.roots) == p.degree
             norm = max(abs(float(c)) for c in p.coeffs)
             for z, _, _ in rs.roots:
                 assert abs(p.eval_complex(z)) <= 1e-6 * norm * max(1.0, abs(z)) ** p.degree
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_polish_keeps_roots_of_wide_coefficients(self, seed):
+        """SISO d = 40 is passive by construction, and det(P + Q) has
+        400-bit coefficients.  On seed 1, Newton steps taken whatever |f|
+        does move the eigenvalue at -45.148 to +70.056 (|f| grows from
+        1.9e63 to 2.2e84), and condition 1 reads a right half-plane zero."""
+        ss = siso_sweep_system(random.Random(seed), 40)
+        assert check_pair(*realize_behavior(ss)).overall == PASS
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

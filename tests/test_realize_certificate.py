@@ -7,14 +7,19 @@ product and decided left coprimeness of (M, N) by the gcd of the maximal
 minors of [M N], a Euclidean sweep.  The new certificate reads only
 constant matrices: the coefficients of M C = N (sI - A), the leading
 row-coefficient matrix of M, and the observable dimension.
+
+A second reference is the float check that once ran after that
+certificate: Q^-1 P against the transfer function at random points.  The
+certificate implies it, and every pair it accepts here passes it too.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import (corpus, jordan_system, left_coprime, si_matrix,
-                      siso_sweep_system)
+from conftest import (controllable, corpus, jordan_system, left_coprime,
+                      observable, si_matrix, siso_sweep_system)
 from test_certificate import coupled_rc
 from test_statespace import staircase_system
 
@@ -22,8 +27,8 @@ from passlab import polymatrix
 from passlab.poly import Poly
 from passlab.polymatrix import PolyMat, _fmatmul, _frank, _frref
 from passlab.statespace import (StateSpace, _certified_pair, _krylov_blocks,
-                                controllable, observability_matrix,
-                                observable, realize_behavior)
+                                observability_matrix, realize_behavior,
+                                shifted_solve)
 
 S = Poly.x()
 
@@ -37,6 +42,29 @@ def reference_check(ss: StateSpace, M: PolyMat, N: PolyMat) -> None:
         raise AssertionError("M C != N (sI - A)")
     if not left_coprime(M, N):
         raise AssertionError("observability-index pair is not left coprime")
+
+
+def check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
+                               points: int = 5, rtol: float = 1e-8) -> None:
+    """The earlier float check of a realized pair: Q^-1 P against
+    D + C (zI - A)^-1 B at seeded random points z where neither |det Q(z)|
+    nor |det(zI - A)| is below 1e-8, by stacked solves."""
+    rng = random.Random(20170907)
+    zs, Qs = [], []
+    while len(zs) < points:
+        z = complex(rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0))
+        Qz = Q.eval_complex(z)
+        if abs(np.linalg.det(Qz)) < 1e-8:
+            continue
+        if ss.d and abs(np.linalg.det(z * np.eye(ss.d) - ss.A)) < 1e-8:
+            continue
+        zs.append(z)
+        Qs.append(Qz)
+    G1 = np.linalg.solve(np.array(Qs), P.eval_stack(zs))
+    G2 = ss.D + ss.C @ shifted_solve(ss.A, ss.B, zs)
+    gap = np.linalg.norm(G1 - G2, axis=(1, 2))
+    if np.any(gap > rtol * (1.0 + np.linalg.norm(G2, axis=(1, 2)))):
+        raise AssertionError("transfer function mismatch in realization")
 
 
 def reference_fraction(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
@@ -130,6 +158,7 @@ def test_certificate_accepts_and_pair_equals_reference(ss):
     P_old, Q_old = reference_pair(ss)  # raises where the old check rejects
     P, Q = realize_behavior(ss)
     assert P == P_old and Q == Q_old
+    check_transfer_consistency(ss, P, Q)
     if ss.d:
         assert certify(ss, *reference_fraction(ss)) == (P, Q)
 
@@ -150,6 +179,16 @@ def test_perturbed_n_coefficient_rejected(ss):
     for check in (reference_check, certify):
         with pytest.raises(AssertionError, match=r"M C != N \(sI - A\)"):
             check(ss, M, N)
+    # the float check reads N only through P = N B + M D, so it rejects the
+    # perturbed column 0 only where row 0 of B is nonzero; on siso-6 that
+    # row is zero, the pair is unchanged, and only identity (a) sees it
+    P = N @ PolyMat.constant(ss.B_exact) + M @ PolyMat.constant(ss.D_exact)
+    if any(ss.B_exact[0]):
+        with pytest.raises(AssertionError, match="transfer function mismatch"):
+            check_transfer_consistency(ss, P, M)
+    else:
+        assert (P, M) == realize_behavior(ss)
+        check_transfer_consistency(ss, P, M)
 
 
 @pytest.mark.parametrize("ss", rejection_systems(), ids=["siso-6", "coupled-rc-3"])

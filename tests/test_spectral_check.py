@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from conftest import corpus, siso_sweep_system
+from conftest import corpus, siso_sweep_system, transfer_at
 
 from passlab.behavior import decompose
 from passlab.certificate import (_AXIS_SAMPLES, AREInfeasibleError,
@@ -125,7 +125,7 @@ def assert_same(old, new, label):
 
 def ss_old(ss, L, W):
     def h_on_axis(w):
-        G = ss.transfer_at(1j * w)
+        G = transfer_at(ss, 1j * w)
         return G + G.conj().T
     return ref_diagnostics(build_zx(ss, L, W), h_on_axis)
 
