@@ -8,8 +8,8 @@ A certificate for (A, B, C, D) is a real triple (X, L, W) with
     D + D^T      = W^T W.
 
 `verify_certificate` checks a supplied triple: all four residuals, the PSD
-margin, and optionally that Z(s) = W + L (sI - A)^-1 B is a spectral factor
-of G + G*.  That check works on the state space, in floats:
+margin, and that Z(s) = W + L (sI - A)^-1 B is a spectral factor of
+G + G*.  That check works on the state space, in floats:
 
   * Z* Z = G + G* at seven axis samples, where one solve
     R = (jwI - A)^-1 B gives both Z = W + L R and G = D + C R;
@@ -491,8 +491,7 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     Qbar = ss.C.T @ Rinv @ ss.C
     H = np.block([[-Ahat, -S], [Qbar, Ahat.T]])
     lams, V = np.linalg.eig(H)
-    near_axis = any(abs(z.real) <= 10 * tol.axis_band * (1.0 + abs(z))
-                    for z in lams)
+    near_axis = any(region_of(z, tol, band_scale=10.0) == AXIS for z in lams)
     X = None
     if not near_axis:
         idx = [k for k, z in enumerate(lams) if z.real > 0]
@@ -513,7 +512,7 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     closed = ss.A + ss.B @ Rinv @ (ss.B.T @ X - ss.C)
     spec = tuple(sorted(map(complex, np.linalg.eigvals(closed)),
                         key=lambda z: (z.real, z.imag)))
-    stab = all(z.real <= tol.axis_band * (1.0 + abs(z)) for z in spec)
+    stab = all(region_of(z, tol) != OPEN_RHP for z in spec)
     return AREResult(X=X, closed_loop_spec=spec, stabilizing=stab, residual=res)
 
 
@@ -597,23 +596,20 @@ class Certificate:
     W: np.ndarray
     residuals: dict
     psd_margin: float
-    spectral: dict | None = None
-    system: StateSpace | None = field(default=None, repr=False, compare=False)
+    spectral: dict
+    system: StateSpace = field(repr=False, compare=False)
 
     @property
-    def Z(self) -> RationalMatrix | None:
+    def Z(self) -> RationalMatrix:
         """Z(s) = W + L (sI - A)^-1 B over the exact characteristic
-        polynomial, built on each read; None when the spectral check was
-        skipped."""
-        if self.spectral is None or self.system is None:
-            return None
+        polynomial, built on each read."""
         return build_zx(self.system, self.L, self.W)
 
 
-def verify_certificate(ss: StateSpace, X, L, W, tol: Tolerance = DEFAULT_TOL,
-                       check_spectral: bool = True) -> Certificate:
-    """Check the four defining equations, and optionally the spectral-factor
-    property of Z = W + L (sI-A)^-1 B; raises on any violated equation.
+def verify_certificate(ss: StateSpace, X, L, W,
+                       tol: Tolerance = DEFAULT_TOL) -> Certificate:
+    """Check the four defining equations and the spectral-factor property
+    of Z = W + L (sI-A)^-1 B; raises on any violated equation.
 
     The equations are checked by their relative residuals against
     tol.residual_tol, and X >= 0 by its least eigenvalue.  The spectral
@@ -654,9 +650,8 @@ def verify_certificate(ss: StateSpace, X, L, W, tol: Tolerance = DEFAULT_TOL,
     if margin < tol.psd_floor(nrm(X)):
         raise CertificateVerificationError(
             f"certificate violated: X not PSD (min eigenvalue {margin:.3e})")
-    spectral = _ss_spectral_check(ss, L, W, tol) if check_spectral else None
     return Certificate(X=Xs, L=L, W=W, residuals=residuals, psd_margin=margin,
-                       spectral=spectral, system=ss)
+                       spectral=_ss_spectral_check(ss, L, W, tol), system=ss)
 
 
 # -- the remainder system for L --------------------------------------------------
@@ -808,12 +803,12 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     X = That.T @ Xhat @ That
     LX = Lhat @ That
     try:
-        cert = verify_certificate(ss, X, LX, W, tol, check_spectral=True)
+        cert = verify_certificate(ss, X, LX, W, tol)
     except CertificateVerificationError as e:
         return CertifyResult(status="discrepancy", verdict=verdict,
                              message=f"construction completed but verification "
                                      f"failed: {e}")
-    if cert.spectral is not None and not cert.spectral["ok"]:
+    if not cert.spectral["ok"]:
         return CertifyResult(status="discrepancy", verdict=verdict,
                              message=f"constructed Z is not a spectral factor: "
                                      f"{cert.spectral}")
@@ -827,7 +822,7 @@ def _riccati_certificate(ss: StateSpace, tol: Tolerance) -> Certificate | None:
     failed spectral check (LinAlgError is a ValueError)."""
     try:
         are, L, W = _riccati_factor(ss, tol)
-        cert = verify_certificate(ss, are.X, L, W, tol, check_spectral=True)
+        cert = verify_certificate(ss, are.X, L, W, tol)
     except (ValueError, AREInfeasibleError, CertificateVerificationError):
         return None
     return cert if cert.spectral["ok"] else None

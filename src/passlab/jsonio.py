@@ -203,24 +203,20 @@ def rational_matrix_json(R) -> dict:
 
 
 def certificate_json(cert) -> dict:
-    out = {
+    return {
         "L": matrix_json(cert.L) if cert.L.size else [],
         "W": matrix_json(cert.W) if cert.W.size else [],
         "X": matrix_json(cert.X),
         "psd_margin": fnum(cert.psd_margin),
         "residuals": {k: fnum(v) for k, v in cert.residuals.items()},
-    }
-    Z = cert.Z
-    if Z is not None:
-        out["Z"] = rational_matrix_json(Z)
-    if cert.spectral is not None:
-        out["spectral"] = {
+        "Z": rational_matrix_json(cert.Z),
+        "spectral": {
             "factor_residual": fnum(cert.spectral["factor_residual"]),
             "full_rank_rhp": bool(cert.spectral["full_rank_rhp"]),
             "ok": bool(cert.spectral["ok"]),
             "rhp_poles": [complex_json(z) for z in cert.spectral["rhp_poles"]],
-        }
-    return out
+        },
+    }
 
 
 def dumps(obj) -> str:

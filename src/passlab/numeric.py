@@ -7,15 +7,17 @@ solve, Hermitian PSD tests with eigenvector witnesses, and the ordered real
 Schur stable/unstable spectral split.
 
 Every pass/fail decision that depends on where a point sits relative to
-the imaginary axis goes through one policy: a point is "on the axis"
-when |Re z| <= axis_band * (1 + |z|).  A classification that flips when
-the band is widened tenfold is flagged as non-robust, and callers report
-such verdicts as inconclusive instead of pass/fail.
+the imaginary axis goes through one policy, and `region_of` and
+`closed_rhp` are its only entry points: a point is "on the axis" when
+|Re z| <= axis_band * (1 + |z|).  `closed_rhp` flags a closed-RHP verdict
+that flips when the band is widened tenfold as non-robust, and callers
+report such verdicts as inconclusive instead of pass/fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +66,15 @@ def region_of(z: complex, tol: Tolerance = DEFAULT_TOL, band_scale: float = 1.0)
     return OPEN_RHP if z.real > 0 else OPEN_LHP
 
 
-def region_robust(z: complex, tol: Tolerance = DEFAULT_TOL) -> tuple[str, bool]:
-    """Region tag plus whether it survives widening the band tenfold."""
-    tag = region_of(z, tol)
-    return tag, tag == region_of(z, tol, band_scale=10.0)
+def closed_rhp(points: Iterable[complex], tol: Tolerance = DEFAULT_TOL
+               ) -> tuple[list[complex], bool]:
+    """The points on the axis band or right of it, in their given order, and
+    whether the emptiness of that set survives widening the band tenfold."""
+    points = list(points)
+    hits = [z for z in points if region_of(z, tol) != OPEN_LHP]
+    robust = bool(hits) or all(region_of(z, tol, band_scale=10.0) == OPEN_LHP
+                               for z in points)
+    return hits, robust
 
 
 # -- polynomial roots ------------------------------------------------------------
@@ -77,7 +84,6 @@ def region_robust(z: complex, tol: Tolerance = DEFAULT_TOL) -> tuple[str, bool]:
 class RootSet:
     """All complex roots with multiplicities and axis-relative region tags."""
     roots: tuple[tuple[complex, int, str], ...]
-    robust: bool  # every tag stable under a 10x wider axis band
 
 
 def _newton_polish(f: Poly, df: Poly, z: complex, steps: int = 3) -> complex:
@@ -104,18 +110,15 @@ def roots(p: Poly, tol: Tolerance = DEFAULT_TOL) -> RootSet:
     if p.is_zero:
         raise ValueError("zero polynomial")
     found: list[tuple[complex, int, str]] = []
-    robust = True
     for factor, mult in squarefree_decomposition(p):
         coeffs = factor.float_coeffs()
         rts = np.roots(coeffs[::-1]) if factor.degree >= 1 else []
         df = factor.derivative()
         for z in rts:
             z = _newton_polish(factor, df, complex(z))
-            tag, ok = region_robust(z, tol)
-            robust = robust and ok
-            found.append((z, mult, tag))
+            found.append((z, mult, region_of(z, tol)))
     found.sort(key=lambda r: (r[0].real, r[0].imag))
-    return RootSet(roots=tuple(found), robust=robust)
+    return RootSet(roots=tuple(found))
 
 
 # -- Hermitian PSD test ------------------------------------------------------------
@@ -219,7 +222,6 @@ class SpectralSplit:
     Tinv: np.ndarray
     As: np.ndarray
     Au: np.ndarray
-    robust: bool = field(default=True)
 
 
 def stable_unstable_split(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SpectralSplit:
@@ -236,13 +238,7 @@ def stable_unstable_split(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Spectr
                              As=np.zeros((0, 0)), Au=np.zeros((0, 0)))
 
     def is_stable(re, im):
-        z = complex(re, im)
-        return z.real < -tol.axis_band * (1.0 + abs(z))
-
-    robust = True
-    for lam in np.linalg.eigvals(A):
-        _, ok = region_robust(complex(lam), tol)
-        robust = robust and ok
+        return region_of(complex(re, im), tol) == OPEN_LHP
 
     import scipy.linalg  # imported here: it dominates `import passlab` otherwise
     T, Z, sdim = scipy.linalg.schur(A, output="real", sort=is_stable)
@@ -262,5 +258,4 @@ def stable_unstable_split(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Spectr
     block[k:, k:] = T22
     if np.linalg.norm(recon - block) > tol.residual_tol * (1.0 + np.linalg.norm(A)):
         raise SpectralSplitError("inconclusive split")
-    return SpectralSplit(T=Tsim, Tinv=Tsiminv, As=T11.copy(), Au=T22.copy(),
-                         robust=robust)
+    return SpectralSplit(T=Tsim, Tinv=Tsiminv, As=T11.copy(), Au=T22.copy())

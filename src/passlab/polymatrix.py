@@ -43,7 +43,7 @@ from operator import mul
 
 import numpy as np
 
-from .numeric import AXIS, DEFAULT_TOL, OPEN_RHP, Tolerance, region_of
+from .numeric import DEFAULT_TOL, Tolerance, closed_rhp
 from .numeric import roots as numeric_roots
 from .poly import NEG_INF, Poly, _lowest
 
@@ -227,8 +227,8 @@ class PolyMat:
     # -- determinants ------------------------------------------------------------------
 
     def det(self) -> Poly:
-        """Exact determinant: cofactor expansion for small sizes, fraction-free
-        Bareiss elimination (exact divisions) above that."""
+        """Exact determinant: closed forms for n <= 2, fraction-free Bareiss
+        elimination (exact divisions) above that."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -240,24 +240,7 @@ class PolyMat:
             a, b = self.entries[0]
             c, d = self.entries[1]
             return a * d - b * c
-        if n == 3:
-            return self._det_cofactor()
         return self._det_bareiss()
-
-    def _det_cofactor(self) -> Poly:
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
-        acc = Poly.zero()
-        cols = list(range(n))
-        for j in range(n):
-            a = self.entries[0][j]
-            if a.is_zero:
-                continue
-            minor = self.submatrix(range(1, n), cols[:j] + cols[j + 1:])
-            term = a * minor._det_cofactor()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
 
     def _det_bareiss(self) -> Poly:
         n = self.rows
@@ -817,8 +800,5 @@ def rank_drops(g: Poly, region: str,
     if region != REGION_CLOSED_RHP:
         raise ValueError(f"unknown region {region!r}")
     rs = numeric_roots(g, tol)
-    bad = tuple(z for z, _, tag in rs.roots if tag in (AXIS, OPEN_RHP))
-    bad10 = [z for z, _, _ in rs.roots
-             if region_of(z, tol, band_scale=10.0) in (AXIS, OPEN_RHP)]
-    robust = (len(bad) == 0) == (len(bad10) == 0)
-    return FullRankResult(not bad, bad, robust)
+    bad, robust = closed_rhp((z for z, _, _ in rs.roots), tol)
+    return FullRankResult(not bad, tuple(bad), robust)

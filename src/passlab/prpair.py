@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import AXIS, DEFAULT_TOL, OPEN_RHP, Tolerance, hermitian_psd, region_of
+from .numeric import DEFAULT_TOL, Tolerance, closed_rhp, hermitian_psd, region_of
 from .numeric import roots as numeric_roots
 from .poly import Poly, find_negative_point
 from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, charpoly,
@@ -284,10 +284,8 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
         robust = True
     else:
         rs = numeric_roots(dpq, tol)
-        bad = [(z, tag) for z, _, tag in rs.roots if tag in (AXIS, OPEN_RHP)]
-        bad10 = [z for z, _, _ in rs.roots
-                 if region_of(z, tol, band_scale=10.0) in (AXIS, OPEN_RHP)]
-        robust = (len(bad) == 0) == (len(bad10) == 0)
+        hits, robust = closed_rhp((z for z, _, _ in rs.roots), tol)
+        bad = [(z, region_of(z, tol)) for z in hits]
 
     if not robust:
         return CondVerdict(INCONCLUSIVE, (),
@@ -302,7 +300,9 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
             INCONCLUSIVE, (),
             "det(P+Q) vanishes on the closed right half-plane where the rank "
             "condition already fails; condition 1 is not decided separately")
-    wit = _rhp_direction_witness(P, Q, [z for z, _ in bad], tol)
+    # s1 decided PQ* + QP* PSD on the whole axis, so a witness can only lie
+    # strictly right of it; a zero tagged axis may sit just left of it
+    wit = _rhp_direction_witness(P, Q, [z for z, _ in bad if z.real > 0], tol)
     if wit is None:
         # the near-axis policy: no float witness at the tagged zeros, so
         # report them and decide nothing
@@ -315,8 +315,8 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
 
 def _rhp_direction_witness(P: PolyMat, Q: PolyMat, bad_roots, tol: Tolerance
                            ) -> Witness | None:
-    """From a closed-RHP zero mu of det(P+Q), build (lam, z) with
-    z^H (P(lam)Q(lam)^H + Q(lam)P(lam)^H) z < 0, lam in the closed RHP."""
+    """From an open-RHP zero mu of det(P+Q), build (lam, z) with
+    z^H (P(lam)Q(lam)^H + Q(lam)P(lam)^H) z < 0, lam in the open RHP."""
     best = None
     for mu in bad_roots:
         S = (P + Q).eval_complex(mu)

@@ -112,6 +112,15 @@ class TestConstruct:
         res = construct_certificate(ss)
         assert res.status == "certified"
 
+    def test_near_axis_integrator_is_not_refuted(self):
+        # G = 1 + 1e-9/s is passive, with X = 1e9, L = 0, W = sqrt(2); the
+        # zero of det(P+Q) at -5e-10 sits in the axis band and must not
+        # yield a witness from left of the axis
+        ss = StateSpace.from_arrays([[0]], [[Fraction(1, 10**9)]], [[1]], [[1]])
+        assert verify_certificate(ss, [[1e9]], [[0.0]], [[SQ2]]).spectral["ok"]
+        res = construct_certificate(ss)
+        assert res.status == "inconclusive"
+
     def test_hidden_lossless_realization_fails_cond3(self):
         # state-space realization of the pair (s+1, (s+1)s)
         from passlab.statespace import realize_statespace

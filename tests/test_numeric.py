@@ -7,9 +7,10 @@ import pytest
 from conftest import siso_sweep_system
 
 from passlab.numeric import (AXIS, OPEN_LHP, OPEN_RHP, LosslessInfeasibleError,
-                             LyapunovError, Tolerance, hermitian_psd,
-                             lossless_lyap_solve, lyapunov_solve, region_of,
-                             roots, stable_unstable_split)
+                             LyapunovError, Tolerance, closed_rhp,
+                             hermitian_psd, lossless_lyap_solve,
+                             lyapunov_solve, region_of, roots,
+                             stable_unstable_split)
 from passlab.poly import Poly
 from passlab.prpair import PASS, check_pair
 from passlab.statespace import realize_behavior
@@ -63,12 +64,47 @@ class TestRoots:
             roots(Poly.zero())
 
 
+def closed_rhp_inline(points, tol):
+    """Reference for closed_rhp: the rule condition 1 and rank_drops once
+    typed inline."""
+    bad = [z for z in points if region_of(z, tol) in (AXIS, OPEN_RHP)]
+    bad10 = [z for z in points
+             if region_of(z, tol, band_scale=10.0) in (AXIS, OPEN_RHP)]
+    return bad, (len(bad) == 0) == (len(bad10) == 0)
+
+
 class TestRegionPolicy:
     def test_axis_band_is_relative(self):
         tol = Tolerance()
         assert region_of(1e-10 + 5j, tol) == AXIS
         assert region_of(0.1 + 5j, tol) == OPEN_RHP
         assert region_of(-0.1, tol) == OPEN_LHP
+
+    def test_closed_rhp_matches_inline_rule(self):
+        """Real parts at k * axis_band * (1 + |z|) straddle both edges of the
+        band and of its tenfold widening."""
+        tol = Tolerance()
+        ks = [0, 0.5, 1, 2, 9.5, 10, 10.5, 20]
+        ks += [-k for k in ks[1:]]
+        rng = random.Random(22)
+        sets = [[], [-1.0, -2 + 3j, -1e-3 - 1e3j],
+                [-2e-9 * (1 + 4.0) + 4j, -9.5e-9 - 0j]]
+        for _ in range(300):
+            pts = []
+            for _ in range(rng.randint(1, 5)):
+                im = rng.choice([0.0, rng.uniform(-100.0, 100.0)])
+                k = rng.choice(ks)
+                pts.append(complex(k * tol.axis_band * (1.0 + abs(im)), im))
+            sets.append(pts)
+        robust_seen = set()
+        for pts in sets:
+            hits, robust = closed_rhp(iter(pts), tol)
+            assert (hits, robust) == closed_rhp_inline(pts, tol)
+            robust_seen.add((bool(hits), robust))
+        assert robust_seen == {(False, True), (False, False), (True, True)}
+        assert closed_rhp(sets[0], tol) == ([], True)
+        assert closed_rhp(sets[1], tol) == ([], True)
+        assert closed_rhp(sets[2], tol) == ([], False)
 
 
 class TestLyapunov:

@@ -119,6 +119,18 @@ class TestCondition1:
                             "zeros of det(P+Q): -1e-300+0j (axis)")
         assert check_pair(P, Q).overall == INCONCLUSIVE
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**9), Fraction(1, 10**12)])
+    def test_witness_only_right_of_the_axis(self, eps):
+        # G = 1 + eps/s is passive; det(P+Q) = 2s + eps vanishes at -eps/2,
+        # inside the band, where PQ* + QP* reads -eps^2/2 < 0.  The twin
+        # with -eps is not passive, and its witness sits at +eps/2.
+        v = check_pair(PolyMat([[S + eps]]), PolyMat([[S]]))
+        assert v.overall == INCONCLUSIVE and not v.all_witnesses()
+        assert v.cond1.detail.startswith("no strictly negative direction")
+        v = check_pair(PolyMat([[S - eps]]), PolyMat([[S]]))
+        assert v.overall == FAIL
+        assert [w.lam.real > 0 for w in v.all_witnesses()] == [True]
+
     def test_symmetry_under_swap(self):
         """The defining expression is symmetric in (P, Q)."""
         rng = random.Random(12)
