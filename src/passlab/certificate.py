@@ -92,12 +92,13 @@ def _fp(c) -> np.ndarray:
     return np.atleast_1d(np.asarray(c, dtype=float))
 
 
-def _fp_trim(c: np.ndarray, rel: float = 1e-12) -> np.ndarray:
+def _fp_trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing coefficients at or below 1e-12 of the largest."""
     c = _fp(c)
     scale = np.max(np.abs(c)) if c.size else 0.0
     if scale == 0.0:
         return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > rel * scale)[0]
+    keep = np.nonzero(np.abs(c) > 1e-12 * scale)[0]
     return c[: keep[-1] + 1] if keep.size else np.zeros(1)
 
 
@@ -243,9 +244,9 @@ def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
     return _fp_trim(np.sqrt(gamma) * mon.real)
 
 
-def _require_axis_psd(H: PolyMat, tol: Tolerance) -> None:
+def _require_axis_psd(H: PolyMat) -> None:
     """The PSD-on-axis premise of every spectral factorization, decided exactly."""
-    ok, wstar = axis_psd(H, tol)
+    ok, wstar = axis_psd(H)
     if not ok:
         raise FactorizationError(
             f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
@@ -261,7 +262,7 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
     """
     if not (H.star() == H):
         raise ValueError("matrix is not para-Hermitian")
-    _require_axis_psd(H, tol)
+    _require_axis_psd(H)
     n = H.rows
     rows: list[tuple[int, np.ndarray]] = []
     if n == 1:
@@ -516,9 +517,9 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     return AREResult(X=X, closed_loop_spec=spec, stabilizing=stab, residual=res)
 
 
-def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray,
-                 max_iter: int = 200) -> np.ndarray:
-    """Damped Newton on the symmetric parametrization of Pi(X) = 0."""
+def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """Damped Newton on the symmetric parametrization of Pi(X) = 0, at most
+    200 iterations."""
     d = ss.d
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
 
@@ -535,7 +536,7 @@ def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray,
 
     x = np.array([X0[i, j] for (i, j) in pairs])
     f = func(x)
-    for _ in range(max_iter):
+    for _ in range(200):
         nf = np.linalg.norm(f)
         if nf < 1e-13:
             break
@@ -582,7 +583,7 @@ def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     # Exact premise: G = Q^-1 P, so G + G* = Q^-1 (P Q* + Q P*) Q^-*, and the
     # sampled check cannot see a violation between its frequencies.
     P, Q = realize_behavior(ss)
-    _require_axis_psd(_pr_density(P, Q), tol)
+    _require_axis_psd(_pr_density(P, Q))
     return SpectralFactor(Z=build_zx(ss, L, W), r=ss.n, diagnostics=diag), are
 
 

@@ -68,8 +68,7 @@ def cmd_check_pair(args) -> int:
     else:
         P, Q = payload
     verdict = check_pair(P, Q, tol)
-    doc = verdict_json(verdict, include_witnesses=args.witness or
-                       verdict.overall != PASS)
+    doc = verdict_json(verdict, include_witnesses=verdict.overall != PASS)
     if args.cross_check and verdict.cond2.status == PASS:
         from .behavior import coupling_condition_direct
         try:
@@ -304,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-pair", parents=[common],
                        help="decide the three positive-real-pair conditions")
     p.add_argument("input")
-    p.add_argument("--witness", action="store_true",
-                   help="include witnesses even on pass")
     p.add_argument("--cross-check", action="store_true",
                    help="also run the divisibility form of the coupling test")
     p.set_defaults(func=cmd_check_pair)

@@ -86,12 +86,12 @@ class RootSet:
     roots: tuple[tuple[complex, int, str], ...]
 
 
-def _newton_polish(f: Poly, df: Poly, z: complex, steps: int = 3) -> complex:
-    """Up to `steps` Newton steps from z, each taken only when |f| falls: on
+def _newton_polish(f: Poly, df: Poly, z: complex) -> complex:
+    """Up to three Newton steps from z, each taken only when |f| falls: on
     a high-degree f with wide coefficients a float step can throw a good
     eigenvalue far off (even across the axis), and |f| shows it."""
     fz = f.eval_complex(z)
-    for _ in range(steps):
+    for _ in range(3):
         d = df.eval_complex(z)
         if abs(d) < 1e-14:
             break

@@ -667,15 +667,6 @@ class TwoVarPoly:
                     acc += c * xp * y ** j
         return acc
 
-    def eval_complex(self, x: complex, y: complex) -> complex:
-        acc = 0j
-        for i, row in enumerate(self.grid):
-            xp = x ** i
-            for j, c in enumerate(row):
-                if c != 0:
-                    acc += complex(c) * xp * y ** j
-        return acc
-
     def __repr__(self):
         if self.is_zero:
             return "0"

@@ -1,17 +1,17 @@
 """Exact polynomial-matrix algebra over the rationals.
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
-row/column echelon reductions, the inverse of a unimodular matrix (one
-more echelon pass), fraction-free Bareiss determinants, the characteristic
-polynomial by Berkowitz's division-free algorithm, the normal rank
-from exact ranks of constant matrices M(lam), syzygy bases,
-right-divisibility, kernel equality by row Hermite forms, the
-max-degree-of-full-size-minors functional `delta` (kept as the reference
-for properness, which callers read from leading row coefficients), and
-constant-rank tests over a region of the complex plane.  The dense
-rational-matrix helpers (`_frref` and the rank, kernel, inverse and product
-built on it) live here too; their elimination, `_irref`, runs on integer
-rows, and `normalrank` reuses it.
+row/column echelon reductions, the inverse of a unimodular matrix (one more
+echelon pass), fraction-free Bareiss determinants, the characteristic
+polynomial by Berkowitz's division-free algorithm and the adjugate from its
+coefficients by Cayley-Hamilton, the normal rank from exact ranks of
+constant matrices M(lam), syzygy bases, right-divisibility, kernel equality
+by row Hermite forms, the max-degree-of-full-size-minors functional `delta`
+(kept as the reference for properness, which callers read from leading row
+coefficients), and constant-rank tests over a region of the complex plane.
+The dense rational-matrix helpers (`_frref` and the rank, kernel, inverse
+and product built on it) live here too; their elimination, `_irref`, runs
+on integer rows, and `normalrank` reuses it.
 
 Conventions:
   * row echelon:     U @ M == stack(E, zero rows),  U unimodular
@@ -90,10 +90,6 @@ class PolyMat:
     def constant(grid) -> "PolyMat":
         """Constant matrix from a grid of numbers/Fractions."""
         return PolyMat([[Poly.constant(v) for v in row] for row in grid])
-
-    @staticmethod
-    def scalar(p) -> "PolyMat":
-        return PolyMat([[Poly.of(p)]])
 
     # -- queries --------------------------------------------------------------
 
@@ -269,21 +265,27 @@ class PolyMat:
         return d if sign == 1 else -d
 
     def adjugate(self) -> "PolyMat":
-        """Transpose of the cofactor matrix; A @ adj(A) == det(A) * I."""
+        """Transpose of the cofactor matrix; A @ adj(A) == det(A) * I.
+
+        By Cayley-Hamilton on det(tI - A) = sum_k c_k t^(n - k) (`charpoly`),
+        adj(A) = (-1)^(n+1) (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I), taken by
+        Horner from A + c_1 I: n - 2 products, O(n^4) ring operations
+        (Kailath, Linear Systems, 1980)."""
         if not self.is_square:
             raise ValueError("adjugate of non-square matrix")
         n = self.rows
         if n == 1:
             return PolyMat.identity(1)
-        idx = list(range(n))
-        out = [[Poly.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = self.submatrix([r for r in idx if r != i],
-                                       [c for c in idx if c != j])
-                cof = minor.det()
-                out[j][i] = cof if (i + j) % 2 == 0 else -cof
-        return PolyMat(out)
+
+        def plus_scalar(M: PolyMat, ck: Poly) -> PolyMat:
+            return PolyMat([[e + ck if i == j else e for j, e in enumerate(row)]
+                            for i, row in enumerate(M.entries)], cols=n)
+
+        c = charpoly(self)
+        N = plus_scalar(self, c[1])
+        for ck in c[2:n]:
+            N = plus_scalar(self @ N, ck)
+        return N if n % 2 else -N
 
 
 def charpoly(M: PolyMat) -> list[Poly]:

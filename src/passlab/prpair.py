@@ -123,12 +123,12 @@ def check_condition2(P: PolyMat, Q: PolyMat,
     """Full row rank of [P -Q] everywhere on the closed right half-plane.
     One `minor_gcd` sweep decides both: a zero gcd is normalrank
     deficiency, and otherwise the rank drops at its roots."""
-    n = _validate_pair(P, Q)
+    _validate_pair(P, Q)
     PQ = P.hstack(-Q)
     g = minor_gcd(PQ)
     if g.is_zero:
         w = Witness(kind="rank-drop", lam=0j,
-                    reverified=_rank_drop_reverifies(PQ, 0j, n, tol),
+                    reverified=_rank_drop_reverifies(PQ, 0j),
                     detail="normalrank of [P -Q] is deficient; rank drops at "
                            "every point (shown at lambda = 0)")
         return CondVerdict(FAIL, (w,), "normalrank([P -Q]) < n")
@@ -140,15 +140,16 @@ def check_condition2(P: PolyMat, Q: PolyMat,
         return CondVerdict(PASS)
     wits = tuple(
         Witness(kind="rank-drop", lam=z,
-                reverified=_rank_drop_reverifies(PQ, z, n, tol))
+                reverified=_rank_drop_reverifies(PQ, z))
         for z in res.witnesses)
     if not all(w.reverified for w in wits):
         raise AssertionError("rank-drop witness failed re-verification")
     return CondVerdict(FAIL, wits)
 
 
-def _rank_drop_reverifies(PQ: PolyMat, lam: complex, n: int,
-                          tol: Tolerance) -> bool:
+def _rank_drop_reverifies(PQ: PolyMat, lam: complex) -> bool:
+    """[P -Q](lam) is numerically rank deficient: a fixed relative SVD
+    threshold, like the other witness re-checks, not the tolerance policy."""
     sv = np.linalg.svd(PQ.eval_complex(lam), compute_uv=False)
     return bool(sv[-1] <= 1e-6 * (1.0 + sv[0]))
 
@@ -209,8 +210,7 @@ def _axis_violation(Phi: PolyMat
                            for subset in itertools.combinations(range(n), size))
 
 
-def axis_psd(Phi: PolyMat, tol: Tolerance = DEFAULT_TOL
-             ) -> tuple[bool, Fraction | None]:
+def axis_psd(Phi: PolyMat) -> tuple[bool, Fraction | None]:
     """Exact test: Phi(jw) PSD for every real w, for para-Hermitian Phi.
 
     A Hermitian matrix is PSD iff every coefficient E_k of its
@@ -291,10 +291,9 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
         return CondVerdict(INCONCLUSIVE, (),
                            "zeros of det(P+Q) straddle the axis band")
     if not bad:
-        if cond2.status == PASS:
-            return CondVerdict(PASS)
-        # sound even without condition 2 (maximum principle needs only s1+s2)
-        return CondVerdict(PASS, detail="established via boundary + analyticity")
+        # condition 2 has passed too: a rank drop of [P -Q] at lam gives
+        # v^T P(lam) = v^T Q(lam) = 0, so lam is a zero of det(P + Q)
+        return CondVerdict(PASS)
     if cond2.status != PASS:
         return CondVerdict(
             INCONCLUSIVE, (),
@@ -302,7 +301,7 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
             "condition already fails; condition 1 is not decided separately")
     # s1 decided PQ* + QP* PSD on the whole axis, so a witness can only lie
     # strictly right of it; a zero tagged axis may sit just left of it
-    wit = _rhp_direction_witness(P, Q, [z for z, _ in bad if z.real > 0], tol)
+    wit = _rhp_direction_witness(P, Q, [z for z, _ in bad if z.real > 0])
     if wit is None:
         # the near-axis policy: no float witness at the tagged zeros, so
         # report them and decide nothing
@@ -313,8 +312,7 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
     return CondVerdict(FAIL, (wit,))
 
 
-def _rhp_direction_witness(P: PolyMat, Q: PolyMat, bad_roots, tol: Tolerance
-                           ) -> Witness | None:
+def _rhp_direction_witness(P: PolyMat, Q: PolyMat, bad_roots) -> Witness | None:
     """From an open-RHP zero mu of det(P+Q), build (lam, z) with
     z^H (P(lam)Q(lam)^H + Q(lam)P(lam)^H) z < 0, lam in the open RHP."""
     best = None
@@ -354,20 +352,20 @@ def _condition3(P: PolyMat, Q: PolyMat, Phi: PolyMat,
                                         "the syzygy is trivial")
     g = minor_gcd(V @ P.hstack(-Q))
     if g.is_zero:
-        wit = _coupling_witness(P, Q, V, 0j, tol)
+        wit = _coupling_witness(P, Q, V, 0j)
         return CondVerdict(FAIL, (wit,),
                            "V [P -Q] is normalrank deficient (drops everywhere)")
     res = rank_drops(g, REGION_ALL_C, tol)
     if res.ok:
         return CondVerdict(PASS)
-    wits = tuple(_coupling_witness(P, Q, V, z, tol) for z in res.witnesses)
+    wits = tuple(_coupling_witness(P, Q, V, z) for z in res.witnesses)
     if not all(w.reverified for w in wits):
         raise AssertionError("coupling witness failed re-verification")
     return CondVerdict(FAIL, wits)
 
 
-def _coupling_witness(P: PolyMat, Q: PolyMat, V: PolyMat, lam: complex,
-                      tol: Tolerance) -> Witness:
+def _coupling_witness(P: PolyMat, Q: PolyMat, V: PolyMat, lam: complex
+                      ) -> Witness:
     """Build the violating polynomial row p = V^T g: p^T (PQ*+QP*) == 0 exactly
     (g combines syzygy rows), p(lam)^T [P -Q](lam) ~ 0, p(lam) != 0."""
     PQ = P.hstack(-Q)

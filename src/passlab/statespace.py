@@ -18,7 +18,6 @@ from operator import mul
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
                          _leading_rows, _rref_kernel, _scaled, row_reduced,
@@ -480,17 +479,17 @@ def _rk4_propagate(A, B, h: float, U, Um, X) -> None:
 class StorageCheck:
     """Energy-balance diagnostics of a Lur'e triple along one trajectory."""
     identity_residual: float
-    dissipation_slack: float  # integral u^T y - 1/2 [x^T X x]; >= -tol when valid
+    dissipation_slack: float  # integral u^T y - 1/2 [x^T X x]; >= -1e-6 rel. if ok
     ok: bool
 
 
-def storage_check(ss: StateSpace, X, L, W, traj: Trajectory,
-                  tol: Tolerance = DEFAULT_TOL, rtol: float = 1e-6) -> StorageCheck:
+def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
     """Check the quadratic-storage energy identity on a simulated trajectory:
 
         int (u^T y + y^T u) dt - [x^T X x] = int |L x + W u|^2 dt
 
-    and the dissipation inequality  int u^T y >= 1/2 [x^T X x].
+    and the dissipation inequality  int u^T y >= 1/2 [x^T X x], both to a
+    relative 1e-6.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
     L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -505,7 +504,7 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory,
     lhs = supply - storage
     residual = abs(lhs - rhs) / (1.0 + abs(rhs))
     slack = 0.5 * supply - 0.5 * storage
-    ok = residual <= rtol and slack >= -rtol * (1.0 + abs(0.5 * supply))
+    ok = residual <= 1e-6 and slack >= -1e-6 * (1.0 + abs(0.5 * supply))
     return StorageCheck(identity_residual=residual, dissipation_slack=slack, ok=ok)
 
 

@@ -1,5 +1,5 @@
-"""Every definition in `src/passlab` has a caller in the package, and every
-dataclass field a reader.
+"""Every definition in `src/passlab` has a caller in the package, every
+dataclass field a reader, and every function parameter a read in its body.
 
 A module-level function or class, or a method that is not a dunder, counts
 as called when some module of the package other than `__init__` refers to
@@ -10,6 +10,11 @@ attribute of that name is read.  What is only exported, or only reached by
 the tests or the benchmark, needs a line in `ALLOWED` that says why it
 stays; a function that nothing calls belongs in the tests, as a reference,
 or nowhere, and a field that nothing reads belongs nowhere.
+
+A parameter of a function or method that is not a dunder, other than `self`
+or `cls`, counts as read when the function's body, nested definitions
+included, loads its name.  A parameter that nothing reads hides where a
+value stops mattering, so it needs a line in `ALLOWED_UNREAD`.
 """
 
 import ast
@@ -45,6 +50,10 @@ ALLOWED = {
     "statespace.StorageCheck.dissipation_slack": DIAGNOSTIC,
     "statespace.StorageCheck.identity_residual": DIAGNOSTIC,
     "statespace.storage_check": "exported; the corpus-certify benchmark calls it",
+}
+
+ALLOWED_UNREAD = {
+    "cli.cmd_selftest(args)": "argparse calls every subcommand handler with args",
 }
 
 
@@ -96,3 +105,35 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert sorted(uncalled - ALLOWED.keys()) == [], "no caller or reader in src/passlab"
     assert sorted(ALLOWED.keys() - uncalled) == [], "called: drop the entry"
     assert all(r.strip() and "\n" not in r for r in ALLOWED.values())
+
+
+def _unread(node, prefix: str):
+    """`prefix.name(param)` for each unread parameter of every non-dunder
+    function at or under `node`."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (*funcs, ast.ClassDef)):
+            yield from _unread(child, prefix)
+            continue
+        qual = f"{prefix}.{child.name}"
+        if isinstance(child, funcs) and not _is_dunder(child.name):
+            a = child.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            loads = {n.id for stmt in child.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from (f"{qual}({p.arg})" for p in params
+                        if p.arg not in ("self", "cls") and p.arg not in loads)
+        yield from _unread(child, qual)
+
+
+def unread_parameters() -> set[str]:
+    return {u for p in sorted(SRC.glob("*.py"))
+            for u in _unread(ast.parse(p.read_text()), p.stem)}
+
+
+def test_every_parameter_is_read_or_has_a_reason():
+    unread = unread_parameters()
+    assert sorted(unread - ALLOWED_UNREAD.keys()) == [], "never read in its body"
+    assert sorted(ALLOWED_UNREAD.keys() - unread) == [], "read: drop the entry"
+    assert all(r.strip() and "\n" not in r for r in ALLOWED_UNREAD.values())

@@ -80,6 +80,36 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "pair"
 
+    def test_realize_pair_with_hidden_mode_round_trips(self, tmp_path, capsys):
+        # P = s^2 + 5s + 6, Q = s^2 + 4s + 3 share the hidden mode s + 3
+        pair = {"P": [[["6", "5", "1"]]], "Q": [[["3", "4", "1"]]],
+                "kind": "pair"}
+        p = tmp_path / "hidden.json"
+        p.write_text(json.dumps(pair))
+        assert main(["realize", str(p)]) == 0
+        ss = json.loads(capsys.readouterr().out)
+        assert ss["kind"] == "ss"
+        p.write_text(json.dumps(ss))
+        assert main(["realize", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out) == pair
+
+    @pytest.mark.parametrize("P, Q, reason", [
+        ([[["0", "1"]]], [[["1"]]], "improper"),  # the inductor
+        ([[["1"]]], [[[]]], "Q singular"),
+    ])
+    def test_realize_pair_without_realization_exits_1(self, tmp_path, capsys,
+                                                      P, Q, reason):
+        p = tmp_path / "pair.json"
+        p.write_text(json.dumps({"kind": "pair", "P": P, "Q": Q}))
+        assert main(["realize", str(p)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "no state-space realization (input-output form "
+                     "violated): " + reason}
+
+    def test_realize_from_pair_on_state_space_exits_2(self, files, capsys):
+        assert main(["realize", "--from", "pair", files["rc"]]) == 2
+        assert "--from pair but input has kind 'ss'" in capsys.readouterr().err
+
     def test_specfact_poly(self, files, capsys):
         assert main(["specfact", "--poly", files["density"]]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -124,10 +154,11 @@ class TestExitCodes:
         assert (t, x, e) == (2.0, 1.0, 0.0)
         assert abs(u - math.sin(2.0)) < 1e-11 and abs(y - (1.0 + u)) < 1e-11
 
-    def test_witness_flag_includes_witnesses_on_pass(self, files, capsys):
-        assert main(["check-pair", files["good_pair"], "--witness"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert "witnesses" in out
+    def test_witness_flag_is_an_argparse_error(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-pair", files["good_pair"], "--witness"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --witness" in capsys.readouterr().err
 
     def test_cross_check_agrees(self, files, capsys):
         assert main(["check-pair", files["good_pair"], "--cross-check"]) == 0

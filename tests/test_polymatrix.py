@@ -42,6 +42,22 @@ def det_cofactor(M: PolyMat) -> Poly:
     return acc
 
 
+def adjugate_cofactor(M: PolyMat) -> PolyMat:
+    """Reference for adjugate: the transposed cofactor matrix, n^2 minor
+    determinants of order n - 1."""
+    n = M.rows
+    if n == 1:
+        return PolyMat.identity(1)
+    idx = list(range(n))
+    out = [[Poly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = M.submatrix([r for r in idx if r != i],
+                              [c for c in idx if c != j]).det()
+            out[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return PolyMat(out)
+
+
 def leading_row_matrix(M: PolyMat) -> PolyMat:
     """Coefficients of each row at its own row degree."""
     degs = [max(e.degree for e in row) for row in M.entries]
@@ -75,6 +91,28 @@ class TestDet:
             d = M.det()
             prod = M @ M.adjugate()
             assert prod == PolyMat.identity(3) * d
+
+    def test_adjugate_matches_cofactor_on_120_random(self):
+        """Cayley-Hamilton against the cofactor reference, n = 1..6, with
+        every fourth matrix made singular (a row repeated, scaled by a
+        polynomial) and every tenth the zero matrix."""
+        rng = random.Random(104729)
+        for k in range(120):
+            n = 1 + k % 6
+            if k % 10 == 9:
+                M = PolyMat.zeros(n, n)
+            else:
+                M = rand_polymat(rng, n, n, 2, 3)
+                if k % 4 == 3 and n > 1:
+                    rows, f = [list(r) for r in M.entries], rand_poly(rng, 1)
+                    rows[-1] = [e * f for e in rows[0]]
+                    M = PolyMat(rows)
+                    assert M.det().is_zero
+            assert M.adjugate() == adjugate_cofactor(M), (k, M)
+
+    def test_adjugate_of_non_square_raises(self):
+        with pytest.raises(ValueError, match="non-square"):
+            PolyMat([[S, S + 1]]).adjugate()
 
 
 class TestDelta:
