@@ -22,6 +22,13 @@ G + G*.  That check works on the state space, in floats:
 `spectral_factor_poly` checks its polynomial factor the same way, except
 that a polynomial Z has no poles and drops rank only at its factors' roots.
 The exact rational Z is built (`build_zx`) only where a report prints it.
+
+A float polynomial matrix is a coefficient stack S[k, i, j], lowest degree
+first, converted from an exact PolyMat (`_stack`) and evaluated by Horner
+(`_horner`).  Its depth comes from an exact degree, never from the size of
+a coefficient: deg det(sI - A) for Z, the root count for a scalar spectral
+factor, deg det M for the limit W = lim K M^-1.
+
 `construct_certificate` builds one from scratch, by three routes in order:
 
   1. the positive-real gate: `check_pair` on the external behavior pair
@@ -50,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .numeric import (AXIS, DEFAULT_TOL, OPEN_RHP, LosslessInfeasibleError,
                       LyapunovError, SpectralSplitError, Tolerance,
@@ -61,8 +67,8 @@ from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat, syzygy_basis
 from .prpair import (PASS, INCONCLUSIVE, PRPairVerdict, _pr_density, axis_psd,
                      check_pair)
-from .statespace import (StateSpace, realize_behavior, resolvent, shifted_solve,
-                         staircase)
+from .statespace import (StateSpace, lure_rows, realize_behavior, resolvent,
+                         shifted_solve, staircase)
 
 
 class FactorizationError(Exception):
@@ -85,118 +91,52 @@ class StableStageError(Exception):
     """The remainder system for L is inconsistent."""
 
 
-# -- float polynomials (coefficient arrays, low to high) ---------------------
+# -- float polynomial matrices (coefficient stacks, lowest degree first) --------
 
 
-def _fp(c) -> np.ndarray:
-    return np.atleast_1d(np.asarray(c, dtype=float))
+def _stack(M: PolyMat, depth: int) -> np.ndarray:
+    """The coefficient stack S of M, S[k, i, j] the s^k coefficient of
+    M[i, j] in floats, for k < depth; every entry's degree is below depth."""
+    S = np.zeros((depth, M.rows, M.cols))
+    for i in range(M.rows):
+        for j in range(M.cols):
+            c = M[i, j].float_coeffs()
+            S[:len(c), i, j] = c
+    return S
 
 
-def _fp_trim(c: np.ndarray) -> np.ndarray:
-    """c without its trailing coefficients at or below 1e-12 of the largest."""
-    c = _fp(c)
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > 1e-12 * scale)[0]
-    return c[: keep[-1] + 1] if keep.size else np.zeros(1)
+def _degree(M: PolyMat) -> int:
+    """The largest degree of an entry of a nonzero M."""
+    return max(max(e.degree for e in row) for row in M.entries)
 
 
-def _fp_deg(c: np.ndarray) -> int:
-    c = _fp_trim(c)
-    return len(c) - 1 if np.any(c != 0) else -1
-
-
-def _fp_star(c: np.ndarray) -> np.ndarray:
-    c = _fp(c)
-    return c * np.array([(-1) ** k for k in range(len(c))], dtype=float)
-
-
-def _fp_eval(c: np.ndarray, z: complex) -> complex:
-    return complex(npp.polyval(z, _fp(c)))
-
-
-def _poly_to_fp(p: Poly) -> np.ndarray:
-    return _fp(p.float_coeffs()) if not p.is_zero else np.zeros(1)
-
-
-def _polymat_to_fp(M: PolyMat) -> list[list[np.ndarray]]:
-    return [[_poly_to_fp(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
-
-
-def _fp_matmul(A: list[list[np.ndarray]], B: list[list[np.ndarray]],
-               rows: int, inner: int, cols: int) -> list[list[np.ndarray]]:
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = np.zeros(1)
-            for k in range(inner):
-                acc = npp.polyadd(acc, npp.polymul(A[i][k], B[k][j]))
-            row.append(_fp_trim(acc))
-        out.append(row)
+def _horner(S: np.ndarray, zs) -> np.ndarray:
+    """The stack S at every point of zs, stacked: shape (len(zs), rows, cols)."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1, 1, 1)
+    out = np.zeros((zs.shape[0],) + S.shape[1:], dtype=complex)
+    for Sk in S[::-1]:
+        out = out * zs + Sk
     return out
-
-
-def _const_to_fp(M: np.ndarray) -> list[list[np.ndarray]]:
-    return [[_fp([M[i, j]]) for j in range(M.shape[1])] for i in range(M.shape[0])]
-
-
-# -- rational matrices ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Common-denominator rational matrix num(s)/den(s), float coefficients."""
-    num: tuple[tuple[np.ndarray, ...], ...]
+    """num(s)/den(s): num a coefficient stack, den a coefficient array."""
+    num: np.ndarray
     den: np.ndarray
-    rows: int
-    cols: int
-
-    @staticmethod
-    def from_grid(num: list[list[np.ndarray]], den, rows: int, cols: int
-                  ) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(_fp_trim(e) for e in r) for r in num),
-                              _fp_trim(den), rows, cols)
 
     def eval(self, z: complex) -> np.ndarray:
-        d = _fp_eval(self.den, z)
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = _fp_eval(self.num[i][j], z) / d
-        return out
-
-    def limit_at_infinity(self) -> np.ndarray:
-        dd = _fp_deg(self.den)
-        out = np.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            for j in range(self.cols):
-                nd = _fp_deg(self.num[i][j])
-                if nd > dd:
-                    raise ValueError("rational matrix is improper")
-                if nd == dd:
-                    out[i, j] = _fp_trim(self.num[i][j])[-1] / _fp_trim(self.den)[-1]
-        return out
+        return _horner(self.num, z)[0] / _horner(self.den[:, None, None], z)[0, 0, 0]
 
 
 def build_zx(ss: StateSpace, L: np.ndarray, W: np.ndarray) -> RationalMatrix:
     """Z(s) = W + L (sI - A)^-1 B over the exact characteristic polynomial."""
-    q = L.shape[0]
-    n = ss.n
-    if ss.d == 0 or q == 0:
-        den = _fp([1.0])
-        num = _const_to_fp(W.reshape(q, n))
-        return RationalMatrix.from_grid(num, den, q, n)
-    charpoly, adj_exact = resolvent(ss.A_exact)
-    den = _poly_to_fp(charpoly)
-    adj = _polymat_to_fp(adj_exact)
-    num = _fp_matmul(_fp_matmul(_const_to_fp(L), adj, q, ss.d, ss.d),
-                     _const_to_fp(ss.B), q, ss.d, n)
-    for i in range(q):
-        for j in range(n):
-            num[i][j] = _fp_trim(npp.polyadd(num[i][j], W[i, j] * den))
-    return RationalMatrix.from_grid(num, den, q, n)
+    if ss.d == 0 or L.shape[0] == 0:
+        return RationalMatrix(W[None].astype(float), np.ones(1))
+    charpoly, adj = resolvent(ss.A_exact)
+    den = np.array(charpoly.float_coeffs())
+    num = L @ _stack(adj, len(den)) @ ss.B + den[:, None, None] * W
+    return RationalMatrix(num, den)
 
 
 # -- spectral factorization -----------------------------------------------------
@@ -241,7 +181,7 @@ def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
     gamma = float(h.leading) * (-1) ** rdeg
     if gamma <= 0:
         raise FactorizationError("leading sign inconsistent with axis PSD")
-    return _fp_trim(np.sqrt(gamma) * mon.real)
+    return np.sqrt(gamma) * mon.real
 
 
 def _require_axis_psd(H: PolyMat) -> None:
@@ -264,29 +204,20 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
         raise ValueError("matrix is not para-Hermitian")
     _require_axis_psd(H)
     n = H.rows
-    rows: list[tuple[int, np.ndarray]] = []
-    if n == 1:
-        if not H[0, 0].is_zero:
-            rows.append((0, _scalar_spectral_factor(H[0, 0], tol)))
-    else:
-        off_diag_zero = all(H[i, j].is_zero for i in range(n) for j in range(n)
-                            if i != j)
-        if not off_diag_zero:
-            raise UnsupportedFactorizationError(
-                "unsupported: matrix spectral factorization beyond "
-                "scalar/diagonal polynomial and state-space sub-cases")
-        for j in range(n):
-            if not H[j, j].is_zero:
-                rows.append((j, _scalar_spectral_factor(H[j, j], tol)))
-    diag = _poly_spectral_check(rows, H, tol)
+    if any(not H[i, j].is_zero for i in range(n) for j in range(n) if i != j):
+        raise UnsupportedFactorizationError(
+            "unsupported: matrix spectral factorization beyond "
+            "scalar/diagonal polynomial and state-space sub-cases")
+    cols = [j for j in range(n) if not H[j, j].is_zero]
+    factors = [_scalar_spectral_factor(H[j, j], tol) for j in cols]
+    Z = np.zeros((max(map(len, factors), default=1), len(cols), n))
+    for i, (j, c) in enumerate(zip(cols, factors)):
+        Z[:len(c), i, j] = c
+    diag = _poly_spectral_check(Z, H, tol)
     if not diag["ok"]:
         raise FactorizationError(f"spectral factor failed re-verification: {diag}")
-    r = len(rows)
-    num = [[_fp([0.0]) for _ in range(n)] for _ in range(r)]
-    for i, (j, z) in enumerate(rows):
-        num[i][j] = z
-    Z = RationalMatrix.from_grid(num, [1.0], r, n)
-    return SpectralFactor(Z=Z, r=r, diagnostics=diag)
+    return SpectralFactor(Z=RationalMatrix(Z, np.ones(1)), r=len(cols),
+                          diagnostics=diag)
 
 
 def _spectral_report(Zs: np.ndarray, Hs: np.ndarray, rhp_poles: list,
@@ -314,25 +245,17 @@ def _full_rank(Zs: np.ndarray) -> bool:
     return bool(np.all(sv[:, -1] > _RANK_RTOL * (1.0 + sv[:, 0])))
 
 
-def _poly_spectral_check(rows: list[tuple[int, np.ndarray]], H: PolyMat,
-                         tol: Tolerance) -> dict:
-    """Z is the row selection `rows` = [(column, factor)] of scalar polynomial
-    factors: it has no poles, and its rank drops are exactly its factors'
-    roots.  Those in the open RHP are confirmed by SVD with the fixed points."""
+def _poly_spectral_check(Z: np.ndarray, H: PolyMat, tol: Tolerance) -> dict:
+    """Z is the coefficient stack of a row selection of scalar polynomial
+    factors, one nonzero entry a row: it has no poles, and its rank drops are
+    exactly its factors' roots.  Those in the open RHP are confirmed by SVD
+    with the fixed points."""
     s = 1j * np.array(_AXIS_SAMPLES)
-    drops = [z for _, c in rows for z in np.roots(c[::-1])
+    drops = [z for c in Z.sum(axis=2).T for z in np.roots(c[::-1])
              if region_of(z, tol) == OPEN_RHP]
     pts = np.array(list(_RANK_POINTS) + drops)
-    return _spectral_report(_selection_stack(rows, H.rows, s), H.eval_stack(s),
-                            [], _full_rank(_selection_stack(rows, H.rows, pts)))
-
-
-def _selection_stack(rows: list[tuple[int, np.ndarray]], n: int,
-                     zs: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(zs), len(rows), n), dtype=complex)
-    for i, (j, c) in enumerate(rows):
-        out[:, i, j] = npp.polyval(zs, c)
-    return out
+    return _spectral_report(_horner(Z, s), H.eval_stack(s), [],
+                            _full_rank(_horner(Z, pts)))
 
 
 def _ss_spectral_check(ss: StateSpace, L: np.ndarray, W: np.ndarray,
@@ -621,17 +544,7 @@ def verify_certificate(ss: StateSpace, X, L, W,
     three hold.  It does not raise: construct_certificate turns a failed
     check into a discrepancy."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if L.size == 0 and W.size == 0:
-        q = max(L.shape[0], W.shape[0]) if (ss.d or ss.n) else 0
-        q = q if (L.shape[0] or W.shape[0]) else 0
-    elif L.size == 0:
-        q = W.shape[0]
-    else:
-        q = L.shape[0]
-    L = L.reshape(q, ss.d) if L.size else np.zeros((q, ss.d))
-    W = W.reshape(q, ss.n) if W.size else np.zeros((q, ss.n))
+    L, W = lure_rows(ss, L, W)
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
     nrm = lambda M: float(np.linalg.norm(M))
     residuals = {
@@ -658,20 +571,10 @@ def verify_certificate(ss: StateSpace, X, L, W,
 # -- the remainder system for L --------------------------------------------------
 
 
-def _coeff_stack(grid: list[list[np.ndarray]]) -> np.ndarray:
-    """Coefficient matrices of a nonempty float polynomial matrix, lowest
-    degree first: out[k] is the coefficient of s^k."""
-    depth = max(len(c) for row in grid for c in row)
-    out = np.zeros((depth, len(grid), len(grid[0])))
-    for i, row in enumerate(grid):
-        for j, c in enumerate(row):
-            out[:len(c), i, j] = c
-    return out
-
-
-def remark61_solve(K: RationalMatrix, M: PolyMat, As: np.ndarray,
+def remark61_solve(K: np.ndarray, M: PolyMat, As: np.ndarray,
                    Cs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve for the constant L in  K*(s) L + J(s)(sI - As) = M*(s) Cs.
+    """Solve for the constant L in  K*(s) L + J(s)(sI - As) = M*(s) Cs, with
+    K a coefficient stack.
 
     By the matrix remainder theorem, F(s) = sum_k F_k s^k is right-divisible
     by sI - As exactly when sum_k F_k As^k = 0.  With F = K* L - M* Cs this
@@ -683,15 +586,15 @@ def remark61_solve(K: RationalMatrix, M: PolyMat, As: np.ndarray,
     by least squares and the residual must vanish within tolerance,
     otherwise no L exists and the stable stage of the construction fails.
     """
-    r, n = K.rows, K.cols
+    _, r, n = K.shape
     ds = As.shape[0] if As.size else 0
     if r == 0 or ds == 0:
         return np.zeros((r, ds))
     Cs = np.asarray(Cs, dtype=float).reshape(n, ds)
-    # K*(s) = K(-s)^T: entry (j, i) is K[i][j] with odd coefficients negated
-    Kstar = _coeff_stack([[_fp_star(K.num[i][j]) for i in range(r)]
-                          for j in range(n)])
-    Mstar = _coeff_stack(_polymat_to_fp(M.star()))
+    # K*(s) = K(-s)^T: odd coefficients negated, each transposed
+    Kstar = (K * (-1.0) ** np.arange(len(K))[:, None, None]).transpose(0, 2, 1)
+    Ms = M.star()
+    Mstar = _stack(Ms, _degree(Ms) + 1)
     powers = [np.linalg.matrix_power(As, k)
               for k in range(max(len(Kstar), len(Mstar)))]
     Amat = sum(np.kron(P.T, Kk) for P, Kk in zip(powers, Kstar))
@@ -779,7 +682,7 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                              message=f"positive-real check passed but the "
                                      f"density failed to factor: {e}")
     try:
-        L = remark61_solve(sf.Z, M, split.As, Cs, tol)
+        L = remark61_solve(sf.Z.num, M, split.As, Cs, tol)
     except StableStageError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
     try:
@@ -787,7 +690,7 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     except LyapunovError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
     try:
-        W = _limit_KMinv(sf.Z, M)
+        W = _limit_KMinv(sf.Z.num, M)
     except ValueError as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
 
@@ -842,12 +745,17 @@ def _image_pair(P: PolyMat, Q: PolyMat) -> tuple[PolyMat, PolyMat]:
     return M, N
 
 
-def _limit_KMinv(K: RationalMatrix, M: PolyMat) -> np.ndarray:
-    """W = lim_{s->inf} K(s) M(s)^-1, exactly proper by construction."""
-    r = K.rows
-    n = M.rows
-    den = _poly_to_fp(M.det())
-    adj = _polymat_to_fp(M.adjugate())
-    num = _fp_matmul(K.num, adj, r, n, n)
-    Z = RationalMatrix.from_grid(num, den, r, n)
-    return Z.limit_at_infinity()
+def _limit_KMinv(K: np.ndarray, M: PolyMat) -> np.ndarray:
+    """W = lim_{s->inf} K(s) M(s)^-1 for a coefficient stack K: the s^m
+    coefficient of K adj(M) over the leading coefficient of det M, m its
+    degree.  Raises ValueError where K adj(M) has a nonzero coefficient
+    above s^m, so that K M^-1 is improper."""
+    det, adj = M.det(), M.adjugate()
+    m = det.degree
+    A = _stack(adj, _degree(adj) + 1)
+    KA = np.zeros((max(len(K) + len(A) - 1, m + 1), K.shape[1], A.shape[2]))
+    for a, Ka in enumerate(K):
+        KA[a:a + len(A)] += Ka @ A
+    if np.any(KA[m + 1:]):
+        raise ValueError("rational matrix is improper")
+    return KA[m] / float(det.leading)

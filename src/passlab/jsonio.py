@@ -198,8 +198,12 @@ def verdict_json(v, include_witnesses: bool = True) -> dict:
 
 
 def rational_matrix_json(R) -> dict:
+    """den, and each entry of the coefficient stack num without its
+    trailing coefficients that are exactly zero ([0.0] for a zero entry)."""
+    _, rows, cols = R.num.shape
     return {"den": [fnum(c) for c in R.den],
-            "num": [[[fnum(c) for c in e] for e in row] for row in R.num]}
+            "num": [[[fnum(c) for c in np.trim_zeros(R.num[:, i, j], "b")]
+                     or [0.0] for j in range(cols)] for i in range(rows)]}
 
 
 def certificate_json(cert) -> dict:

@@ -483,6 +483,23 @@ class StorageCheck:
     ok: bool
 
 
+def lure_rows(ss: StateSpace, L, W) -> tuple[np.ndarray, np.ndarray]:
+    """L and W of a Lur'e triple as float arrays of shapes (q, d) and (q, n).
+    q is the row count of L, or of W where L is empty; where both are empty,
+    the larger of their row counts, and 0 for a system with no states and
+    no ports."""
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if L.size:
+        q = L.shape[0]
+    elif W.size:
+        q = W.shape[0]
+    else:
+        q = max(L.shape[0], W.shape[0]) if ss.d or ss.n else 0
+    return (L.reshape(q, ss.d) if L.size else np.zeros((q, ss.d)),
+            W.reshape(q, ss.n) if W.size else np.zeros((q, ss.n)))
+
+
 def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
     """Check the quadratic-storage energy identity on a simulated trajectory:
 
@@ -492,11 +509,7 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
     relative 1e-6.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    q = L.shape[0] if L.size else (W.shape[0] if W.size else L.shape[0])
-    L = L.reshape(q, ss.d) if L.size else np.zeros((q, ss.d))
-    W = W.reshape(q, ss.n) if W.size else np.zeros((q, ss.n))
+    L, W = lure_rows(ss, L, W)
     supply = 2.0 * traj.energy[-1]  # simulate's Simpson integral of u^T y
     storage = traj.x[-1] @ X @ traj.x[-1] - traj.x[0] @ X @ traj.x[0]
     v = traj.x @ L.T + traj.u @ W.T

@@ -3,7 +3,10 @@ dataclass field a reader, and every function parameter a read in its body.
 
 A module-level function or class, or a method that is not a dunder, counts
 as called when some module of the package other than `__init__` refers to
-its name, as a `Name` or as an `Attribute`.  A dataclass field counts as
+its name, as a `Name` or as an `Attribute`.  A `Name` read in a function
+that binds the same name itself (a parameter, an assignment, a loop or
+comprehension target), or in a function nested in one, is that local and
+refers to nothing at module level.  A dataclass field counts as
 read when some such module loads an attribute of its name.  The match is
 by bare name, so a method is called, or a field read, as soon as any
 attribute of that name is read.  What is only exported, or only reached by
@@ -46,6 +49,7 @@ ALLOWED = {
     "signals.Signal.deriv": SIGNAL + ": the k-th derivative",
     "signals.Signal.exponential": SIGNAL,
     "signals.Signal.monomial": SIGNAL,
+    "signals.Signal.scale": SIGNAL + ": a constant multiple",
     "signals.Signal.sine": SIGNAL,
     "statespace.StorageCheck.dissipation_slack": DIAGNOSTIC,
     "statespace.StorageCheck.identity_residual": DIAGNOSTIC,
@@ -67,19 +71,49 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
-def uncalled_definitions() -> set[str]:
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(func) -> set[str]:
+    """The names `func` binds itself: its parameters, and every name stored
+    in its body outside nested functions."""
+    a = func.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+             + [p for p in (a.vararg, a.kwarg) if p is not None]}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, FUNCS):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(node, local: frozenset, refs: set, loads: set) -> None:
+    """Add to refs every name `node` refers to that is not local, and to
+    loads every attribute it loads."""
+    if isinstance(node, FUNCS):
+        local = local | _bound(node)
+    if isinstance(node, ast.Name) and node.id not in local:
+        refs.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        refs.add(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            loads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _references(child, local, refs, loads)
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def uncalled_definitions(trees: dict[str, ast.Module]) -> set[str]:
     refs, loads = set(), set()
     for mod, tree in trees.items():
-        if mod == "__init__":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
-                    loads.add(node.attr)
+        if mod != "__init__":
+            _references(tree, frozenset(), refs, loads)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = set()
     for mod, tree in trees.items():
@@ -101,10 +135,25 @@ def uncalled_definitions() -> set[str]:
 
 
 def test_every_definition_has_a_caller_or_a_reason():
-    uncalled = uncalled_definitions()
+    uncalled = uncalled_definitions(package_trees())
     assert sorted(uncalled - ALLOWED.keys()) == [], "no caller or reader in src/passlab"
     assert sorted(ALLOWED.keys() - uncalled) == [], "called: drop the entry"
     assert all(r.strip() and "\n" not in r for r in ALLOWED.values())
+
+
+def test_a_local_of_the_same_name_is_no_call():
+    tree = ast.parse(
+        "def delta(M):\n    return M\n\n"
+        "def limit(K, rows):\n"
+        "    delta = K + 1\n"
+        "    total = [step for step in rows]\n"
+        "    return delta, total, [delta for _ in rows]\n\n"
+        "def step(x):\n    return x\n")
+    assert uncalled_definitions({"mod": tree}) == {"mod.delta", "mod.limit",
+                                                   "mod.step"}
+    called = ast.parse("def delta(M):\n    return M\n\n"
+                       "def limit(K):\n    return delta(K)\n")
+    assert uncalled_definitions({"mod": called}) == {"mod.limit"}
 
 
 def _unread(node, prefix: str):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import fp_grid
 import numpy as np
 import pytest
 from conftest import (corpus, jordan_system, observable, rand_fullrank_pair,
@@ -12,11 +13,12 @@ from test_corpus_reports import GOLDEN
 from passlab import certificate
 from passlab.behavior import decompose
 from passlab.certificate import (AREInfeasibleError, CertificateVerificationError,
-                                 FactorizationError, RationalMatrix,
+                                 FactorizationError,
                                  UnsupportedFactorizationError, _image_pair,
                                  are_solve, build_zx, construct_certificate,
                                  remark61_solve, spectral_factor_from_ss,
                                  spectral_factor_poly, verify_certificate)
+from passlab.jsonio import rational_matrix_json
 from passlab.numeric import Tolerance
 from passlab.poly import Poly
 from passlab.polymatrix import PolyMat
@@ -133,12 +135,12 @@ class TestConstruct:
 class TestSpectralFactor:
     def test_scalar_example(self):
         sf = spectral_factor_poly(PolyMat([[4 - 2 * S * S]]))
-        z = sf.Z.num[0][0]
+        z = sf.Z.num[:, 0, 0]
         assert abs(z[1] - SQ2) < 1e-9 and abs(z[0] - 2) < 1e-9
 
     def test_axis_double_root(self):
         sf = spectral_factor_poly(PolyMat([[-S * S]]))
-        z = sf.Z.num[0][0]
+        z = sf.Z.num[:, 0, 0]
         assert abs(z[0]) < 1e-12 and abs(z[1] - 1) < 1e-9
 
     def test_orthogonal_freedom(self):
@@ -146,7 +148,7 @@ class TestSpectralFactor:
         Z and -Z both verify."""
         H = PolyMat([[4 - 2 * S * S]])
         sf = spectral_factor_poly(H)
-        z = sf.Z.num[0][0]
+        z = sf.Z.num[:, 0, 0]
         for sign in (1.0, -1.0):
             vals = [abs(np.polyval((sign * z)[::-1], 1j * w)) ** 2
                     - complex(H[0, 0].eval_complex(1j * w)).real
@@ -176,7 +178,7 @@ class TestSpectralFactor:
 
     def test_zero_density_rank_zero(self):
         sf = spectral_factor_poly(PolyMat([[Poly.zero()]]))
-        assert sf.r == 0 and sf.Z.rows == 0
+        assert sf.r == 0 and sf.Z.num.shape[1] == 0
 
     def test_ss_route_matches_polynomial_route(self):
         sf, are = spectral_factor_from_ss(rc())
@@ -197,13 +199,13 @@ class TestSpectralFactor:
 class TestRemark61:
     def test_rc_single_equation(self):
         # K = sqrt2 s + 2, M = s + 1, A_s = -1, C_s = 1 -> L = 2 - sqrt2
-        K = RationalMatrix.from_grid([[np.array([2.0, SQ2])]], [1.0], 1, 1)
+        K = np.array([2.0, SQ2]).reshape(2, 1, 1)
         M = PolyMat([[S + 1]])
         L = remark61_solve(K, M, np.array([[-1.0]]), np.array([[1.0]]))
         assert abs(L[0, 0] - (2 - SQ2)) < 1e-10
 
     def test_zero_output_gives_zero_L(self):
-        K = RationalMatrix.from_grid([[np.array([2.0, SQ2])]], [1.0], 1, 1)
+        K = np.array([2.0, SQ2]).reshape(2, 1, 1)
         M = PolyMat([[S + 1]])
         L = remark61_solve(K, M, np.array([[-1.0]]), np.array([[0.0]]))
         assert abs(L[0, 0]) < 1e-12
@@ -232,6 +234,53 @@ class TestRemark61:
         # G = (2s + 3)/(s + 1)^2 and (3s^2 + 9s + 7)/(s + 1)^3
         ss = jordan_system(C, [[0]])
         assert certificate._riccati_certificate(ss, Tolerance()) is None
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        assert_reverifies(ss, res.certificate)
+
+
+class TestBuildZx:
+    """Z = W + L (sI - A)^-1 B as coefficient stacks over the exact
+    characteristic polynomial, against the grid format it replaced."""
+
+    def test_old_equals_new_json(self):
+        systems = [(name, ss) for name, ss in corpus()]
+        systems += [(f"siso d = {d} seed {seed}",
+                     siso_sweep_system(random.Random(seed), d))
+                    for d in range(2, 11) for seed in range(1, 6)]
+        compared = 0
+        for name, ss in systems:
+            res = construct_certificate(ss)
+            if res.status != "certified":
+                continue
+            c = res.certificate
+            old = fp_grid.rational_matrix_json(fp_grid.build_zx(ss, c.L, c.W))
+            assert json.dumps(old) == json.dumps(rational_matrix_json(c.Z)), name
+            compared += 1
+        assert compared == 20 + 45
+
+    @pytest.mark.parametrize("d", [11, 12, 16, 20])
+    def test_den_keeps_every_coefficient(self, d):
+        ss = siso_sweep_system(random.Random(1), d)
+        res = construct_certificate(ss)
+        assert res.status == "certified", res.message
+        den = res.certificate.Z.den
+        assert len(den) == d + 1 and den[-1] == 1.0
+
+    @pytest.mark.parametrize("d", [11, 12, 16, 20])
+    def test_z_equals_the_state_space_value(self, d):
+        ss = siso_sweep_system(random.Random(1), d)
+        c = construct_certificate(ss).certificate
+        for w in (0.5, 2.0, 1000.0):
+            want = c.W + c.L @ np.linalg.solve(1j * w * np.eye(d) - ss.A, ss.B)
+            got = c.Z.eval(1j * w)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), w
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_feedthrough_d12_certifies(self, seed):
+        # D + D^T = 0 leaves the pipeline, whose scalar spectral factor
+        # of degree 12 keeps its leading coefficient
+        ss = siso_sweep_system(random.Random(seed), 12, D=((0,),))
         res = construct_certificate(ss)
         assert res.status == "certified", res.message
         assert_reverifies(ss, res.certificate)

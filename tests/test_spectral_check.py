@@ -23,10 +23,10 @@ import pytest
 from conftest import corpus, siso_sweep_system, transfer_at
 
 from passlab.behavior import decompose
+from fp_grid import GridMatrix, build_zx, fp_deg, fp_eval, fp_trim
 from passlab.certificate import (_AXIS_SAMPLES, AREInfeasibleError,
                                  CertificateVerificationError, FactorizationError,
-                                 _fp_deg, _fp_eval, _fp_trim, _poly_spectral_check,
-                                 _poly_to_fp, _ss_spectral_check, build_zx,
+                                 _poly_spectral_check, _ss_spectral_check, _stack,
                                  construct_certificate, spectral_factor_from_ss,
                                  spectral_factor_poly, verify_certificate)
 from passlab.numeric import DEFAULT_TOL, OPEN_RHP, region_of
@@ -52,20 +52,20 @@ def ref_minor_det(grid):
         minor = [[grid[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = npp.polymul(grid[0][j], ref_minor_det(minor))
         acc = npp.polyadd(acc, term if j % 2 == 0 else -term)
-    return _fp_trim(acc)
+    return fp_trim(acc)
 
 
 def ref_poles(Z):
-    if _fp_deg(Z.den) < 1:
+    if fp_deg(Z.den) < 1:
         return []
     scale = max((np.max(np.abs(e)) for r in Z.num for e in r if e.size),
                 default=0.0) + 1e-300
     out = []
-    for z in np.roots(_fp_trim(Z.den)[::-1]):
-        mx = max(abs(_fp_eval(Z.num[i][j], z))
+    for z in np.roots(fp_trim(Z.den)[::-1]):
+        mx = max(abs(fp_eval(Z.num[i][j], z))
                  for i in range(Z.rows) for j in range(Z.cols)) \
             if Z.rows and Z.cols else 0.0
-        if mx > 1e-7 * scale * max(1.0, abs(z)) ** _fp_deg(Z.den):
+        if mx > 1e-7 * scale * max(1.0, abs(z)) ** fp_deg(Z.den):
             out.append(complex(z))
     return out
 
@@ -76,17 +76,17 @@ def ref_rank_drop_points(Z):
         return []
     minors = []
     for cols in itertools.combinations(range(n), r):
-        d = _fp_trim(ref_minor_det([[Z.num[i][j] for j in cols] for i in range(r)]))
-        if _fp_deg(d) >= 0 and np.any(d != 0):
+        d = fp_trim(ref_minor_det([[Z.num[i][j] for j in cols] for i in range(r)]))
+        if fp_deg(d) >= 0 and np.any(d != 0):
             minors.append(d)
     if not minors:
         return []
-    first = min(minors, key=_fp_deg)
-    if _fp_deg(first) < 1:
+    first = min(minors, key=fp_deg)
+    if fp_deg(first) < 1:
         return []
     return [complex(z) for z in np.roots(first[::-1])
-            if all(abs(_fp_eval(m, z)) <= 1e-6 * (1.0 + np.max(np.abs(m)))
-                   * max(1.0, abs(z)) ** _fp_deg(m) for m in minors)]
+            if all(abs(fp_eval(m, z)) <= 1e-6 * (1.0 + np.max(np.abs(m)))
+                   * max(1.0, abs(z)) ** fp_deg(m) for m in minors)]
 
 
 def ref_diagnostics(Z, H_on_axis, tol=DEFAULT_TOL):
@@ -109,6 +109,11 @@ def ref_diagnostics(Z, H_on_axis, tol=DEFAULT_TOL):
     return {"ok": bool(factor_ok and not rhp_poles and rank_ok),
             "factor_residual": res, "rhp_poles": tuple(map(complex, rhp_poles)),
             "full_rank_rhp": bool(rank_ok)}
+
+
+def column(coeffs) -> np.ndarray:
+    """The coefficient stack of a 1 x 1 polynomial."""
+    return np.asarray(coeffs, dtype=float).reshape(-1, 1, 1)
 
 
 # -- old equals new ----------------------------------------------------------------
@@ -155,7 +160,8 @@ def compare_system(ss, label) -> int:
         dec = decompose(*realize_behavior(ss))
         Phi = dec.M.star() @ dec.N + dec.N.star() @ dec.M
         sf = spectral_factor_poly(Phi)
-        old = ref_diagnostics(sf.Z, lambda w: Phi.eval_complex(1j * w))
+        old = ref_diagnostics(GridMatrix.of_stack(sf.Z.num, sf.Z.den),
+                              lambda w: Phi.eval_complex(1j * w))
         assert_same(old, sf.diagnostics, f"poly {label}")
         ran += 1
     return ran
@@ -268,8 +274,8 @@ def test_zero_mirrored_into_rhp_rejected():
     assert_same(ss_old(ss, L, W), far, "zero near 1e7")
     # and on the polynomial route: 2 - sqrt2 s for the density 4 - 2 s^2
     H = PolyMat([[4 - 2 * S * S]])
-    assert _poly_spectral_check([(0, np.array([2.0, SQ2]))], H, DEFAULT_TOL)["ok"]
-    mirrored = _poly_spectral_check([(0, np.array([2.0, -SQ2]))], H, DEFAULT_TOL)
+    assert _poly_spectral_check(column([2.0, SQ2]), H, DEFAULT_TOL)["ok"]
+    mirrored = _poly_spectral_check(column([2.0, -SQ2]), H, DEFAULT_TOL)
     assert mirrored["factor_residual"] < 1e-12 and not mirrored["full_rank_rhp"]
 
 
@@ -285,7 +291,7 @@ def test_tall_factor_rejected():
 def test_wrong_degree_rejected():
     H = PolyMat([[4 - 2 * S * S]])
     for coeffs in ([2.0], [2.0, SQ2, 1.0]):
-        diag = _poly_spectral_check([(0, np.array(coeffs))], H, DEFAULT_TOL)
+        diag = _poly_spectral_check(column(coeffs), H, DEFAULT_TOL)
         assert not diag["ok"] and diag["factor_residual"] > 1.0
     # a static W = sqrt2 for the first-order factor of the RC density
     diag = _ss_spectral_check(rc(), np.zeros((1, 1)), np.array([[SQ2]]), DEFAULT_TOL)
@@ -374,7 +380,7 @@ def test_float_coeffs_equal_float_of_fraction():
         want = [float(c) for c in p.coeffs]
         assert p.float_coeffs() == want
         if not p.is_zero:
-            assert _poly_to_fp(p).tolist() == want
+            assert _stack(PolyMat([[p]]), len(want))[:, 0, 0].tolist() == want
 
 
 def test_float_coeffs_overflow_like_fraction():
@@ -384,4 +390,4 @@ def test_float_coeffs_overflow_like_fraction():
     with pytest.raises(OverflowError):
         p.float_coeffs()
     with pytest.raises(OverflowError):
-        _poly_to_fp(p)
+        _stack(PolyMat([[p]]), 2)

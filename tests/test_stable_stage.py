@@ -23,10 +23,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 from conftest import corpus, jordan_system, siso_sweep_system
+from fp_grid import fp, fp_star, fp_trim, polymat_to_fp
 
 from passlab import certificate
 from passlab.certificate import (AREInfeasibleError, StableStageError,
-                                 _fp, _fp_star, _polymat_to_fp,
                                  construct_certificate, remark61_solve)
 from passlab.numeric import DEFAULT_TOL, LyapunovError, lyapunov_solve
 
@@ -39,7 +39,7 @@ REL = 1e-12
 def _taylor_coeffs_fp(c, lam, depth):
     out = []
     fac = 1.0
-    cur = _fp(c)
+    cur = fp(c)
     for j in range(depth):
         out.append(complex(npp.polyval(lam, cur)) / fac)
         cur = npp.polyder(cur)
@@ -88,13 +88,15 @@ def _jordan_chains(As):
 
 
 def reference_remark61_solve(K, M, As, Cs, tol=DEFAULT_TOL):
-    r, n = K.rows, K.cols
+    """K is a coefficient stack, read entry by entry as the grid format
+    held it."""
+    _, r, n = K.shape
     ds = As.shape[0] if As.size else 0
     if r == 0 or ds == 0:
         return np.zeros((r, ds))
     Cs = np.asarray(Cs, dtype=float).reshape(n, ds)
-    Kstar = [[_fp_star(K.num[i][j]) for i in range(r)] for j in range(n)]
-    Mstar_fp = _polymat_to_fp(M.star())
+    Kstar = [[fp_star(fp_trim(K[:, i, j])) for i in range(r)] for j in range(n)]
+    Mstar_fp = polymat_to_fp(M.star())
     rows_re, rhs_re = [], []
     lams, V = np.linalg.eig(As)
     if np.linalg.matrix_rank(V, tol=1e-8) < ds:
