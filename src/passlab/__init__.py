@@ -9,8 +9,8 @@ partitions) or concrete witnesses of non-passivity.
 
 from .behavior import Decomposition, Partition, decompose, passive_partition
 from .certificate import (Certificate, CertifyResult, are_solve,
-                          construct_certificate, spectral_factor_from_ss,
-                          spectral_factor_poly, verify_certificate)
+                          construct_certificate, spectral_factor_poly,
+                          verify_certificate)
 from .numeric import Tolerance
 from .poly import Poly, TwoVarPoly, bdf_phi
 from .polymatrix import PolyMat
@@ -27,6 +27,5 @@ __all__ = [
     "Trajectory", "TwoVarPoly", "are_solve", "bdf_phi", "check_pair",
     "construct_certificate", "decompose", "parse_signal", "passive_partition",
     "realize_behavior", "realize_statespace", "simulate",
-    "spectral_factor_from_ss", "spectral_factor_poly", "storage_check",
-    "verify_certificate",
+    "spectral_factor_poly", "storage_check", "verify_certificate",
 ]

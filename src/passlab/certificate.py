@@ -46,10 +46,10 @@ factor, deg det M for the limit W = lim K M^-1.
     Lyapunov solve -> feedthrough W = lim K M^-1 -> assembly and a
     mandatory verify pass.
 
-Spectral factorization of the para-Hermitian density is implemented for the
-scalar and diagonal polynomial cases and, for proper rational G + G* with
-D + D^T > 0, through the algebraic Riccati equation; anything else is
-reported as unsupported, never silently approximated.
+Spectral factorization of a para-Hermitian polynomial density is
+implemented for the scalar and diagonal cases; anything else is reported as
+unsupported, never silently approximated.  A state-space system's factor of
+G + G* is the Z of its certificate.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ from .numeric import (AXIS, DEFAULT_TOL, OPEN_RHP, LosslessInfeasibleError,
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat, syzygy_basis
-from .prpair import (PASS, INCONCLUSIVE, PRPairVerdict, _pr_density, axis_psd,
-                     check_pair)
+from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
 from .statespace import (StateSpace, lure_rows, realize_behavior, resolvent,
                          shifted_solve, staircase)
 
@@ -162,8 +161,8 @@ def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
     keep open-LHP roots with their multiplicity and half of each axis root."""
     zroots: list[complex] = []
     for factor, mult in squarefree_decomposition(h):
-        rs = numeric_roots(factor, tol)
-        for z, _, tag in rs.roots:
+        for z in numeric_roots(factor):
+            tag = region_of(z, tol)
             if tag == AXIS:
                 if mult % 2:
                     raise FactorizationError(
@@ -184,14 +183,6 @@ def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
     return np.sqrt(gamma) * mon.real
 
 
-def _require_axis_psd(H: PolyMat) -> None:
-    """The PSD-on-axis premise of every spectral factorization, decided exactly."""
-    ok, wstar = axis_psd(H)
-    if not ok:
-        raise FactorizationError(
-            f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
-
-
 def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
                          ) -> SpectralFactor:
     """Spectral factor of a para-Hermitian polynomial matrix.
@@ -202,7 +193,10 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
     """
     if not (H.star() == H):
         raise ValueError("matrix is not para-Hermitian")
-    _require_axis_psd(H)
+    ok, wstar = axis_psd(H)
+    if not ok:
+        raise FactorizationError(
+            f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
     n = H.rows
     if any(not H[i, j].is_zero for i in range(n) for j in range(n) if i != j):
         raise UnsupportedFactorizationError(
@@ -483,33 +477,6 @@ def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray) -> np.ndarray
     return unpack(x)
 
 
-def _riccati_factor(ss: StateSpace, tol: Tolerance
-                    ) -> tuple[AREResult, np.ndarray, np.ndarray]:
-    """The stabilizing Riccati solution X (`are_solve`) with its L and W: W
-    is the upper Cholesky factor of D + D^T, so W^T W = D + D^T, and
-    L = W^-T (C - B^T X).  Raises ValueError unless D + D^T > 0,
-    AREInfeasibleError without a PSD solution."""
-    are = are_solve(ss, tol)
-    W = np.linalg.cholesky(ss.D + ss.D.T).T
-    L = np.linalg.solve(W.T, ss.C - ss.B.T @ are.X) if ss.d else np.zeros((ss.n, 0))
-    return are, L, W
-
-
-def spectral_factor_from_ss(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
-                            ) -> tuple[SpectralFactor, AREResult]:
-    """Spectral factor of G + G* from a realization with D + D^T > 0, via the
-    Riccati route (`_riccati_factor`)."""
-    are, L, W = _riccati_factor(ss, tol)
-    diag = _ss_spectral_check(ss, L, W, tol)
-    if not diag["ok"]:
-        raise FactorizationError(f"spectral factor failed re-verification: {diag}")
-    # Exact premise: G = Q^-1 P, so G + G* = Q^-1 (P Q* + Q P*) Q^-*, and the
-    # sampled check cannot see a violation between its frequencies.
-    P, Q = realize_behavior(ss)
-    _require_axis_psd(_pr_density(P, Q))
-    return SpectralFactor(Z=build_zx(ss, L, W), r=ss.n, diagnostics=diag), are
-
-
 # -- certificate verification ---------------------------------------------------
 
 
@@ -720,13 +687,17 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
 
 
 def _riccati_certificate(ss: StateSpace, tol: Tolerance) -> Certificate | None:
-    """The Riccati triple (`_riccati_factor`) after the mandatory verify
-    pass with its spectral check, or None when any step fails: D + D^T not
-    positive definite, no PSD Riccati solution, a violated equation or a
-    failed spectral check (LinAlgError is a ValueError)."""
+    """The Riccati triple after the mandatory verify pass with its spectral
+    check: X the stabilizing solution (`are_solve`), W the upper Cholesky
+    factor of D + D^T, so W^T W = D + D^T, and L = W^-T (C - B^T X).  None
+    when any step fails: D + D^T not positive definite, no PSD Riccati
+    solution, a violated equation or a failed spectral check (LinAlgError
+    is a ValueError)."""
     try:
-        are, L, W = _riccati_factor(ss, tol)
-        cert = verify_certificate(ss, are.X, L, W, tol)
+        X = are_solve(ss, tol).X
+        W = np.linalg.cholesky(ss.D + ss.D.T).T
+        L = np.linalg.solve(W.T, ss.C - ss.B.T @ X) if ss.d else np.zeros((ss.n, 0))
+        cert = verify_certificate(ss, X, L, W, tol)
     except (ValueError, AREInfeasibleError, CertificateVerificationError):
         return None
     return cert if cert.spectral["ok"] else None

@@ -19,10 +19,9 @@ import numpy as np
 from . import __version__
 from .behavior import (DecompositionError, NotPositiveRealError, decompose,
                        passive_partition)
-from .certificate import (AREInfeasibleError, CertificateVerificationError,
-                          FactorizationError, UnsupportedFactorizationError,
-                          certificate_status_exit, construct_certificate,
-                          spectral_factor_from_ss, spectral_factor_poly,
+from .certificate import (CertificateVerificationError, FactorizationError,
+                          UnsupportedFactorizationError, certificate_status_exit,
+                          construct_certificate, spectral_factor_poly,
                           verify_certificate)
 from .jsonio import (InputError, certificate_json, dumps, fnum, load_document,
                      load_system, matrix_json, parse_cert, parse_ss,
@@ -218,32 +217,41 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_specfact(args) -> int:
+    """--poly factors H directly; --ss prints the factor Z of certify's
+    certificate, or certify's verdict where there is none."""
     tol = _tol_from_args(args)
     if (args.poly is None) == (args.ss is None):
         raise InputError("specfact needs exactly one of --poly or --ss")
+    if args.ss:
+        res = construct_certificate(parse_ss(load_document(args.ss)), tol)
+        cert = res.certificate
+        _emit(args, _factor_doc(cert.Z, cert.L.shape[0], cert.spectral) if cert
+              else {"error": res.message, "status": res.status,
+                    "pair_verdict": verdict_json(res.verdict)})
+        return certificate_status_exit(res.status)
     try:
-        if args.poly:
-            doc = load_document(args.poly)
-            from .jsonio import parse_polymat
-            H = parse_polymat(doc.get("H", doc.get("poly")), "H")
-            sf = spectral_factor_poly(H, tol)
-        else:
-            ss = parse_ss(load_document(args.ss))
-            sf, _ = spectral_factor_from_ss(ss, tol)
+        doc = load_document(args.poly)
+        from .jsonio import parse_polymat
+        H = parse_polymat(doc.get("H", doc.get("poly")), "H")
+        sf = spectral_factor_poly(H, tol)
     except UnsupportedFactorizationError as e:
         _emit(args, {"error": str(e), "status": "unsupported"})
         return EXIT_INCONCLUSIVE
     except np.linalg.LinAlgError:
         raise  # a numeric failure, not a verdict: main reports it
-    except (FactorizationError, AREInfeasibleError, ValueError) as e:
+    except (FactorizationError, ValueError) as e:
         _emit(args, {"error": str(e), "status": "not-factorizable"})
         return EXIT_NEGATIVE
-    _emit(args, {"Z": rational_matrix_json(sf.Z), "rank": sf.r,
-                 "diagnostics": {
-                     "factor_residual": fnum(sf.diagnostics["factor_residual"]),
-                     "full_rank_rhp": bool(sf.diagnostics["full_rank_rhp"]),
-                     "ok": bool(sf.diagnostics["ok"])}})
+    _emit(args, _factor_doc(sf.Z, sf.r, sf.diagnostics))
     return EXIT_OK
+
+
+def _factor_doc(Z, rank: int, diagnostics: dict) -> dict:
+    return {"Z": rational_matrix_json(Z), "rank": rank,
+            "diagnostics": {
+                "factor_residual": fnum(diagnostics["factor_residual"]),
+                "full_rank_rhp": bool(diagnostics["full_rank_rhp"]),
+                "ok": bool(diagnostics["ok"])}}
 
 
 def cmd_selftest(args) -> int:
@@ -350,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specfact", parents=[common],
                        help="spectral factor of a para-Hermitian density")
     p.add_argument("--poly", help="JSON with a para-Hermitian polynomial matrix H")
-    p.add_argument("--ss", help="state-space JSON; factors G + G* via the ARE")
+    p.add_argument("--ss", help="state-space JSON; the factor Z of G + G* "
+                                "from certify's certificate")
     p.set_defaults(func=cmd_specfact)
 
     p = sub.add_parser("selftest", parents=[common],

@@ -1,10 +1,10 @@
 """Small dense numeric kernel and the axis-tolerance policy.
 
-Complex roots of exact polynomials (via square-free splitting, companion
-eigenvalues and a short guarded Newton polish), Lyapunov solves by
-Bartels-Stewart (scipy), the lossless two-equation Lyapunov feasibility
-solve, Hermitian PSD tests with eigenvector witnesses, and the ordered real
-Schur stable/unstable spectral split.
+Distinct complex roots of exact polynomials (via the exact square-free
+part, companion eigenvalues and a short guarded Newton polish), Lyapunov
+solves by Bartels-Stewart (scipy), the lossless two-equation Lyapunov
+feasibility solve, Hermitian PSD tests with eigenvector witnesses, and the
+ordered real Schur stable/unstable spectral split.
 
 Every pass/fail decision that depends on where a point sits relative to
 the imaginary axis goes through one policy, and `region_of` and
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Poly, squarefree_decomposition
+from .poly import Poly, squarefree_part
 
 OPEN_LHP = "open-lhp"
 AXIS = "axis"
@@ -80,12 +80,6 @@ def closed_rhp(points: Iterable[complex], tol: Tolerance = DEFAULT_TOL
 # -- polynomial roots ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All complex roots with multiplicities and axis-relative region tags."""
-    roots: tuple[tuple[complex, int, str], ...]
-
-
 def _newton_polish(f: Poly, df: Poly, z: complex) -> complex:
     """Up to three Newton steps from z, each taken only when |f| falls: on
     a high-degree f with wide coefficients a float step can throw a good
@@ -103,22 +97,15 @@ def _newton_polish(f: Poly, df: Poly, z: complex) -> complex:
     return z
 
 
-def roots(p: Poly, tol: Tolerance = DEFAULT_TOL) -> RootSet:
-    """Roots of a nonzero exact polynomial.  Multiplicities come from the exact
-    square-free decomposition; locations from companion-matrix eigenvalues of
-    each (simple-rooted) factor, polished by Newton steps on exact coefficients."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    found: list[tuple[complex, int, str]] = []
-    for factor, mult in squarefree_decomposition(p):
-        coeffs = factor.float_coeffs()
-        rts = np.roots(coeffs[::-1]) if factor.degree >= 1 else []
-        df = factor.derivative()
-        for z in rts:
-            z = _newton_polish(factor, df, complex(z))
-            found.append((z, mult, region_of(z, tol)))
-    found.sort(key=lambda r: (r[0].real, r[0].imag))
-    return RootSet(roots=tuple(found))
+def roots(p: Poly) -> list[complex]:
+    """The distinct roots of a nonzero exact polynomial, sorted left to
+    right: companion-matrix eigenvalues of its exact square-free part,
+    polished by Newton steps on exact coefficients."""
+    f = squarefree_part(p)
+    df = f.derivative()
+    rts = np.roots(f.float_coeffs()[::-1]) if f.degree >= 1 else []
+    return sorted((_newton_polish(f, df, complex(z)) for z in rts),
+                  key=lambda z: (z.real, z.imag))
 
 
 # -- Hermitian PSD test ------------------------------------------------------------

@@ -402,11 +402,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    out = Poly.one()
-    for f, _ in squarefree_decomposition(p):
-        out = out * f
-    return out
+    """Monic product of the distinct irreducible factors of p: p over
+    gcd(p, p')."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no square-free part")
+    return p.monic() // poly_gcd(p, p.derivative())
 
 
 # -- exact real-root analysis ----------------------------------------------------

@@ -797,10 +797,8 @@ def rank_drops(g: Poly, region: str,
     if g.degree == 0:
         return FullRankResult(True, (), True)
     if region == REGION_ALL_C:
-        rs = numeric_roots(g, tol)
-        return FullRankResult(False, tuple(z for z, _, _ in rs.roots), True)
+        return FullRankResult(False, tuple(numeric_roots(g)), True)
     if region != REGION_CLOSED_RHP:
         raise ValueError(f"unknown region {region!r}")
-    rs = numeric_roots(g, tol)
-    bad, robust = closed_rhp((z for z, _, _ in rs.roots), tol)
+    bad, robust = closed_rhp(numeric_roots(g), tol)
     return FullRankResult(not bad, tuple(bad), robust)

@@ -283,8 +283,7 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
         bad = [(complex(1.0, 0.0), "det(P+Q) identically zero")]
         robust = True
     else:
-        rs = numeric_roots(dpq, tol)
-        hits, robust = closed_rhp((z for z, _, _ in rs.roots), tol)
+        hits, robust = closed_rhp(numeric_roots(dpq), tol)
         bad = [(z, region_of(z, tol)) for z in hits]
 
     if not robust:

@@ -522,7 +522,5 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
 
 
 def _simpson_total(g: np.ndarray, h: float) -> float:
-    if len(g) < 3:
-        return float(np.trapezoid(g, dx=h)) if len(g) == 2 else 0.0
-    from scipy.integrate import cumulative_simpson  # slow import, kept local
-    return float(cumulative_simpson(g, dx=h)[-1])
+    from scipy.integrate import simpson  # slow import, kept local
+    return float(simpson(g, dx=h))

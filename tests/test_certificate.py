@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import (corpus, jordan_system, observable, rand_fullrank_pair,
                       siso_sweep_system, transfer_at)
-from test_corpus_reports import GOLDEN
+from test_corpus_reports import GOLDEN, _write_ss
 
 from passlab import certificate
 from passlab.behavior import decompose
@@ -16,8 +16,9 @@ from passlab.certificate import (AREInfeasibleError, CertificateVerificationErro
                                  FactorizationError,
                                  UnsupportedFactorizationError, _image_pair,
                                  are_solve, build_zx, construct_certificate,
-                                 remark61_solve, spectral_factor_from_ss,
-                                 spectral_factor_poly, verify_certificate)
+                                 remark61_solve, spectral_factor_poly,
+                                 verify_certificate)
+from passlab.cli import main
 from passlab.jsonio import rational_matrix_json
 from passlab.numeric import Tolerance
 from passlab.poly import Poly
@@ -181,19 +182,21 @@ class TestSpectralFactor:
         assert sf.r == 0 and sf.Z.num.shape[1] == 0
 
     def test_ss_route_matches_polynomial_route(self):
-        sf, are = spectral_factor_from_ss(rc())
+        # a system's factor is its certificate's Z: |Z(jw)|^2 = 2 Re G(jw)
+        cert = construct_certificate(rc()).certificate
         for w in (0.3, 1.7):
-            z = sf.Z.eval(1j * w)[0, 0]
+            z = cert.Z.eval(1j * w)[0, 0]
             G = transfer_at(rc(), 1j * w)[0, 0]
             assert abs(abs(z) ** 2 - 2 * G.real) < 1e-9
 
     def test_ss_route_rejects_near_axis_density(self):
-        # G(s) = 1 + 1/(s - a) with a = 1e-12: G(0) + G(0)* = 2 (1 - 1/a) < 0,
-        # so no factor exists although the ARE residual is of order eps
+        # G(s) = 1 + 1/(s - a) with a = 1e-12: G(0) + G(0)* = 2 (1 - 1/a) < 0
+        # exactly, but no float witness shows it, so no factor is given and
+        # nothing is refuted: the pair gate reads inconclusive
         ss = StateSpace.from_arrays([["1e-12"]], [[1]], [[1]], [[1]])
-        with pytest.raises(FactorizationError,
-                           match="PSD-on-axis premise at w = 0$"):
-            spectral_factor_from_ss(ss)
+        res = construct_certificate(ss)
+        assert res.status == "inconclusive" and res.certificate is None
+        assert "w* = 0" in res.verdict.cond1.detail
 
 
 class TestRemark61:
@@ -284,6 +287,27 @@ class TestBuildZx:
         res = construct_certificate(ss)
         assert res.status == "certified", res.message
         assert_reverifies(ss, res.certificate)
+
+
+def test_zero_feedthrough_pipeline_verify_exit(tmp_path, capsys):
+    """D = 0 leaves the pipeline, whose verify pass is the last gate: past
+    d = 14 the stable stage's L drifts, and the cross residual reads a
+    discrepancy where a certificate exists (ROADMAP item 2).  Nothing is
+    ever refuted.  A fix of that drift turns the discrepancies certified."""
+    want = {(12, 1): "certified", (12, 2): "certified", (14, 1): "certified",
+            (14, 2): "discrepancy", (16, 1): "discrepancy"}
+    for (d, seed), status in want.items():
+        ss = siso_sweep_system(random.Random(seed), d, D=((0,),))
+        res = construct_certificate(ss)
+        assert res.status == status, (d, seed, res.message)
+        if status == "certified":
+            assert_reverifies(ss, res.certificate)
+        else:
+            assert res.message.startswith(
+                "construction completed but verification failed: "
+                "certificate equations violated: cross "), (d, seed)
+    assert main(["specfact", "--ss", str(_write_ss(tmp_path, "siso16", ss))]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "discrepancy"
 
 
 class TestImagePair:

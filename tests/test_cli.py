@@ -206,15 +206,37 @@ class TestExitCodes:
         assert "not visible numerically" in detail and "w* = 0" in detail
         assert "Traceback" not in captured.err
 
-    def test_near_axis_specfact_ss_exit_1(self, tmp_path, capsys):
-        # G(0) + G(0)* = 2 (1 - 10^12) < 0: no spectral factor exists
+    def test_near_axis_specfact_ss_exit_3(self, tmp_path, capsys):
+        # G(0) + G(0)* = 2 (1 - 10^12) < 0 exactly, but no float witness
+        # shows it: every route reports both views and refutes nothing
         p = tmp_path / "near_axis.json"
         p.write_text(json.dumps({"kind": "ss", "A": [["1e-12"]], "B": [["1"]],
                                  "C": [["1"]], "D": [["1"]]}))
-        assert main(["specfact", "--ss", str(p)]) == 1
+        assert main(["check-pair", str(p)]) == 3
+        pair = json.loads(capsys.readouterr().out)
+        assert main(["certify", str(p)]) == 3
+        cert = json.loads(capsys.readouterr().out)
+        assert main(["specfact", "--ss", str(p)]) == 3
         out = json.loads(capsys.readouterr().out)
-        assert out == {"error": "not factorizable: fails PSD-on-axis premise "
-                                "at w = 0", "status": "not-factorizable"}
+        assert out == {"error": cert["message"], "status": "inconclusive",
+                       "pair_verdict": cert["pair_verdict"]}
+        assert cert["pair_verdict"] == pair
+        detail = pair["cond1"]["detail"]
+        assert "not visible numerically" in detail and "w* = 0" in detail
+
+    def test_capacitor_factor_has_rank_0(self, tmp_path, capsys):
+        # the lossless capacitor G = 1/s: G + G* = 0, as H = [[0]] is, so
+        # both routes print a factor with no rows
+        ss = tmp_path / "capacitor.json"
+        ss.write_text(json.dumps({"kind": "ss", "A": [[0]], "B": [[1]],
+                                  "C": [[1]], "D": [[0]]}))
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"kind": "poly", "H": [[[]]]}))
+        for argv in (["--ss", str(ss)], ["--poly", str(zero)]):
+            assert main(["specfact"] + argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["rank"] == 0 and out["Z"]["num"] == []
+            assert out["diagnostics"]["ok"]
 
     @pytest.mark.parametrize("D, code", [
         ([[1]], 0),                # static-resistor
@@ -286,7 +308,7 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("argv, error", [
         (["check-pair"], "OverflowError: "),
         (["certify"], "OverflowError: "),
-        (["specfact", "--ss"], "LinAlgError: "),
+        (["specfact", "--ss"], "OverflowError: "),
     ])
     def test_huge_entries_exit_3_without_traceback(self, tmp_path, capsys,
                                                    argv, error):

@@ -23,6 +23,7 @@ import tempfile
 
 from conftest import corpus
 
+from passlab.certificate import construct_certificate
 from passlab.cli import main
 from passlab.jsonio import frac_str
 
@@ -39,17 +40,23 @@ def _run(argv) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def _write_ss(workdir, name, ss) -> pathlib.Path:
+    """ss as an exact state-space document in workdir."""
+    path = pathlib.Path(workdir) / f"{name}.ss.json"
+    doc = {"kind": "ss"}
+    for key, grid in zip("ABCD", (ss.A_exact, ss.B_exact,
+                                  ss.C_exact, ss.D_exact)):
+        doc[key] = [[frac_str(x) for x in row] for row in grid]
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def corpus_reports(workdir) -> dict:
     """Map "<command> <system>" to {"exit": code, "stdout": text}."""
     workdir = pathlib.Path(workdir)
     reports = {}
     for name, ss in corpus():
-        ss_path = workdir / f"{name}.ss.json"
-        doc = {"kind": "ss"}
-        for key, grid in zip("ABCD", (ss.A_exact, ss.B_exact,
-                                      ss.C_exact, ss.D_exact)):
-            doc[key] = [[frac_str(x) for x in row] for row in grid]
-        ss_path.write_text(json.dumps(doc))
+        ss_path = _write_ss(workdir, name, ss)
         for cmd in SS_COMMANDS:
             reports[f"{' '.join(cmd)} {name}"] = _run(cmd + [str(ss_path)])
         pair_path = workdir / f"{name}.pair.json"
@@ -65,6 +72,43 @@ def test_corpus_reports_unchanged(tmp_path):
     assert sorted(reports) == sorted(golden)
     changed = [key for key in golden if reports[key] != golden[key]]
     assert not changed, changed
+
+
+def test_specfact_ss_prints_the_certificate_factor(tmp_path):
+    """On a certified system, `specfact --ss` prints the certificate's Z,
+    the row count of its L as the rank, and its spectral fields."""
+    certified = 0
+    for name, ss in corpus():
+        res = construct_certificate(ss)
+        if res.status != "certified":
+            continue
+        path = str(_write_ss(tmp_path, name, ss))
+        fact = json.loads(_run(["specfact", "--ss", path])["stdout"])
+        cert = json.loads(_run(["certify", path])["stdout"])["certificate"]
+        assert fact == {
+            "Z": cert["Z"], "rank": res.certificate.L.shape[0],
+            "diagnostics": {k: cert["spectral"][k]
+                            for k in ("factor_residual", "full_rank_rhp", "ok")}
+        }, name
+        certified += 1
+    assert certified == 20
+
+
+def test_specfact_ss_exits_as_certify_with_witnesses():
+    """`specfact --ss` exits as `certify` does on every corpus system, and
+    each exit 1 carries the pair verdict's re-verified witnesses; read from
+    the golden reports, which test_corpus_reports_unchanged holds to the
+    live output."""
+    golden = json.loads(GOLDEN.read_text())
+    refuted = 0
+    for name, _ in corpus():
+        report = golden[f"specfact --ss {name}"]
+        assert report["exit"] == golden[f"certify {name}"]["exit"], name
+        if report["exit"] == 1:
+            witnesses = json.loads(report["stdout"])["pair_verdict"]["witnesses"]
+            assert witnesses and all(w["reverified"] for w in witnesses), name
+            refuted += 1
+    assert refuted == 10
 
 
 def regenerate() -> None:

@@ -11,7 +11,7 @@ from passlab.numeric import (AXIS, OPEN_LHP, OPEN_RHP, LosslessInfeasibleError,
                              hermitian_psd, lossless_lyap_solve,
                              lyapunov_solve, region_of, roots,
                              stable_unstable_split)
-from passlab.poly import Poly
+from passlab.poly import Poly, squarefree_decomposition
 from passlab.prpair import PASS, check_pair
 from passlab.statespace import realize_behavior
 
@@ -21,33 +21,39 @@ S = Poly.x()
 class TestRoots:
     def test_pure_imaginary_pair(self):
         rs = roots(S**2 + 1)
-        tags = sorted((round(z.imag, 6), tag) for z, _, tag in rs.roots)
-        assert tags == [(-1.0, AXIS), (1.0, AXIS)]
+        assert [region_of(z) for z in rs] == [AXIS, AXIS]
+        assert [round(z.imag, 6) for z in rs] == [-1.0, 1.0]
 
     def test_double_root_multiplicity(self):
-        rs = roots((S + 1) ** 2)
-        assert rs.roots == ((pytest.approx(-1.0 + 0j), 2, OPEN_LHP),) or \
-            (len(rs.roots) == 1 and rs.roots[0][1] == 2
-             and rs.roots[0][2] == OPEN_LHP)
+        # (s + 1)^2: the double root is listed once
+        assert roots((S + 1) ** 2) == [pytest.approx(-1.0 + 0j)]
 
     def test_sqrt_two(self):
         rs = roots(S**2 - 2)
-        vals = sorted(z.real for z, _, _ in rs.roots)
-        assert abs(vals[0] + math.sqrt(2)) < 1e-12
-        assert abs(vals[1] - math.sqrt(2)) < 1e-12
-        assert {tag for _, _, tag in rs.roots} == {OPEN_LHP, OPEN_RHP}
+        assert abs(rs[0].real + math.sqrt(2)) < 1e-12
+        assert abs(rs[1].real - math.sqrt(2)) < 1e-12
+        assert [region_of(z) for z in rs] == [OPEN_LHP, OPEN_RHP]
 
     def test_multiplicities_sum_to_degree_and_residual(self):
+        """Each distinct root is a root of one factor of the square-free
+        decomposition, whose index is its multiplicity; over the roots,
+        those sum to the degree."""
         rng = random.Random(41)
+        polys = [(S + 1) ** 3 * (S**2 + 1) ** 2 * (S - 2)]
         for _ in range(40):
             deg = rng.randint(1, 10)
-            p = Poly([Fraction(rng.randint(-1000, 1000)) for _ in range(deg + 1)])
+            polys.append(Poly([Fraction(rng.randint(-1000, 1000))
+                               for _ in range(deg + 1)]))
+        for p in polys:
             if p.is_zero or p.degree < 1:
                 continue
             rs = roots(p)
-            assert sum(m for _, m, _ in rs.roots) == p.degree
+            assert rs == sorted(rs, key=lambda z: (z.real, z.imag))
+            factors = squarefree_decomposition(p)
+            assert sum(min(factors, key=lambda fm: abs(fm[0].eval_complex(z)))[1]
+                       for z in rs) == p.degree
             norm = max(abs(float(c)) for c in p.coeffs)
-            for z, _, _ in rs.roots:
+            for z in rs:
                 assert abs(p.eval_complex(z)) <= 1e-6 * norm * max(1.0, abs(z)) ** p.degree
 
     @pytest.mark.parametrize("seed", [1, 2])

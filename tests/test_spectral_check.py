@@ -1,8 +1,8 @@
 """The spectral-factor checks against the sampled diagnostics they replaced.
 
-`verify_certificate` and `spectral_factor_from_ss` check Z(s) = W + L (sI -
-A)^-1 B from the state space; `spectral_factor_poly` checks its polynomial
-row selection directly.  The reference below is the former implementation:
+`verify_certificate` checks Z(s) = W + L (sI - A)^-1 B from the state space,
+for a constructed certificate and for the Riccati triple alike;
+`spectral_factor_poly` checks its polynomial row selection directly.  The reference below is the former implementation:
 Z from exact resolvent coefficients, poles by a first-order cancellation
 test, rank drops from the common roots of all full-size numerator minors by
 cofactor expansion.  Old and new must agree on `ok`, `full_rank_rhp` and
@@ -22,12 +22,12 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from conftest import corpus, siso_sweep_system, transfer_at
 
+from passlab import certificate
 from passlab.behavior import decompose
 from fp_grid import GridMatrix, build_zx, fp_deg, fp_eval, fp_trim
-from passlab.certificate import (_AXIS_SAMPLES, AREInfeasibleError,
-                                 CertificateVerificationError, FactorizationError,
-                                 _poly_spectral_check, _ss_spectral_check, _stack,
-                                 construct_certificate, spectral_factor_from_ss,
+from passlab.certificate import (_AXIS_SAMPLES, CertificateVerificationError,
+                                 _poly_spectral_check, _ss_spectral_check,
+                                 _stack, construct_certificate,
                                  spectral_factor_poly, verify_certificate)
 from passlab.numeric import DEFAULT_TOL, OPEN_RHP, region_of
 from passlab.poly import Poly
@@ -136,26 +136,19 @@ def ss_old(ss, L, W):
 
 
 def compare_system(ss, label) -> int:
-    """Both routes on one system: its constructed certificate, the ARE factor
-    where D + D^T > 0, and the polynomial factor of its controllable density.
-    Returns how many comparisons ran."""
+    """Both routes on one system: its constructed certificate, the Riccati
+    certificate where one verifies, and the polynomial factor of its
+    controllable density.  Returns how many comparisons ran."""
     ran = 0
     res = construct_certificate(ss)
     if res.status == "certified":
         c = res.certificate
         assert_same(ss_old(ss, c.L, c.W), c.spectral, f"certify {label}")
         ran += 1
-    if ss.n and np.linalg.eigvalsh(ss.D + ss.D.T)[0] > 1e-9:
-        try:
-            sf, are = spectral_factor_from_ss(ss)
-        except (AREInfeasibleError, FactorizationError):  # no factor to compare
-            sf = None
-        if sf is not None:
-            W = np.linalg.cholesky(ss.D + ss.D.T).T
-            L = np.linalg.solve(W.T, ss.C - ss.B.T @ are.X) if ss.d \
-                else np.zeros((ss.n, 0))
-            assert_same(ss_old(ss, L, W), sf.diagnostics, f"ARE {label}")
-            ran += 1
+    are = certificate._riccati_certificate(ss, DEFAULT_TOL)
+    if are is not None:  # None: D + D^T singular, or no verified triple
+        assert_same(ss_old(ss, are.L, are.W), are.spectral, f"ARE {label}")
+        ran += 1
     if res.status == "certified":
         dec = decompose(*realize_behavior(ss))
         Phi = dec.M.star() @ dec.N + dec.N.star() @ dec.M

@@ -443,6 +443,15 @@ class TestTransferConsistency:
             check_transfer_consistency(ss, P + PolyMat([[Poly([Fraction(1, 10**6)])]]), Q)
 
 
+def last_partial_sum(g, h) -> float:
+    """The Simpson total of the samples g as simulate's energy takes it:
+    the last partial sum of cumulative_simpson, the trapezoid on two."""
+    if len(g) < 3:
+        return float(np.trapezoid(g, dx=h)) if len(g) == 2 else 0.0
+    from scipy.integrate import cumulative_simpson
+    return float(cumulative_simpson(g, dx=h)[-1])
+
+
 def storage_check_by_quadrature(ss, X, L, W, traj, rtol=1e-6):
     """Reference storage_check that integrates u^T y again from the samples
     in place of reading traj.energy."""
@@ -450,7 +459,7 @@ def storage_check_by_quadrature(ss, X, L, W, traj, rtol=1e-6):
 
     X, L, W = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (X, L, W))
     g = np.sum(traj.u * traj.y, axis=1)
-    supply = 2.0 * _simpson_total(g, traj.h)
+    supply = 2.0 * last_partial_sum(g, traj.h)
     storage = traj.x[-1] @ X @ traj.x[-1] - traj.x[0] @ X @ traj.x[0]
     v = traj.x @ L.T + traj.u @ W.T
     rhs = _simpson_total(np.sum(v * v, axis=1), traj.h)
@@ -480,6 +489,15 @@ class TestStorageCheck:
             tr = simulate(ss, [rng.uniform(-1, 1)], u, 0.0, 8.0, 1e-3)
             chk = storage_check(ss, [[X]], [[L]], [[W]], tr)
             assert chk.ok and chk.identity_residual < 1e-6
+
+    def test_simpson_total_equals_the_last_partial_sum(self):
+        from passlab.statespace import _simpson_total
+
+        rng = np.random.default_rng(0)
+        for n in range(1, 1002, 7):
+            g = rng.standard_normal(n) + 2.0
+            want = last_partial_sum(g, 1e-2)
+            assert abs(_simpson_total(g, 1e-2) - want) <= 1e-14 * abs(want), n
 
     @pytest.mark.parametrize("t1", [8.0, 2e-3, 1e-3, 0.0])
     def test_supply_read_from_energy_equals_quadrature(self, t1):
