@@ -27,29 +27,26 @@ A float polynomial matrix is a coefficient stack S[k, i, j], lowest degree
 first, converted from an exact PolyMat (`_stack`) and evaluated by Horner
 (`_horner`).  Its depth comes from an exact degree, never from the size of
 a coefficient: deg det(sI - A) for Z, the root count for a scalar spectral
-factor, deg det M for the limit W = lim K M^-1.
+factor.
 
-`construct_certificate` builds one from scratch, by three routes in order:
+`construct_certificate` builds one from scratch, by one route:
 
   1. the positive-real gate: `check_pair` on the external behavior pair
      decides every not-passive and inconclusive verdict;
-  2. the Riccati route, when D + D^T > 0: the stabilizing solution X of the
-     algebraic Riccati equation, W the Cholesky factor of D + D^T,
-     L = W^-T (C - B^T X), and the mandatory verify pass;
-  3. the pipeline, where the Riccati route raises or fails its check:
+  2. the exact observer staircase, only when the system has unobservable
+     modes, which get no storage;
+  3. the lossless storage of the modes on or right of the axis, split off
+     by an ordered Schur form;
+  4. the stable block: the Riccati triple when D + D^T > 0, after the
+     singular part of D + D^T is deflated otherwise (`_deflate`);
+  5. the mandatory verify pass, which decides between certified and
+     discrepancy.
 
-    observer staircase -> stable/unstable spectral split -> positive-definite
-    lossless solve on the axis block -> image pair (M, N) of the controllable
-    part from one forward syzygy sweep, [P -Q] [M; N] = 0 -> spectral factor
-    K of M*N + N*M -> constant L from the remainder system (the stage
-    equation's remainder on division by sI - As vanishes) -> stable
-    Lyapunov solve -> feedthrough W = lim K M^-1 -> assembly and a
-    mandatory verify pass.
-
-Spectral factorization of a para-Hermitian polynomial density is
-implemented for the scalar and diagonal cases; anything else is reported as
-unsupported, never silently approximated.  A state-space system's factor of
-G + G* is the Z of its certificate.
+Spectral factorization of a para-Hermitian polynomial density
+(`spectral_factor_poly`, behind `specfact --poly`) is implemented for the
+scalar and diagonal cases; anything else is reported as unsupported, never
+silently approximated.  A state-space system's factor of G + G* is the Z of
+its certificate.
 """
 
 from __future__ import annotations
@@ -58,13 +55,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import (AXIS, DEFAULT_TOL, OPEN_RHP, LosslessInfeasibleError,
-                      LyapunovError, SpectralSplitError, Tolerance,
-                      lossless_lyap_solve, lyapunov_solve, region_of,
-                      stable_unstable_split)
+from .numeric import (AXIS, DEFAULT_TOL, OPEN_LHP, OPEN_RHP,
+                      LosslessInfeasibleError, SpectralSplitError, Tolerance,
+                      lossless_lyap_solve, region_of, stable_unstable_split)
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
-from .polymatrix import PolyMat, syzygy_basis
+from .polymatrix import PolyMat
 from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
 from .statespace import (StateSpace, lure_rows, realize_behavior, resolvent,
                          shifted_solve, staircase)
@@ -200,8 +196,8 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
     n = H.rows
     if any(not H[i, j].is_zero for i in range(n) for j in range(n) if i != j):
         raise UnsupportedFactorizationError(
-            "unsupported: matrix spectral factorization beyond "
-            "scalar/diagonal polynomial and state-space sub-cases")
+            "unsupported: matrix spectral factorization beyond the scalar "
+            "and diagonal cases")
     cols = [j for j in range(n) if not H[j, j].is_zero]
     factors = [_scalar_spectral_factor(H[j, j], tol) for j in cols]
     Z = np.zeros((max(map(len, factors), default=1), len(cols), n))
@@ -378,14 +374,15 @@ class AREResult:
     residual: float
 
 
-def _pi_residual(ss: StateSpace, X: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
-    A, B, C = ss.A, ss.B, ss.C
-    return (-A.T @ X - X @ A
-            - (C.T - X @ B) @ Rinv @ (C - B.T @ X))
+def _pi_residual(A: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray,
+                 Rinv: np.ndarray) -> np.ndarray:
+    return -A.T @ X - X @ A - (C.T - X @ B) @ Rinv @ (C - B.T @ X)
 
 
-def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
-    """Solve Pi(X) = 0 by the invariant-subspace method on the Hamiltonian
+def are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
+              tol: Tolerance = DEFAULT_TOL) -> AREResult:
+    """Solve Pi(X) = -A^T X - X A - (C^T - X B) R^-1 (C - B^T X) = 0 by the
+    invariant-subspace method on the Hamiltonian
 
         H = [[-Ahat, -S], [Qbar, Ahat^T]],   Ahat = A - B R^-1 C,
         S = B R^-1 B^T,  Qbar = C^T R^-1 C,  R = D + D^T > 0.
@@ -394,19 +391,19 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     spanned by eigenvectors with Re > 0 yields the solution whose closed loop
     A + B R^-1 (B^T X - C) = Ahat + S X has spectrum in the closed LHP.
     Axis eigenvalues of H obstruct the ordering; a damped Newton iteration
-    on Pi takes over in that case.
+    on Pi takes over in that case.  R counts as positive definite when its
+    least eigenvalue exceeds _DEFLATE_RTOL |R|, the cut `_deflate` uses.
     """
-    d, n = ss.d, ss.n
-    R = ss.D + ss.D.T
+    d = A.shape[0]
     w = np.linalg.eigvalsh(R)
-    if w[0] <= tol.psd_tol * (1.0 + np.linalg.norm(R)):
+    if w.size and w[0] <= _DEFLATE_RTOL * np.linalg.norm(R):
         raise ValueError("D + D^T is not positive definite")
     Rinv = np.linalg.inv(R)
-    if d == 0:
-        return AREResult(np.zeros((0, 0)), (), True, 0.0)
-    Ahat = ss.A - ss.B @ Rinv @ ss.C
-    S = ss.B @ Rinv @ ss.B.T
-    Qbar = ss.C.T @ Rinv @ ss.C
+    if d == 0 or not w.size:  # no inputs: X = 0
+        return AREResult(np.zeros((d, d)), (), True, 0.0)
+    Ahat = A - B @ Rinv @ C
+    S = B @ Rinv @ B.T
+    Qbar = C.T @ Rinv @ C
     H = np.block([[-Ahat, -S], [Qbar, Ahat.T]])
     lams, V = np.linalg.eig(H)
     near_axis = any(region_of(z, tol, band_scale=10.0) == AXIS for z in lams)
@@ -419,25 +416,27 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
             if np.linalg.cond(V1) < 1e12:
                 X = np.real(V2 @ np.linalg.inv(V1))
                 X = (X + X.T) / 2.0
-    if X is None or np.linalg.norm(_pi_residual(ss, X, Rinv)) > 1e-8:
-        X = _newton_care(ss, Rinv, X0=X if X is not None else np.zeros((d, d)))
-    res = float(np.linalg.norm(_pi_residual(ss, X, Rinv)))
+    if X is None or np.linalg.norm(_pi_residual(A, B, C, X, Rinv)) > 1e-8:
+        X = _newton_care(A, B, C, Rinv,
+                         X0=X if X is not None else np.zeros((d, d)))
+    res = float(np.linalg.norm(_pi_residual(A, B, C, X, Rinv)))
     if res > max(1e-10, tol.residual_tol):
         raise AREInfeasibleError(f"condition 5 infeasible (residual {res:.3e})")
     weig = np.linalg.eigvalsh((X + X.T) / 2.0)
     if weig[0] < tol.psd_floor(np.linalg.norm(X)):
         raise AREInfeasibleError("condition 5 infeasible (no PSD solution found)")
-    closed = ss.A + ss.B @ Rinv @ (ss.B.T @ X - ss.C)
+    closed = A + B @ Rinv @ (B.T @ X - C)
     spec = tuple(sorted(map(complex, np.linalg.eigvals(closed)),
                         key=lambda z: (z.real, z.imag)))
     stab = all(region_of(z, tol) != OPEN_RHP for z in spec)
     return AREResult(X=X, closed_loop_spec=spec, stabilizing=stab, residual=res)
 
 
-def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray) -> np.ndarray:
+def _newton_care(A: np.ndarray, B: np.ndarray, C: np.ndarray, Rinv: np.ndarray,
+                 X0: np.ndarray) -> np.ndarray:
     """Damped Newton on the symmetric parametrization of Pi(X) = 0, at most
     200 iterations."""
-    d = ss.d
+    d = A.shape[0]
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
 
     def unpack(x):
@@ -448,7 +447,7 @@ def _newton_care(ss: StateSpace, Rinv: np.ndarray, X0: np.ndarray) -> np.ndarray
         return X
 
     def func(x):
-        P = _pi_residual(ss, unpack(x), Rinv)
+        P = _pi_residual(A, B, C, unpack(x), Rinv)
         return np.array([P[i, j] for (i, j) in pairs])
 
     x = np.array([X0[i, j] for (i, j) in pairs])
@@ -551,7 +550,7 @@ def remark61_solve(K: np.ndarray, M: PolyMat, As: np.ndarray,
 
     vectorised as (sum_k (As^k)^T kron K*_k) vec L = vec(rhs).  It is solved
     by least squares and the residual must vanish within tolerance,
-    otherwise no L exists and the stable stage of the construction fails.
+    otherwise no L exists.
     """
     _, r, n = K.shape
     ds = As.shape[0] if As.size else 0
@@ -570,18 +569,16 @@ def remark61_solve(K: np.ndarray, M: PolyMat, As: np.ndarray,
     resid = float(np.linalg.norm(Amat @ sol - bvec))
     scale = 1.0 + float(np.linalg.norm(bvec))
     if resid > tol.residual_tol * scale:
-        raise StableStageError(
-            f"no L exists (certificate construction fails at stable stage; "
-            f"residual {resid:.3e})")
+        raise StableStageError(f"no L exists (residual {resid:.3e})")
     return sol.reshape((r, ds), order="F")
 
 
-# -- the construction pipeline -----------------------------------------------------
+# -- construction ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CertifyResult:
-    status: str  # certified | not-passive | inconclusive | unsupported | discrepancy
+    status: str  # certified | not-passive | inconclusive | discrepancy
     certificate: Certificate | None = None
     verdict: PRPairVerdict | None = None
     message: str = ""
@@ -590,26 +587,17 @@ class CertifyResult:
 def certificate_status_exit(status: str) -> int:
     """CLI exit-code mapping: success 0, refuted 1, undecidable here 3."""
     return {"certified": 0, "not-passive": 1,
-            "inconclusive": 3, "unsupported": 3, "discrepancy": 3}[status]
+            "inconclusive": 3, "discrepancy": 3}[status]
 
 
 def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                           ) -> CertifyResult:
     """Build a Lur'e triple for (A, B, C, D), or report why none exists.
 
-    Routes, in order:
-
-      1. the positive-real gate on the external behavior pair; every
-         not-passive and inconclusive verdict comes from it;
-      2. the Riccati certificate (`_riccati_certificate`), tried whenever
-         the system has ports; it needs D + D^T > 0 and a Hamiltonian whose
-         stable subspace can be ordered or reached by Newton;
-      3. otherwise the pipeline: observer staircase; stable/unstable split
-         of the observable block; lossless Lyapunov solve for the axis
-         block; the controllable image pair (M, N) from the left syzygy of
-         [P -Q]^T; spectral factor K of M*N + N*M; L from the remainder
-         system; stable Lyapunov solve; W = lim K M^-1; assembly and a
-         mandatory verify pass.
+    The positive-real gate on the external behavior pair decides every
+    not-passive and inconclusive verdict.  A system that passes it gets its
+    triple from `_lure_triple`, and the mandatory verify pass, spectral
+    check included, decides between certified and discrepancy.
     """
     P, Q = realize_behavior(ss)
     verdict = check_pair(P, Q, tol)
@@ -619,62 +607,16 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
                              message="external behavior pair is not positive real"
                              if status == "not-passive" else
                              "positive-real check inconclusive at tolerance")
-    cert = _riccati_certificate(ss, tol) if ss.n else None
-    if cert is not None:
-        return CertifyResult(status="certified", certificate=cert, verdict=verdict)
-    st = staircase(ss)
     try:
-        split = stable_unstable_split(st.A11, tol)
+        X, L, W = _lure_triple(ss, Q, tol)
     except SpectralSplitError as e:
         return CertifyResult(status=INCONCLUSIVE, verdict=verdict, message=str(e))
-    ds = split.As.shape[0]
-    TB = split.T @ st.B1
-    CT = st.C1 @ split.Tinv
-    Bs, Bu = TB[:ds], TB[ds:]
-    Cs, Cu = CT[:, :ds], CT[:, ds:]
-    try:
-        Xu = lossless_lyap_solve(split.Au, Bu, Cu, tol)
-    except LosslessInfeasibleError as e:
+    except (ValueError, AREInfeasibleError, LosslessInfeasibleError) as e:
         return CertifyResult(status="discrepancy", verdict=verdict,
                              message=f"positive-real check passed but the "
-                                     f"lossless stage failed: {e}")
-    M, N = _image_pair(P, Q)
-    Phi = M.star() @ N + N.star() @ M
+                                     f"construction failed: {e}")
     try:
-        sf = spectral_factor_poly(Phi, tol)
-    except UnsupportedFactorizationError as e:
-        return CertifyResult(status="unsupported", verdict=verdict, message=str(e))
-    except FactorizationError as e:
-        return CertifyResult(status="discrepancy", verdict=verdict,
-                             message=f"positive-real check passed but the "
-                                     f"density failed to factor: {e}")
-    try:
-        L = remark61_solve(sf.Z.num, M, split.As, Cs, tol)
-    except StableStageError as e:
-        return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
-    try:
-        Xs = lyapunov_solve(split.As, L.T @ L, tol) if ds else np.zeros((0, 0))
-    except LyapunovError as e:
-        return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
-    try:
-        W = _limit_KMinv(sf.Z.num, M)
-    except ValueError as e:
-        return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
-
-    d, d1 = ss.d, st.d1
-    That = np.zeros((d, d))
-    That[:d1, :d1] = split.T
-    That[d1:, d1:] = np.eye(d - d1)
-    That = That @ st.T
-    Xhat = np.zeros((d, d))
-    Xhat[:ds, :ds] = Xs
-    Xhat[ds:d1, ds:d1] = Xu
-    Lhat = np.zeros((sf.r, d))
-    Lhat[:, :ds] = L
-    X = That.T @ Xhat @ That
-    LX = Lhat @ That
-    try:
-        cert = verify_certificate(ss, X, LX, W, tol)
+        cert = verify_certificate(ss, X, L, W, tol)
     except CertificateVerificationError as e:
         return CertifyResult(status="discrepancy", verdict=verdict,
                              message=f"construction completed but verification "
@@ -686,47 +628,108 @@ def construct_certificate(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
     return CertifyResult(status="certified", certificate=cert, verdict=verdict)
 
 
-def _riccati_certificate(ss: StateSpace, tol: Tolerance) -> Certificate | None:
-    """The Riccati triple after the mandatory verify pass with its spectral
-    check: X the stabilizing solution (`are_solve`), W the upper Cholesky
-    factor of D + D^T, so W^T W = D + D^T, and L = W^-T (C - B^T X).  None
-    when any step fails: D + D^T not positive definite, no PSD Riccati
-    solution, a violated equation or a failed spectral check (LinAlgError
-    is a ValueError)."""
-    try:
-        X = are_solve(ss, tol).X
-        W = np.linalg.cholesky(ss.D + ss.D.T).T
-        L = np.linalg.solve(W.T, ss.C - ss.B.T @ X) if ss.d else np.zeros((ss.n, 0))
-        cert = verify_certificate(ss, X, L, W, tol)
-    except (ValueError, AREInfeasibleError, CertificateVerificationError):
-        return None
-    return cert if cert.spectral["ok"] else None
+def _lure_triple(ss: StateSpace, Q: PolyMat, tol: Tolerance
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, L, W) for a system whose behavior pair (P, Q) is positive real.
+
+    Unobservable modes carry no storage: where the row degrees of the
+    row-reduced Q, which sum to the observability rank, fall short of d, the
+    exact observer staircase keeps the observable block, and X and L are
+    zero on the rest.  Modes of that block on or right of the axis split
+    off (`stable_unstable_split`) and get the lossless storage
+    A^T X + X A = 0, X B = C^T (`lossless_lyap_solve`), with L zero there.
+    The stable block is certified by `_deflate`.
+    """
+    d = ss.d
+    A, B, C = ss.A, ss.B, ss.C
+    observed = sum(max(e.degree for e in row) for row in Q.entries)
+    if observed < d:
+        st = staircase(ss)
+        A, B, C = st.A11, st.B1, st.C1
+    R, scale = ss.D + ss.D.T, 2.0 * float(np.linalg.norm(ss.D))
+    if all(region_of(z, tol) == OPEN_LHP for z in np.linalg.eigvals(A)):
+        X, L, W = _deflate(A, B, C, R, scale, tol)
+    else:
+        split = stable_unstable_split(A, tol)
+        ds = split.As.shape[0]
+        TB, CT = split.T @ B, C @ split.Tinv
+        Xu = lossless_lyap_solve(split.Au, TB[ds:], CT[:, ds:], tol)
+        Xs, Ls, W = _deflate(split.As, TB[:ds], CT[:, :ds], R, scale, tol)
+        X = split.T.T @ _block_diag(Xs, Xu) @ split.T
+        L = np.hstack([Ls, np.zeros((len(Ls), len(Xu)))]) @ split.T
+    if observed < d:
+        X = st.T.T @ _block_diag(X, np.zeros((d - observed,) * 2)) @ st.T
+        L = np.hstack([L, np.zeros((len(L), d - observed))]) @ st.T
+    return X, L, W
 
 
-def _image_pair(P: PolyMat, Q: PolyMat) -> tuple[PolyMat, PolyMat]:
-    """(M, N) with [P -Q] [M; N] = 0 spanning the controllable part: the
-    left syzygy of the tall [P -Q]^T, transposed.  A positive-real pair has
-    full normalrank, so the basis has n rows; P M == Q N is re-verified."""
-    n = P.rows
-    K = syzygy_basis(P.hstack(-Q).transpose()).transpose()
-    M = K.submatrix(range(n), range(n))
-    N = K.submatrix(range(n, 2 * n), range(n))
-    if not (P @ M == Q @ N):
-        raise AssertionError("image representation inconsistent with the pair")
-    return M, N
+def _block_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    k = len(X)
+    out = np.zeros((k + len(Y),) * 2)
+    out[:k, :k] = X
+    out[k:, k:] = Y
+    return out
 
 
-def _limit_KMinv(K: np.ndarray, M: PolyMat) -> np.ndarray:
-    """W = lim_{s->inf} K(s) M(s)^-1 for a coefficient stack K: the s^m
-    coefficient of K adj(M) over the leading coefficient of det M, m its
-    degree.  Raises ValueError where K adj(M) has a nonzero coefficient
-    above s^m, so that K M^-1 is improper."""
-    det, adj = M.det(), M.adjugate()
-    m = det.degree
-    A = _stack(adj, _degree(adj) + 1)
-    KA = np.zeros((max(len(K) + len(A) - 1, m + 1), K.shape[1], A.shape[2]))
-    for a, Ka in enumerate(K):
-        KA[a:a + len(A)] += Ka @ A
-    if np.any(KA[m + 1:]):
-        raise ValueError("rational matrix is improper")
-    return KA[m] / float(det.leading)
+# An eigenvalue of R counts as zero at or below _DEFLATE_RTOL times the norms
+# that R is built from (`scale`), and one of C2 B2 at or below _DEFLATE_RTOL
+# |C| |B|: a cancellation that leaves |R| or |C2 B2| at rounding noise cannot
+# pass for a rank.
+_DEFLATE_RTOL = 1e-9
+
+
+def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
+             scale: float, tol: Tolerance
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, L, W) with -A^T X - X A = L^T L, C - B^T X = W^T L and W^T W = R,
+    for a stable observable (A, B, C) and a symmetric R >= 0 built from
+    matrices of total norm `scale`; X is the least solution.
+
+    When R > 0 this is the Riccati triple: X the stabilizing solution
+    (`are_solve`), W the upper Cholesky factor of R and
+    L = W^-T (C - B^T X).  Otherwise the singular part of R is deflated
+    (Reis, Linear Algebra Appl. 434, 2011; Poloni and Reis, SIAM J. Matrix
+    Anal. Appl. 33, 2012).  On the eigenvectors of R, the inputs split into
+    u1, where R1 > 0, and u2, where W has zero columns, so X B2 = C2^T and
+    M = C2 B2 = B2^T X B2 >= 0.  On the kernel of M, B2^T X B2 = 0 with
+    X >= 0 makes X vanish on the reachable space of those inputs, and C on
+    it; observability leaves B2 and C2 zero there, so those inputs drop
+    out.  With B2a, C2a the part where M > 0 and N an orthonormal basis of
+    ker C2a, the coordinates x = T z, T = [B2a N], give T^T X T = diag(M, Y),
+    and the Lur'e equations in z are those of the smaller problem
+
+        (A22, [A21 F1], [-M A12; H1], R'),
+        R' = [[-(A11^T M + M A11), G1^T - M E1], [G1 - E1^T M, R1]],
+
+    with T^-1 A T = [[A11, A12], [A21, A22]], T^-1 B1 = [E1; F1] and
+    C1 T = [G1 H1]; its triple (Y, L', [La Wa]) gives L = [La L'] T^-1 and
+    W = Wa on u1.  Each level removes rank M >= 1 states, or the u2 inputs
+    when M = 0, so the recursion ends in the Riccati case.
+    """
+    w, U = np.linalg.eigh(R)
+    pos = w > _DEFLATE_RTOL * scale
+    if pos.all():
+        X = are_solve(A, B, C, R, tol).X
+        W = np.linalg.cholesky(R).T
+        return X, np.linalg.solve(W.T, C - B.T @ X), W
+    U1, U2 = U[:, pos], U[:, ~pos]
+    B1, C1, R1 = B @ U1, U1.T @ C, np.diag(w[pos])
+    B2, C2 = B @ U2, U2.T @ C
+    m, V = np.linalg.eigh((C2 @ B2 + B2.T @ C2.T) / 2.0)
+    a = m > _DEFLATE_RTOL * float(np.linalg.norm(C) * np.linalg.norm(B))
+    k, M = int(a.sum()), np.diag(m[a])
+    N = np.linalg.svd(V[:, a].T @ C2)[2][k:].T
+    T = np.hstack([B2 @ V[:, a], N])
+    Ti = np.linalg.inv(T)
+    At, Bt, Ct = Ti @ A @ T, Ti @ B1, C1 @ T
+    A11, A12, A21, A22 = At[:k, :k], At[:k, k:], At[k:, :k], At[k:, k:]
+    E1, F1, G1, H1 = Bt[:k], Bt[k:], Ct[:, :k], Ct[:, k:]
+    K = G1 - E1.T @ M
+    Rn = np.block([[-(A11.T @ M + M @ A11), K.T], [K, R1]])
+    nrm = lambda Z: float(np.linalg.norm(Z))
+    scale_n = 2.0 * (nrm(A11) * nrm(M) + nrm(G1) + nrm(E1) * nrm(M)) + nrm(R1)
+    Y, Ln, Wn = _deflate(A22, np.hstack([A21, F1]), np.vstack([-M @ A12, H1]),
+                         (Rn + Rn.T) / 2.0, scale_n, tol)
+    X = Ti.T @ _block_diag(M, Y) @ Ti
+    L = np.hstack([Wn[:, :k], Ln]) @ Ti
+    return (X + X.T) / 2.0, L, Wn[:, k:] @ U1.T

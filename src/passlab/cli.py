@@ -233,6 +233,8 @@ def cmd_specfact(args) -> int:
         doc = load_document(args.poly)
         from .jsonio import parse_polymat
         H = parse_polymat(doc.get("H", doc.get("poly")), "H")
+        if not H.star() == H:
+            raise InputError(f"{args.poly}: H is not para-Hermitian")
         sf = spectral_factor_poly(H, tol)
     except UnsupportedFactorizationError as e:
         _emit(args, {"error": str(e), "status": "unsupported"})

@@ -144,7 +144,7 @@ def lyapunov_solve(A: np.ndarray, Qrhs: np.ndarray,
     scale = 1.0 + max(abs(lams), default=0.0)
     if np.any(np.abs(lams[:, None] + lams[None, :]) <= 1e-10 * scale):
         raise LyapunovError("singular Lyapunov operator")
-    import scipy.linalg  # loaded already by stable_unstable_split on this path
+    import scipy.linalg  # imported here: it dominates `import passlab` otherwise
     X = scipy.linalg.solve_continuous_lyapunov(A.T, -Qrhs)
     X = (X + X.T) / 2.0
     res = np.linalg.norm(-A.T @ X - X @ A - Qrhs)

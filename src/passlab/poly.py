@@ -504,15 +504,6 @@ def _changes_at_inf(seq: list[list[int]], side: int) -> int:
     return _sign_changes(-c[-1] if len(c) % 2 == 0 else c[-1] for c in seq)
 
 
-def count_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    seq = _sturm_sequence(sf.num)
-    return _changes_at(seq, _frac(lo)) - _changes_at(seq, _frac(hi))
-
-
 def cauchy_bound(p: Poly) -> Fraction:
     """All real roots of p lie strictly inside [-B, B]."""
     if p.degree <= 0:
@@ -676,14 +667,6 @@ class TwoVarPoly:
                 if c != 0:
                     parts.append(f"{c}*xi^{i}*eta^{j}")
         return " + ".join(parts)
-
-
-def two_var_of_poly_in_xi(p: Poly) -> TwoVarPoly:
-    return TwoVarPoly([[c] for c in p.coeffs])
-
-
-def two_var_of_poly_in_minus_eta(p: Poly) -> TwoVarPoly:
-    return TwoVarPoly([[(-1) ** j * p.coeff(j) for j in range(len(p.coeffs))]])
 
 
 def bdf_phi(p: Poly) -> TwoVarPoly:

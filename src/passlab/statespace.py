@@ -168,10 +168,10 @@ def observability_matrix(ss: StateSpace) -> list[list[Fraction]]:
 @dataclass(frozen=True)
 class StaircaseForm:
     """T A Tinv = [[A11, 0], [A21, A22]],  C Tinv = [C1  0], (C1, A11) observable;
-    only the observable blocks A11, C1 and B1 (the top d1 rows of T B) are kept."""
+    only the observable blocks A11 (d1 x d1), C1 and B1 (the top d1 rows of
+    T B) are kept."""
     T: np.ndarray
     Tinv: np.ndarray
-    d1: int
     A11: np.ndarray
     C1: np.ndarray
     B1: np.ndarray
@@ -182,7 +182,7 @@ def staircase(ss: StateSpace) -> StaircaseForm:
     d = ss.d
     if d == 0:
         z = np.zeros((0, 0))
-        return StaircaseForm(z, z, 0, z, np.zeros((ss.n, 0)), np.zeros((0, ss.n)))
+        return StaircaseForm(z, z, z, np.zeros((ss.n, 0)), np.zeros((0, ss.n)))
     rref, pivots = _frref(observability_matrix(ss))
     ker = _rref_kernel(rref, pivots, d)  # d x (d - d1)
     d1 = len(pivots)
@@ -209,7 +209,7 @@ def staircase(ss: StateSpace) -> StaircaseForm:
     f = lambda g: np.array([[float(x) for x in row] for row in g]) if g else np.zeros((0, 0))
     Tn = f(T)
     return StaircaseForm(
-        T=Tn, Tinv=f(S), d1=d1,
+        T=Tn, Tinv=f(S),
         A11=f([r[:d1] for r in At[:d1]]).reshape(d1, d1),
         C1=f([r[:d1] for r in Ct]).reshape(ss.n, d1),
         B1=f(Bt[:d1]).reshape(d1, ss.n),

@@ -35,13 +35,12 @@ ALLOWED = {
     "certificate.AREResult.residual": DIAGNOSTIC,
     "certificate.AREResult.stabilizing": DIAGNOSTIC,
     "certificate.RationalMatrix.eval": "evaluates the public Z of a Certificate",
+    "certificate.remark61_solve": SPANNED,
     "poly.TwoVarPoly.eval": QDF,
     "poly.TwoVarPoly.mul_xi_plus_eta": QDF,
     "poly.bdf_phi": QDF,
-    "poly.count_real_roots": "the tests' independent reference for Sturm counts",
-    "poly.two_var_of_poly_in_minus_eta": "the tests' reference for bdf_phi",
-    "poly.two_var_of_poly_in_xi": "the tests' reference for bdf_phi",
     "polymatrix.delta": SPANNED,
+    "numeric.lyapunov_solve": SPANNED,
     "polymatrix.fullrank_everywhere": SPANNED,
     "prpair.check_condition1": SPANNED,
     "prpair.check_condition3": SPANNED,

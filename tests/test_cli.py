@@ -116,6 +116,27 @@ class TestExitCodes:
         z = out["Z"]["num"][0][0]
         assert abs(z[1] - math.sqrt(2)) < 1e-9
 
+    def test_specfact_poly_not_para_hermitian_exits_2(self, tmp_path, capsys):
+        # H = s is not para-Hermitian: malformed input, not a verdict
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"kind": "poly", "H": [[["0", "1"]]]}))
+        assert main(["specfact", "--poly", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "H is not para-Hermitian" in captured.err
+
+    def test_specfact_poly_coupled_density_unsupported(self, tmp_path, capsys):
+        # H = [[2, 1], [1, 2 - s^2]] is positive definite on the axis, but
+        # its coupled factor is beyond the scalar and diagonal cases
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"kind": "poly", "H": [[["2"], ["1"]],
+                                                       [["1"], ["2", "0", "-1"]]]}))
+        assert main(["specfact", "--poly", str(p)]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "unsupported",
+            "error": "unsupported: matrix spectral factorization beyond the "
+                     "scalar and diagonal cases"}
+
     def test_input_errors_exit_2(self, files, capsys):
         assert main(["check-pair", files["bad"]]) == 2
         assert main(["check-pair", files["notjson"]]) == 2
@@ -446,7 +467,7 @@ class TestLazyScipy:
         assert scipy == set()
 
     def test_certify_loads_linalg_only(self, files):
-        # D = 0: no Riccati route, so the pipeline's spectral split runs
+        # an axis mode: its lossless storage needs the spectral split
         cap = files["tmp"] / "capacitor.json"
         cap.write_text(json.dumps({"kind": "ss", "A": [[0]], "B": [[1]],
                                    "C": [[1]], "D": [[0]]}))

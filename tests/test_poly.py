@@ -9,13 +9,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import passlab.poly
-from passlab.poly import (Poly, TwoVarPoly, bdf_phi, cauchy_bound,
-                          count_real_roots, find_negative_point,
-                          isolate_real_roots, poly_gcd,
-                          squarefree_decomposition, squarefree_part,
-                          two_var_of_poly_in_minus_eta, two_var_of_poly_in_xi)
+from passlab.poly import (Poly, TwoVarPoly, _changes_at, _frac,
+                          _sturm_sequence, bdf_phi, cauchy_bound,
+                          find_negative_point, isolate_real_roots, poly_gcd,
+                          squarefree_decomposition, squarefree_part)
 
 S = Poly.x()
+
+
+def count_real_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    from the integer Sturm sequence of its square-free part."""
+    sf = squarefree_part(p)
+    if sf.degree <= 0:
+        return 0
+    seq = _sturm_sequence(sf.num)
+    return _changes_at(seq, _frac(lo)) - _changes_at(seq, _frac(hi))
+
+
+def two_var_of_poly_in_xi(p: Poly) -> TwoVarPoly:
+    return TwoVarPoly([[c] for c in p.coeffs])
+
+
+def two_var_of_poly_in_minus_eta(p: Poly) -> TwoVarPoly:
+    return TwoVarPoly([[(-1) ** j * p.coeff(j) for j in range(len(p.coeffs))]])
 
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(small_fracs, min_size=0, max_size=9).map(Poly)

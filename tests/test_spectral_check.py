@@ -22,12 +22,12 @@ import numpy.polynomial.polynomial as npp
 import pytest
 from conftest import corpus, siso_sweep_system, transfer_at
 
-from passlab import certificate
 from passlab.behavior import decompose
 from fp_grid import GridMatrix, build_zx, fp_deg, fp_eval, fp_trim
-from passlab.certificate import (_AXIS_SAMPLES, CertificateVerificationError,
+from passlab.certificate import (_AXIS_SAMPLES, AREInfeasibleError,
+                                 CertificateVerificationError,
                                  _poly_spectral_check, _ss_spectral_check,
-                                 _stack, construct_certificate,
+                                 _stack, are_solve, construct_certificate,
                                  spectral_factor_poly, verify_certificate)
 from passlab.numeric import DEFAULT_TOL, OPEN_RHP, region_of
 from passlab.poly import Poly
@@ -135,21 +135,32 @@ def ss_old(ss, L, W):
     return ref_diagnostics(build_zx(ss, L, W), h_on_axis)
 
 
+def riccati_certificate(ss):
+    """The Riccati triple of the whole system, verified: X from are_solve,
+    W the Cholesky factor of D + D^T and L = W^-T (C - B^T X).  None where a
+    step raises: D + D^T singular, no PSD solution, a violated equation."""
+    try:
+        X = are_solve(ss.A, ss.B, ss.C, ss.D + ss.D.T).X
+        W = np.linalg.cholesky(ss.D + ss.D.T).T
+        return verify_certificate(ss, X, np.linalg.solve(W.T, ss.C - ss.B.T @ X), W)
+    except (ValueError, AREInfeasibleError, CertificateVerificationError):
+        return None
+
+
 def compare_system(ss, label) -> int:
     """Both routes on one system: its constructed certificate, the Riccati
-    certificate where one verifies, and the polynomial factor of its
-    controllable density.  Returns how many comparisons ran."""
+    certificate of the whole system where one verifies, and the polynomial
+    factor of its controllable density.  Returns how many comparisons ran."""
     ran = 0
     res = construct_certificate(ss)
     if res.status == "certified":
         c = res.certificate
         assert_same(ss_old(ss, c.L, c.W), c.spectral, f"certify {label}")
         ran += 1
-    are = certificate._riccati_certificate(ss, DEFAULT_TOL)
-    if are is not None:  # None: D + D^T singular, or no verified triple
+    are = riccati_certificate(ss)
+    if are is not None:
         assert_same(ss_old(ss, are.L, are.W), are.spectral, f"ARE {label}")
         ran += 1
-    if res.status == "certified":
         dec = decompose(*realize_behavior(ss))
         Phi = dec.M.star() @ dec.N + dec.N.star() @ dec.M
         sf = spectral_factor_poly(Phi)
