@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import fp_grid
 import numpy as np
+import pipeline_ref
 import pytest
 from conftest import (corpus, jordan_system, observable, siso_sweep_system,
                       transfer_at)
@@ -583,6 +584,23 @@ class TestRiccatiRoute:
         assert res.status == "certified", res.message
         assert calls
         assert_reverifies(ss, res.certificate)
+
+    def test_pipeline_fallback_keeps_golden_statuses(self):
+        """The polynomial pipeline that certify fell back on, kept in
+        `tests/pipeline_ref.py`, certifies every corpus system the golden
+        reports certify, and so does the one route."""
+        golden = json.loads(GOLDEN.read_text())
+        passive = 0
+        for name, ss in corpus():
+            want = json.loads(golden[f"certify {name}"]["stdout"])["status"]
+            if want != "certified":
+                continue
+            passive += 1
+            res = pipeline_ref.pipeline_certify(ss)
+            assert res.status == want, (name, res.message)
+            assert_reverifies(ss, res.certificate)
+            assert construct_certificate(ss).status == want, name
+        assert passive == 20
 
     def test_certified_implies_positive_real_pair(self):
         """Seeded random systems, passive (C = B^T, A + A^T < 0, D + D^T >=
