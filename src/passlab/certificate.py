@@ -379,8 +379,23 @@ def _pi_residual(A: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray,
     return -A.T @ X - X @ A - (C.T - X @ B) @ Rinv @ (C - B.T @ X)
 
 
-def are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
-              tol: Tolerance = DEFAULT_TOL) -> AREResult:
+def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
+    """Solve Pi(X) = 0 for (A, B, C, D) by `_are_solve` with R = D + D^T;
+    raises ValueError unless the least eigenvalue of R exceeds
+    tol.psd_tol (1 + |R|)."""
+    R = ss.D + ss.D.T
+    if R.size and np.linalg.eigvalsh(R)[0] <= _psd_cut(R, tol):
+        raise ValueError("D + D^T is not positive definite")
+    return _are_solve(ss.A, ss.B, ss.C, R, tol)
+
+
+def _psd_cut(R: np.ndarray, tol: Tolerance) -> float:
+    """The least eigenvalue a positive definite D + D^T must exceed."""
+    return tol.psd_tol * (1.0 + float(np.linalg.norm(R)))
+
+
+def _are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
+               tol: Tolerance) -> AREResult:
     """Solve Pi(X) = -A^T X - X A - (C^T - X B) R^-1 (C - B^T X) = 0 by the
     invariant-subspace method on the Hamiltonian
 
@@ -391,15 +406,11 @@ def are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     spanned by eigenvectors with Re > 0 yields the solution whose closed loop
     A + B R^-1 (B^T X - C) = Ahat + S X has spectrum in the closed LHP.
     Axis eigenvalues of H obstruct the ordering; a damped Newton iteration
-    on Pi takes over in that case.  R counts as positive definite when its
-    least eigenvalue exceeds _DEFLATE_RTOL |R|, the cut `_deflate` uses.
+    on Pi takes over in that case.
     """
     d = A.shape[0]
-    w = np.linalg.eigvalsh(R)
-    if w.size and w[0] <= _DEFLATE_RTOL * np.linalg.norm(R):
-        raise ValueError("D + D^T is not positive definite")
     Rinv = np.linalg.inv(R)
-    if d == 0 or not w.size:  # no inputs: X = 0
+    if d == 0 or not R.size:  # no inputs: X = 0
         return AREResult(np.zeros((d, d)), (), True, 0.0)
     Ahat = A - B @ Rinv @ C
     S = B @ Rinv @ B.T
@@ -435,33 +446,25 @@ def are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
 def _newton_care(A: np.ndarray, B: np.ndarray, C: np.ndarray, Rinv: np.ndarray,
                  X0: np.ndarray) -> np.ndarray:
     """Damped Newton on the symmetric parametrization of Pi(X) = 0, at most
-    200 iterations."""
+    200 iterations.  The derivative of Pi at X along E is
+    -(Acl^T E + E Acl), Acl = A - B R^-1 (C - B^T X), so each step solves
+    that Lyapunov operator in least squares (it is singular where Acl has
+    axis eigenvalues)."""
     d = A.shape[0]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-
-    def unpack(x):
-        X = np.zeros((d, d))
-        for v, (i, j) in zip(x, pairs):
-            X[i, j] = v
-            X[j, i] = v
-        return X
-
-    def func(x):
-        P = _pi_residual(A, B, C, unpack(x), Rinv)
-        return np.array([P[i, j] for (i, j) in pairs])
-
-    x = np.array([X0[i, j] for (i, j) in pairs])
+    iu, ju = np.triu_indices(d)
+    E = np.zeros((len(iu), d, d))  # X = sum of x_k E_k
+    E[np.arange(len(iu)), iu, ju] = 1.0
+    E[np.arange(len(iu)), ju, iu] = 1.0
+    unpack = lambda x: np.tensordot(x, E, 1)
+    func = lambda x: _pi_residual(A, B, C, unpack(x), Rinv)[iu, ju]
+    x = X0[iu, ju].astype(float)
     f = func(x)
     for _ in range(200):
         nf = np.linalg.norm(f)
         if nf < 1e-13:
             break
-        J = np.zeros((len(pairs), len(pairs)))
-        h = 1e-7 * (1.0 + np.linalg.norm(x))
-        for k in range(len(pairs)):
-            xp = x.copy()
-            xp[k] += h
-            J[:, k] = (func(xp) - f) / h
+        Acl = A - B @ Rinv @ (C - B.T @ unpack(x))
+        J = -(Acl.T @ E + E @ Acl)[:, iu, ju].T
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
         alpha = 1.0
         while alpha > 1e-6:
@@ -638,7 +641,9 @@ def _lure_triple(ss: StateSpace, Q: PolyMat, tol: Tolerance
     zero on the rest.  Modes of that block on or right of the axis split
     off (`stable_unstable_split`) and get the lossless storage
     A^T X + X A = 0, X B = C^T (`lossless_lyap_solve`), with L zero there.
-    The stable block is certified by `_deflate`.
+    The stable block is certified by `_deflate`, where an eigenvalue of
+    D + D^T counts as zero at or below tol.psd_tol (1 + |D + D^T|), the cut
+    of `are_solve`.
     """
     d = ss.d
     A, B, C = ss.A, ss.B, ss.C
@@ -646,15 +651,16 @@ def _lure_triple(ss: StateSpace, Q: PolyMat, tol: Tolerance
     if observed < d:
         st = staircase(ss)
         A, B, C = st.A11, st.B1, st.C1
-    R, scale = ss.D + ss.D.T, 2.0 * float(np.linalg.norm(ss.D))
+    R = ss.D + ss.D.T
+    cut = _psd_cut(R, tol)
     if all(region_of(z, tol) == OPEN_LHP for z in np.linalg.eigvals(A)):
-        X, L, W = _deflate(A, B, C, R, scale, tol)
+        X, L, W = _deflate(A, B, C, R, cut, tol)
     else:
         split = stable_unstable_split(A, tol)
         ds = split.As.shape[0]
         TB, CT = split.T @ B, C @ split.Tinv
         Xu = lossless_lyap_solve(split.Au, TB[ds:], CT[:, ds:], tol)
-        Xs, Ls, W = _deflate(split.As, TB[:ds], CT[:, :ds], R, scale, tol)
+        Xs, Ls, W = _deflate(split.As, TB[:ds], CT[:, :ds], R, cut, tol)
         X = split.T.T @ _block_diag(Xs, Xu) @ split.T
         L = np.hstack([Ls, np.zeros((len(Ls), len(Xu)))]) @ split.T
     if observed < d:
@@ -671,22 +677,22 @@ def _block_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-# An eigenvalue of R counts as zero at or below _DEFLATE_RTOL times the norms
-# that R is built from (`scale`), and one of C2 B2 at or below _DEFLATE_RTOL
-# |C| |B|: a cancellation that leaves |R| or |C2 B2| at rounding noise cannot
-# pass for a rank.
+# Below the top level, an eigenvalue of R' counts as zero at or below
+# _DEFLATE_RTOL times the norms that R' is built from, and one of C2 B2 at or
+# below _DEFLATE_RTOL |C| |B|: a cancellation that leaves |R'| or |C2 B2| at
+# rounding noise cannot pass for a rank.
 _DEFLATE_RTOL = 1e-9
 
 
 def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
-             scale: float, tol: Tolerance
+             cut: float, tol: Tolerance
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, L, W) with -A^T X - X A = L^T L, C - B^T X = W^T L and W^T W = R,
-    for a stable observable (A, B, C) and a symmetric R >= 0 built from
-    matrices of total norm `scale`; X is the least solution.
+    for a stable observable (A, B, C) and a symmetric R >= 0 whose
+    eigenvalues at or below `cut` count as zero; X is the least solution.
 
     When R > 0 this is the Riccati triple: X the stabilizing solution
-    (`are_solve`), W the upper Cholesky factor of R and
+    (`_are_solve`), W the upper Cholesky factor of R and
     L = W^-T (C - B^T X).  Otherwise the singular part of R is deflated
     (Reis, Linear Algebra Appl. 434, 2011; Poloni and Reis, SIAM J. Matrix
     Anal. Appl. 33, 2012).  On the eigenvectors of R, the inputs split into
@@ -707,9 +713,9 @@ def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     when M = 0, so the recursion ends in the Riccati case.
     """
     w, U = np.linalg.eigh(R)
-    pos = w > _DEFLATE_RTOL * scale
+    pos = w > cut
     if pos.all():
-        X = are_solve(A, B, C, R, tol).X
+        X = _are_solve(A, B, C, R, tol).X
         W = np.linalg.cholesky(R).T
         return X, np.linalg.solve(W.T, C - B.T @ X), W
     U1, U2 = U[:, pos], U[:, ~pos]
@@ -727,9 +733,9 @@ def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     K = G1 - E1.T @ M
     Rn = np.block([[-(A11.T @ M + M @ A11), K.T], [K, R1]])
     nrm = lambda Z: float(np.linalg.norm(Z))
-    scale_n = 2.0 * (nrm(A11) * nrm(M) + nrm(G1) + nrm(E1) * nrm(M)) + nrm(R1)
+    scale = 2.0 * (nrm(A11) * nrm(M) + nrm(G1) + nrm(E1) * nrm(M)) + nrm(R1)
     Y, Ln, Wn = _deflate(A22, np.hstack([A21, F1]), np.vstack([-M @ A12, H1]),
-                         (Rn + Rn.T) / 2.0, scale_n, tol)
+                         (Rn + Rn.T) / 2.0, _DEFLATE_RTOL * scale, tol)
     X = Ti.T @ _block_diag(M, Y) @ Ti
     L = np.hstack([Wn[:, :k], Ln]) @ Ti
     return (X + X.T) / 2.0, L, Wn[:, k:] @ U1.T

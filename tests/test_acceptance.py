@@ -123,7 +123,7 @@ def test_criterion_05_rc_chain():
     ok = ok and abs(c.X[0, 0] - (3 - 2 * SQ2)) < 1e-8
     ok = ok and abs(abs(c.L[0, 0]) - (2 - SQ2)) < 1e-8
     ok = ok and abs(abs(c.W[0, 0]) - SQ2) < 1e-8
-    are = are_solve(ss.A, ss.B, ss.C, ss.D + ss.D.T)
+    are = are_solve(ss)
     ok = ok and abs(are.X[0, 0] - (3 - 2 * SQ2)) < 1e-8
     ok = ok and abs(are.closed_loop_spec[0] - (-SQ2)) < 1e-8
     # Z = (sqrt2 s + 2)/(s + 1) against G + G* on seven axis points

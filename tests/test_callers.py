@@ -35,6 +35,7 @@ ALLOWED = {
     "certificate.AREResult.residual": DIAGNOSTIC,
     "certificate.AREResult.stabilizing": DIAGNOSTIC,
     "certificate.RationalMatrix.eval": "evaluates the public Z of a Certificate",
+    "certificate.are_solve": "the public Riccati solve of a StateSpace; certify calls _are_solve",
     "certificate.remark61_solve": SPANNED,
     "poly.TwoVarPoly.eval": QDF,
     "poly.TwoVarPoly.mul_xi_plus_eta": QDF,

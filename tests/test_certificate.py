@@ -422,6 +422,27 @@ class TestOneRoute:
             if want == "certified":
                 assert_reverifies(ss, res.certificate)
 
+    @pytest.mark.parametrize("dv", ["1e-6", "1e-8", "1e-9", "1e-10", "1e-12"])
+    def test_tiny_feedthrough_certifies(self, dv):
+        """A feedthrough that is tiny against the dynamics: eigenvalues of
+        D + D^T at or below tol.psd_tol (1 + |D + D^T|) are deflated, and
+        above that cut the Riccati solve takes R^-1 as large as 5e8.  SISO
+        systems, a diagonal two-port with D = dv I and one with
+        D = diag(1, dv) all certify and re-verify."""
+        systems = [
+            StateSpace.from_arrays([[-1]], [[1]], [[1]], [[dv]]),
+            StateSpace.from_arrays([[-1, 0], [0, -3]], [[1], [1]], [[1, 2]], [[dv]]),
+            StateSpace.from_arrays([[0, 1], [-1, "-0.1"]], [[0], [1]], [[0, 1]], [[dv]]),
+            StateSpace.from_arrays([[-1, 0], [0, -2]], [[1, 0], [0, 1]],
+                                   [[1, 0], [0, 1]], [[dv, 0], [0, dv]]),
+            StateSpace.from_arrays([[-1, 0], [0, -2]], [[1, 0], [0, 1]],
+                                   [[1, 0], [0, 1]], [[1, 0], [0, dv]]),
+        ]
+        for k, ss in enumerate(systems):
+            res = construct_certificate(ss)
+            assert res.status == "certified", (k, res.message)
+            assert_reverifies(ss, res.certificate)
+
     def test_lure_systems_certify_and_twins_do_not(self):
         """Seeded passive systems with rank(D + D^T) from 0 to n, lossless
         A, and hidden and unobservable modes: each certifies and re-verifies,
@@ -451,36 +472,31 @@ class TestOneRoute:
             assert_reverifies(ss, res.certificate)
 
 
-def riccati_data(ss: StateSpace):
-    """(A, B, C, D + D^T), the arguments of are_solve."""
-    return ss.A, ss.B, ss.C, ss.D + ss.D.T
-
-
 class TestAre:
     def test_rc_two_roots_selects_stabilizing(self):
-        res = are_solve(*riccati_data(rc()))
+        res = are_solve(rc())
         assert abs(res.X[0, 0] - (3 - 2 * SQ2)) < 1e-10
         assert abs(res.closed_loop_spec[0] - (-SQ2)) < 1e-8
         assert res.stabilizing
 
     def test_decoupled_zero(self):
         ss = StateSpace.from_arrays([[-1]], [[0]], [[0]], [[1]])
-        res = are_solve(*riccati_data(ss))
+        res = are_solve(ss)
         assert abs(res.X[0, 0]) < 1e-12
 
     def test_pi_residual_bound(self):
-        res = are_solve(*riccati_data(rc()))
+        res = are_solve(rc())
         assert res.residual <= 1e-10
 
     def test_requires_positive_definite_feedthrough(self):
         ss = StateSpace.from_arrays([[0]], [[1]], [[1]], [[0]])
         with pytest.raises(ValueError, match="positive definite"):
-            are_solve(*riccati_data(ss))
+            are_solve(ss)
 
     def test_newton_fallback_on_axis_hamiltonian(self):
         # integrator + unit feedthrough: double Hamiltonian eigenvalue at 0
         ss = StateSpace.from_arrays([[0]], [[1]], [[1]], [[1]])
-        res = are_solve(*riccati_data(ss))
+        res = are_solve(ss)
         assert res.residual <= 1e-10
         assert abs(res.X[0, 0] - 1.0) < 1e-6
 

@@ -138,13 +138,16 @@ def ss_old(ss, L, W):
 def riccati_certificate(ss):
     """The Riccati triple of the whole system, verified: X from are_solve,
     W the Cholesky factor of D + D^T and L = W^-T (C - B^T X).  None where a
-    step raises: D + D^T singular, no PSD solution, a violated equation."""
+    step raises (D + D^T singular, no PSD solution, a violated equation) or
+    the spectral check fails."""
     try:
-        X = are_solve(ss.A, ss.B, ss.C, ss.D + ss.D.T).X
+        X = are_solve(ss).X
         W = np.linalg.cholesky(ss.D + ss.D.T).T
-        return verify_certificate(ss, X, np.linalg.solve(W.T, ss.C - ss.B.T @ X), W)
+        L = np.linalg.solve(W.T, ss.C - ss.B.T @ X) if ss.d else np.zeros((ss.n, 0))
+        cert = verify_certificate(ss, X, L, W)
     except (ValueError, AREInfeasibleError, CertificateVerificationError):
         return None
+    return cert if cert.spectral["ok"] else None
 
 
 def compare_system(ss, label) -> int:
@@ -161,6 +164,7 @@ def compare_system(ss, label) -> int:
     if are is not None:
         assert_same(ss_old(ss, are.L, are.W), are.spectral, f"ARE {label}")
         ran += 1
+    if res.status == "certified":
         dec = decompose(*realize_behavior(ss))
         Phi = dec.M.star() @ dec.N + dec.N.star() @ dec.M
         sf = spectral_factor_poly(Phi)
