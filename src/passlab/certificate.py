@@ -55,9 +55,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import (AXIS, DEFAULT_TOL, OPEN_LHP, OPEN_RHP,
+from .numeric import (ARE_POLISH_ABS, ARE_RESIDUAL_FLOOR, AXIS, DEFAULT_TOL,
+                      DEFLATE_RTOL, EIGVEC_COND_MAX, FACTOR_RANK_RTOL,
+                      FACTOR_RESIDUAL_RTOL, MODE_RANK_RTOL, NEWTON_MIN_STEP,
+                      NEWTON_STOP_ABS, OPEN_LHP, OPEN_RHP, PENCIL_RANK_RTOL,
+                      REAL_COEFF_RTOL, ROBUST_BAND_SCALE,
                       LosslessInfeasibleError, SpectralSplitError, Tolerance,
-                      lossless_lyap_solve, region_of, stable_unstable_split)
+                      lossless_lyap_solve, rank_cut, region_of,
+                      stable_unstable_split, symmetric_basis)
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat
@@ -68,6 +73,17 @@ from .statespace import (StateSpace, lure_rows, realize_behavior, resolvent,
 
 class FactorizationError(Exception):
     """The density violates the PSD-on-axis premise (no factor exists)."""
+
+
+class FactorStepError(Exception):
+    """A float step of a polynomial factorization failed where the exact
+    PSD-on-axis premise holds: no verdict on the density.  `status` is
+    inconclusive where the float view contradicts the exact one, and
+    discrepancy where a step or the re-verification of its factor failed."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class UnsupportedFactorizationError(Exception):
@@ -147,35 +163,41 @@ class SpectralFactor:
 
 _AXIS_SAMPLES = (0.31, 0.77, 1.23, 1.91, 2.63, 3.47, 5.11)
 _RANK_POINTS = (complex(0.5, 0.9), complex(1.7, -0.4), complex(3.1, 2.2))
-_RANK_RTOL = 1e-9  # Z(z) drops rank where sv_min <= 1e-9 (1 + sv_max)
-_MODE_RTOL = 1e-8  # rank cut of the PBH and spectrum tests, about sqrt(eps)
-_PENCIL_RTOL = 1e-14  # rank cut of the zero reduction, a few eps
 
 
 def _scalar_spectral_factor(h: Poly, tol: Tolerance) -> np.ndarray:
-    """Polynomial factor of a para-Hermitian scalar h with h(jw) >= 0:
-    keep open-LHP roots with their multiplicity and half of each axis root."""
+    """Polynomial factor of a para-Hermitian scalar h with h(jw) >= 0,
+    decided exactly: keep open-LHP roots with their multiplicity and half of
+    each axis root.  An exact axis root has even multiplicity, so a root of
+    odd multiplicity in the axis band contradicts the exact premise."""
     zroots: list[complex] = []
+    odd: list[complex] = []
     for factor, mult in squarefree_decomposition(h):
         for z in numeric_roots(factor):
             tag = region_of(z, tol)
-            if tag == AXIS:
-                if mult % 2:
-                    raise FactorizationError(
-                        "not factorizable: fails PSD-on-axis premise "
-                        "(odd-multiplicity axis root)")
+            if tag == AXIS and mult % 2:
+                odd.append(z)
+            elif tag == AXIS:
                 zroots.extend([z] * (mult // 2))
             elif tag != OPEN_RHP:
                 zroots.extend([z] * mult)
+    if odd:
+        raise FactorStepError(
+            INCONCLUSIVE, "inconclusive: the exact PSD-on-axis premise holds, "
+            "but the float axis band tags roots of odd multiplicity as axis "
+            "roots: " + ", ".join(f"{z:.6g}" for z in odd))
     rdeg = len(zroots)
     if 2 * rdeg != h.degree:
-        raise FactorizationError("axis/half-plane root split is inconsistent")
+        raise FactorStepError("discrepancy",
+                              "axis/half-plane root split is inconsistent")
     mon = np.atleast_1d(np.poly(zroots))[::-1]  # low to high, monic
-    if np.max(np.abs(mon.imag)) > 1e-9 * max(1.0, np.max(np.abs(mon.real))):
-        raise FactorizationError("factor coefficients not real")
+    scale = max(1.0, np.max(np.abs(mon.real)))
+    if np.max(np.abs(mon.imag)) > REAL_COEFF_RTOL * scale:
+        raise FactorStepError("discrepancy", "factor coefficients not real")
     gamma = float(h.leading) * (-1) ** rdeg
     if gamma <= 0:
-        raise FactorizationError("leading sign inconsistent with axis PSD")
+        raise FactorStepError("discrepancy",
+                              "leading sign inconsistent with axis PSD")
     return np.sqrt(gamma) * mon.real
 
 
@@ -184,8 +206,10 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
     """Spectral factor of a para-Hermitian polynomial matrix.
 
     Supported sub-cases: scalar, and diagonal (entrywise scalar problems).
-    The PSD-on-axis premise is decided exactly first.  General polynomial
-    matrices raise UnsupportedFactorizationError.
+    The PSD-on-axis premise is decided exactly first, and only its failure
+    raises FactorizationError; a failed float step after it raises
+    FactorStepError.  General polynomial matrices raise
+    UnsupportedFactorizationError.
     """
     if not (H.star() == H):
         raise ValueError("matrix is not para-Hermitian")
@@ -205,7 +229,8 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
         Z[:len(c), i, j] = c
     diag = _poly_spectral_check(Z, H, tol)
     if not diag["ok"]:
-        raise FactorizationError(f"spectral factor failed re-verification: {diag}")
+        raise FactorStepError("discrepancy",
+                              f"spectral factor failed re-verification: {diag}")
     return SpectralFactor(Z=RationalMatrix(Z, np.ones(1)), r=len(cols),
                           diagnostics=diag)
 
@@ -214,25 +239,26 @@ def _spectral_report(Zs: np.ndarray, Hs: np.ndarray, rhp_poles: list,
                      rank_ok: bool) -> dict:
     """The report of both checks.  Zs and Hs hold Z and H at the axis
     samples; the residual is the largest Frobenius norm of Z^H Z - H there,
-    against 1e-8 (1 + the largest norm of H)."""
+    against FACTOR_RESIDUAL_RTOL (1 + the largest norm of H)."""
     E = Zs.conj().transpose(0, 2, 1) @ Zs - Hs
     res = float(np.max(np.linalg.norm(E, axis=(1, 2))))
-    scale = float(np.max(np.linalg.norm(Hs, axis=(1, 2))))
-    factor_ok = res <= 1e-8 * (1.0 + scale)
+    scale = 1.0 + float(np.max(np.linalg.norm(Hs, axis=(1, 2))))
+    factor_ok = res <= FACTOR_RESIDUAL_RTOL * scale
     return {"ok": bool(factor_ok and not rhp_poles and rank_ok),
             "factor_residual": res, "rhp_poles": tuple(map(complex, rhp_poles)),
             "full_rank_rhp": bool(rank_ok)}
 
 
 def _full_rank(Zs: np.ndarray) -> bool:
-    """No stacked value Z(z) drops rank: sv_min > 1e-9 (1 + sv_max) at each.
-    A Z with more rows than columns has full row rank nowhere."""
+    """No stacked value Z(z) drops rank: sv_min above the rank cut at
+    FACTOR_RANK_RTOL at each.  A Z with more rows than columns has full row
+    rank nowhere."""
     if Zs.shape[1] > Zs.shape[2]:
         return False
     if Zs.size == 0:
         return True
     sv = np.linalg.svd(Zs, compute_uv=False)
-    return bool(np.all(sv[:, -1] > _RANK_RTOL * (1.0 + sv[:, 0])))
+    return bool(np.all(sv[:, -1] > rank_cut(sv, FACTOR_RANK_RTOL)))
 
 
 def _poly_spectral_check(Z: np.ndarray, H: PolyMat, tol: Tolerance) -> dict:
@@ -287,7 +313,7 @@ def _near_spectrum(A: np.ndarray, z: complex) -> bool:
     if A.shape[0] == 0:
         return False
     sv = np.linalg.svd(A - z * np.eye(A.shape[0]), compute_uv=False)
-    return bool(sv[-1] <= _MODE_RTOL * (1.0 + sv[0]))
+    return bool(sv[-1] <= rank_cut(sv, MODE_RANK_RTOL))
 
 
 def _decouple(A: np.ndarray, B: np.ndarray, L: np.ndarray, z: complex
@@ -301,12 +327,12 @@ def _decouple(A: np.ndarray, B: np.ndarray, L: np.ndarray, z: complex
         d = A.shape[0]
         Az = A - z * np.eye(d)
         _, sv, Vh = np.linalg.svd(np.vstack([Az, L]))
-        keep = int(np.count_nonzero(sv > _MODE_RTOL * (1.0 + sv[0])))
+        keep = int(np.count_nonzero(sv > rank_cut(sv, MODE_RANK_RTOL)))
         if keep < d:
             P = Vh[:keep].conj().T
         else:
             U, sv, _ = np.linalg.svd(np.hstack([Az, B]))
-            keep = int(np.count_nonzero(sv > _MODE_RTOL * (1.0 + sv[0])))
+            keep = int(np.count_nonzero(sv > rank_cut(sv, MODE_RANK_RTOL)))
             if keep == d:
                 break
             P = U[:, :keep]
@@ -338,14 +364,14 @@ def _invariant_zeros(A: np.ndarray, B: np.ndarray, L: np.ndarray,
     A - B T D^-1 L.  Otherwise the output rows that D does not reach pin the
     part of the state they see to zero; eliminating it leaves a smaller
     square system with the same finite zeros, and the reduction repeats
-    until D is nonsingular.  Rank decisions cut at _PENCIL_RTOL relative to
-    the output block [L, W T], so no finite zero is dropped for being far.
+    until D is nonsingular.  Rank decisions cut at PENCIL_RANK_RTOL relative
+    to the output block [L, W T], so no finite zero is dropped for being far.
     None when the pencil is singular: then Z T drops rank everywhere."""
     q, n = W.shape
     T = np.eye(n) if q == n else np.linalg.qr(
         np.random.default_rng(0).standard_normal((n, q)))[0]
     B, C, D = B @ T, L, W @ T
-    cut = _PENCIL_RTOL * (1.0 + np.linalg.norm(np.hstack([C, D])))
+    cut = PENCIL_RANK_RTOL * (1.0 + np.linalg.norm(np.hstack([C, D])))
     while True:
         U, sv, _ = np.linalg.svd(D)
         rho = int(np.count_nonzero(sv > cut))
@@ -384,14 +410,9 @@ def are_solve(ss: StateSpace, tol: Tolerance = DEFAULT_TOL) -> AREResult:
     raises ValueError unless the least eigenvalue of R exceeds
     tol.psd_tol (1 + |R|)."""
     R = ss.D + ss.D.T
-    if R.size and np.linalg.eigvalsh(R)[0] <= _psd_cut(R, tol):
+    if R.size and np.linalg.eigvalsh(R)[0] <= -tol.psd_floor(np.linalg.norm(R)):
         raise ValueError("D + D^T is not positive definite")
     return _are_solve(ss.A, ss.B, ss.C, R, tol)
-
-
-def _psd_cut(R: np.ndarray, tol: Tolerance) -> float:
-    """The least eigenvalue a positive definite D + D^T must exceed."""
-    return tol.psd_tol * (1.0 + float(np.linalg.norm(R)))
 
 
 def _are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
@@ -417,21 +438,22 @@ def _are_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     Qbar = C.T @ Rinv @ C
     H = np.block([[-Ahat, -S], [Qbar, Ahat.T]])
     lams, V = np.linalg.eig(H)
-    near_axis = any(region_of(z, tol, band_scale=10.0) == AXIS for z in lams)
+    near_axis = any(region_of(z, tol, band_scale=ROBUST_BAND_SCALE) == AXIS
+                    for z in lams)
     X = None
     if not near_axis:
         idx = [k for k, z in enumerate(lams) if z.real > 0]
         if len(idx) == d:
             V1 = V[:d, idx]
             V2 = V[d:, idx]
-            if np.linalg.cond(V1) < 1e12:
+            if np.linalg.cond(V1) < EIGVEC_COND_MAX:
                 X = np.real(V2 @ np.linalg.inv(V1))
                 X = (X + X.T) / 2.0
-    if X is None or np.linalg.norm(_pi_residual(A, B, C, X, Rinv)) > 1e-8:
+    if X is None or np.linalg.norm(_pi_residual(A, B, C, X, Rinv)) > ARE_POLISH_ABS:
         X = _newton_care(A, B, C, Rinv,
                          X0=X if X is not None else np.zeros((d, d)))
     res = float(np.linalg.norm(_pi_residual(A, B, C, X, Rinv)))
-    if res > max(1e-10, tol.residual_tol):
+    if res > max(ARE_RESIDUAL_FLOOR, tol.residual_tol):
         raise AREInfeasibleError(f"condition 5 infeasible (residual {res:.3e})")
     weig = np.linalg.eigvalsh((X + X.T) / 2.0)
     if weig[0] < tol.psd_floor(np.linalg.norm(X)):
@@ -450,24 +472,20 @@ def _newton_care(A: np.ndarray, B: np.ndarray, C: np.ndarray, Rinv: np.ndarray,
     -(Acl^T E + E Acl), Acl = A - B R^-1 (C - B^T X), so each step solves
     that Lyapunov operator in least squares (it is singular where Acl has
     axis eigenvalues)."""
-    d = A.shape[0]
-    iu, ju = np.triu_indices(d)
-    E = np.zeros((len(iu), d, d))  # X = sum of x_k E_k
-    E[np.arange(len(iu)), iu, ju] = 1.0
-    E[np.arange(len(iu)), ju, iu] = 1.0
+    iu, ju, E = symmetric_basis(A.shape[0])  # X = sum of x_k E_k
     unpack = lambda x: np.tensordot(x, E, 1)
     func = lambda x: _pi_residual(A, B, C, unpack(x), Rinv)[iu, ju]
     x = X0[iu, ju].astype(float)
     f = func(x)
     for _ in range(200):
         nf = np.linalg.norm(f)
-        if nf < 1e-13:
+        if nf < NEWTON_STOP_ABS:
             break
         Acl = A - B @ Rinv @ (C - B.T @ unpack(x))
         J = -(Acl.T @ E + E @ Acl)[:, iu, ju].T
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
         alpha = 1.0
-        while alpha > 1e-6:
+        while alpha > NEWTON_MIN_STEP:
             xn = x + alpha * step
             fn = func(xn)
             if np.linalg.norm(fn) < nf:
@@ -508,10 +526,10 @@ def verify_certificate(ss: StateSpace, X, L, W,
     tol.residual_tol, and X >= 0 by its least eigenvalue.  The spectral
     check (`spectral` in the result; see the module docstring) reports
     `factor_residual`, the largest Frobenius norm of Z^H Z - (G + G^H) at
-    the axis samples, which must stay below 1e-8 (1 + |G + G^H|);
-    `rhp_poles`, the open-RHP poles of Z; `full_rank_rhp`; and `ok` when all
-    three hold.  It does not raise: construct_certificate turns a failed
-    check into a discrepancy."""
+    the axis samples, which must stay below FACTOR_RESIDUAL_RTOL
+    (1 + |G + G^H|); `rhp_poles`, the open-RHP poles of Z; `full_rank_rhp`;
+    and `ok` when all three hold.  It does not raise: construct_certificate
+    turns a failed check into a discrepancy."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
     L, W = lure_rows(ss, L, W)
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
@@ -652,7 +670,7 @@ def _lure_triple(ss: StateSpace, Q: PolyMat, tol: Tolerance
         st = staircase(ss)
         A, B, C = st.A11, st.B1, st.C1
     R = ss.D + ss.D.T
-    cut = _psd_cut(R, tol)
+    cut = -tol.psd_floor(float(np.linalg.norm(R)))
     if all(region_of(z, tol) == OPEN_LHP for z in np.linalg.eigvals(A)):
         X, L, W = _deflate(A, B, C, R, cut, tol)
     else:
@@ -675,13 +693,6 @@ def _block_diag(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out[:k, :k] = X
     out[k:, k:] = Y
     return out
-
-
-# Below the top level, an eigenvalue of R' counts as zero at or below
-# _DEFLATE_RTOL times the norms that R' is built from, and one of C2 B2 at or
-# below _DEFLATE_RTOL |C| |B|: a cancellation that leaves |R'| or |C2 B2| at
-# rounding noise cannot pass for a rank.
-_DEFLATE_RTOL = 1e-9
 
 
 def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
@@ -722,7 +733,7 @@ def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     B1, C1, R1 = B @ U1, U1.T @ C, np.diag(w[pos])
     B2, C2 = B @ U2, U2.T @ C
     m, V = np.linalg.eigh((C2 @ B2 + B2.T @ C2.T) / 2.0)
-    a = m > _DEFLATE_RTOL * float(np.linalg.norm(C) * np.linalg.norm(B))
+    a = m > DEFLATE_RTOL * float(np.linalg.norm(C) * np.linalg.norm(B))
     k, M = int(a.sum()), np.diag(m[a])
     N = np.linalg.svd(V[:, a].T @ C2)[2][k:].T
     T = np.hstack([B2 @ V[:, a], N])
@@ -735,7 +746,7 @@ def _deflate(A: np.ndarray, B: np.ndarray, C: np.ndarray, R: np.ndarray,
     nrm = lambda Z: float(np.linalg.norm(Z))
     scale = 2.0 * (nrm(A11) * nrm(M) + nrm(G1) + nrm(E1) * nrm(M)) + nrm(R1)
     Y, Ln, Wn = _deflate(A22, np.hstack([A21, F1]), np.vstack([-M @ A12, H1]),
-                         (Rn + Rn.T) / 2.0, _DEFLATE_RTOL * scale, tol)
+                         (Rn + Rn.T) / 2.0, DEFLATE_RTOL * scale, tol)
     X = Ti.T @ _block_diag(M, Y) @ Ti
     L = np.hstack([Wn[:, :k], Ln]) @ Ti
     return (X + X.T) / 2.0, L, Wn[:, k:] @ U1.T

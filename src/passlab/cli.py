@@ -17,20 +17,22 @@ import sys
 import numpy as np
 
 from . import __version__
-from .behavior import (DecompositionError, NotPositiveRealError, decompose,
-                       passive_partition)
+from .behavior import (DecompositionError, NotPositiveRealError,
+                       coupling_condition_direct, decompose, passive_partition)
 from .certificate import (CertificateVerificationError, FactorizationError,
-                          UnsupportedFactorizationError, certificate_status_exit,
-                          construct_certificate, spectral_factor_poly,
-                          verify_certificate)
+                          FactorStepError, UnsupportedFactorizationError,
+                          certificate_status_exit, construct_certificate,
+                          spectral_factor_poly, verify_certificate)
 from .jsonio import (InputError, certificate_json, dumps, fnum, load_document,
-                     load_system, matrix_json, parse_cert, parse_ss,
-                     polymat_json, rational_matrix_json, verdict_json)
-from .numeric import Tolerance
+                     load_system, matrix_json, parse_cert, parse_polymat,
+                     parse_ss, polymat_json, rational_matrix_json, verdict_json)
+from .numeric import DEFAULT_TOL, Tolerance
+from .poly import Poly
+from .polymatrix import PolyMat
 from .prpair import FAIL, PASS, check_pair
 from .signals import parse_signal_vector
-from .statespace import (RealizationError, realize_behavior, realize_statespace,
-                         simulate)
+from .statespace import (RealizationError, StateSpace, realize_behavior,
+                         realize_statespace, simulate)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -69,7 +71,6 @@ def cmd_check_pair(args) -> int:
     verdict = check_pair(P, Q, tol)
     doc = verdict_json(verdict, include_witnesses=verdict.overall != PASS)
     if args.cross_check and verdict.cond2.status == PASS:
-        from .behavior import coupling_condition_direct
         try:
             direct = coupling_condition_direct(decompose(P, Q))
             agree = direct == (verdict.cond3.status == PASS)
@@ -231,7 +232,6 @@ def cmd_specfact(args) -> int:
         return certificate_status_exit(res.status)
     try:
         doc = load_document(args.poly)
-        from .jsonio import parse_polymat
         H = parse_polymat(doc.get("H", doc.get("poly")), "H")
         if not H.star() == H:
             raise InputError(f"{args.poly}: H is not para-Hermitian")
@@ -239,9 +239,10 @@ def cmd_specfact(args) -> int:
     except UnsupportedFactorizationError as e:
         _emit(args, {"error": str(e), "status": "unsupported"})
         return EXIT_INCONCLUSIVE
-    except np.linalg.LinAlgError:
-        raise  # a numeric failure, not a verdict: main reports it
-    except (FactorizationError, ValueError) as e:
+    except FactorStepError as e:  # a float step failed: no verdict on H
+        _emit(args, {"error": str(e), "status": e.status})
+        return EXIT_INCONCLUSIVE
+    except FactorizationError as e:  # the exact premise fails
         _emit(args, {"error": str(e), "status": "not-factorizable"})
         return EXIT_NEGATIVE
     _emit(args, _factor_doc(sf.Z, sf.r, sf.diagnostics))
@@ -258,10 +259,7 @@ def _factor_doc(Z, rank: int, diagnostics: dict) -> dict:
 
 def cmd_selftest(args) -> int:
     """A fixed smoke battery; PASSLAB_SEED fixes the randomized checks."""
-    import math
     import random
-
-    from .statespace import StateSpace
 
     try:
         seed = int(os.environ.get("PASSLAB_SEED", "0"))
@@ -275,8 +273,6 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures.append(name)
 
-    from .poly import Poly
-    from .polymatrix import PolyMat
     s = Poly.x()
     rc = StateSpace.from_arrays([[-1]], [[1]], [[1]], [[1]])
     res = construct_certificate(rc)
@@ -300,11 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "pairs, Lur'e certificates, spectral factors.")
     ap.add_argument("--version", action="version", version=f"passlab {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-axis", type=float, default=1e-9,
+    common.add_argument("--tol-axis", type=float, default=DEFAULT_TOL.axis_band,
                         help="relative axis classification band")
-    common.add_argument("--tol-psd", type=float, default=1e-9,
+    common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_tol,
                         help="relative PSD floor")
-    common.add_argument("--tol-residual", type=float, default=1e-8,
+    common.add_argument("--tol-residual", type=float,
+                        default=DEFAULT_TOL.residual_tol,
                         help="relative residual tolerance")
     common.add_argument("--format", choices=("json", "text"), default="json")
 

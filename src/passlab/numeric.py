@@ -1,4 +1,4 @@
-"""Small dense numeric kernel and the axis-tolerance policy.
+"""Small dense numeric kernel and the one tolerance policy.
 
 Distinct complex roots of exact polynomials (via the exact square-free
 part, companion eigenvalues and a short guarded Newton polish), Lyapunov
@@ -6,12 +6,14 @@ solves by Bartels-Stewart (scipy), the lossless two-equation Lyapunov
 feasibility solve, Hermitian PSD tests with eigenvector witnesses, and the
 ordered real Schur stable/unstable spectral split.
 
-Every pass/fail decision that depends on where a point sits relative to
-the imaginary axis goes through one policy, and `region_of` and
-`closed_rhp` are its only entry points: a point is "on the axis" when
-|Re z| <= axis_band * (1 + |z|).  `closed_rhp` flags a closed-RHP verdict
-that flips when the band is widened tenfold as non-robust, and callers
-report such verdicts as inconclusive instead of pass/fail.
+Every float threshold of the package is named in this module (see "the
+threshold rules" below).  Every pass/fail decision that depends on where a
+point sits relative to the imaginary axis goes through one policy, and
+`region_of` and `closed_rhp` are its only entry points: a point is "on the
+axis" when |Re z| <= axis_band * (1 + |z|).  `closed_rhp` flags a
+closed-RHP verdict that flips when the band is widened tenfold as
+non-robust, and callers report such verdicts as inconclusive instead of
+pass/fail.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ class SpectralSplitError(Exception):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric policy knobs; all bands are relative."""
+    """The rules that decide verdicts, all relative: z is on the axis when
+    |Re z| <= axis_band (1 + |z|) (`region_of`), a Hermitian H is PSD when
+    its least eigenvalue is at least psd_floor(|H|) = -psd_tol (1 + |H|),
+    and an equation holds when its residual is at most residual_tol times
+    1 + the norm of its data."""
     axis_band: float = 1e-9
     psd_tol: float = 1e-9
     residual_tol: float = 1e-8
@@ -59,6 +65,86 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+# -- the threshold rules ---------------------------------------------------------
+#
+# Every float threshold of the package.  A rule either decides a verdict,
+# through a Tolerance field that the --tol-* flags set, or only re-checks a
+# witness, a certificate or a float step, as a fixed constant that no flag
+# moves.  A relative rule reads rtol (1 + scale), where the 1 keeps it
+# absolute for a scale near zero; each rule names its scale.
+
+# Verdicts.  A closed-RHP verdict is robust when it survives the axis band
+# (tol.axis_band, relative to 1 + |z|) widened by this factor (`closed_rhp`).
+# The Riccati solve takes its Newton route when an eigenvalue of the
+# Hamiltonian lies in that wider band.
+ROBUST_BAND_SCALE = 10.0
+
+
+def rank_cut(sv: np.ndarray, rtol: float):
+    """The SVD rank cut rtol (1 + sv_max) (Golub and Van Loan, Matrix
+    Computations, 5.4): a singular value at or below it counts as zero.  sv
+    holds singular values in descending order along its last axis, so a
+    stack of them gets one cut each."""
+    return rtol * (1.0 + sv[..., 0])
+
+
+# Witness and certificate re-checks, fixed.
+# A rank-drop witness lam of condition 2 holds when sv_min of [P -Q](lam) is
+# at or below rank_cut; a coupling witness p when |p(lam)^T [P -Q](lam)| is
+# at or below WITNESS_RTOL (1 + |[P -Q](lam)| |p(lam)|) ...
+WITNESS_RTOL = 1e-6
+# ... and |p(lam)| exceeds this absolute floor.
+COUPLING_ROW_FLOOR = 1e-8
+# `storage_check`: the energy-identity residual, already relative to
+# 1 + |int |L x + W u|^2|, and the dissipation slack, relative to
+# 1 + |int u^T y|, must stay within it.
+STORAGE_RTOL = 1e-6
+# A spectral factor Z: |Z^H Z - H| at the axis samples is at most
+# FACTOR_RESIDUAL_RTOL (1 + max |H|) there, ...
+FACTOR_RESIDUAL_RTOL = 1e-8
+# ... Z(z) has full row rank where sv_min exceeds rank_cut, ...
+FACTOR_RANK_RTOL = 1e-9
+# ... z is on the spectrum of A where sv_min of A - zI is at or below
+# rank_cut, and the PBH matrices [A - zI; L] and [A - zI, B] keep their
+# singular values above it (about sqrt(eps)), ...
+MODE_RANK_RTOL = 1e-8
+# ... and the zero reduction of the Rosenbrock pencil counts a singular
+# value as zero at or below PENCIL_RANK_RTOL (1 + |[L, W T]|), a few eps, so
+# that no finite zero is dropped for being far.
+PENCIL_RANK_RTOL = 1e-14
+# The coefficients of a scalar spectral factor are real when
+# max |Im| <= REAL_COEFF_RTOL max(1, max |Re|).
+REAL_COEFF_RTOL = 1e-9
+
+# Float steps of the Lur'e construction, fixed.
+# Below the top level of the deflation, an eigenvalue of R' counts as zero
+# at or below DEFLATE_RTOL times the norms that R' is built from, and one of
+# C2 B2 at or below DEFLATE_RTOL |C| |B|: a cancellation that leaves |R'| or
+# |C2 B2| at rounding noise cannot pass for a rank.  (The top level cuts
+# D + D^T at -tol.psd_floor(|D + D^T|).)
+DEFLATE_RTOL = 1e-9
+# The Hamiltonian eigenvectors [V1; V2] give X = V2 V1^-1 only where
+# cond(V1) is below this; ...
+EIGVEC_COND_MAX = 1e12
+# ... Newton polishes that X where the Riccati residual |Pi(X)| exceeds this
+# absolute value, ...
+ARE_POLISH_ABS = 1e-8
+# ... and the solve fails where |Pi(X)| exceeds max(ARE_RESIDUAL_FLOOR,
+# tol.residual_tol), both absolute.
+ARE_RESIDUAL_FLOOR = 1e-10
+# Newton on Pi stops where |Pi| falls below this absolute value, or where
+# damping has halved the step to NEWTON_MIN_STEP of a full one.
+NEWTON_STOP_ABS = 1e-13
+NEWTON_MIN_STEP = 1e-6
+
+# Float steps of this module, fixed.  The polish of a root stops where
+# |f'(z)| falls below this absolute value.
+POLISH_DERIV_FLOOR = 1e-14
+# `lyapunov_solve`: lam_i + lam_j counts as zero at or below
+# RESONANCE_RTOL (1 + max |lam|).
+RESONANCE_RTOL = 1e-10
+
+
 def region_of(z: complex, tol: Tolerance = DEFAULT_TOL, band_scale: float = 1.0) -> str:
     band = tol.axis_band * band_scale * (1.0 + abs(z))
     if abs(z.real) <= band:
@@ -72,8 +158,8 @@ def closed_rhp(points: Iterable[complex], tol: Tolerance = DEFAULT_TOL
     whether the emptiness of that set survives widening the band tenfold."""
     points = list(points)
     hits = [z for z in points if region_of(z, tol) != OPEN_LHP]
-    robust = bool(hits) or all(region_of(z, tol, band_scale=10.0) == OPEN_LHP
-                               for z in points)
+    robust = bool(hits) or all(
+        region_of(z, tol, band_scale=ROBUST_BAND_SCALE) == OPEN_LHP for z in points)
     return hits, robust
 
 
@@ -87,7 +173,7 @@ def _newton_polish(f: Poly, df: Poly, z: complex) -> complex:
     fz = f.eval_complex(z)
     for _ in range(3):
         d = df.eval_complex(z)
-        if abs(d) < 1e-14:
+        if abs(d) < POLISH_DERIV_FLOOR:
             break
         w = z - fz / d
         fw = f.eval_complex(w)
@@ -142,7 +228,7 @@ def lyapunov_solve(A: np.ndarray, Qrhs: np.ndarray,
         return np.zeros((0, 0))
     lams = np.linalg.eigvals(A)
     scale = 1.0 + max(abs(lams), default=0.0)
-    if np.any(np.abs(lams[:, None] + lams[None, :]) <= 1e-10 * scale):
+    if np.any(np.abs(lams[:, None] + lams[None, :]) <= RESONANCE_RTOL * scale):
         raise LyapunovError("singular Lyapunov operator")
     import scipy.linalg  # imported here: it dominates `import passlab` otherwise
     X = scipy.linalg.solve_continuous_lyapunov(A.T, -Qrhs)
@@ -151,6 +237,18 @@ def lyapunov_solve(A: np.ndarray, Qrhs: np.ndarray,
     if res > tol.residual_tol * (1.0 + np.linalg.norm(Qrhs)):
         raise LyapunovError(f"Lyapunov residual too large: {res:.3e}")
     return X
+
+
+def symmetric_basis(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(iu, ju, E): the upper-triangle indices of a d x d matrix, row by
+    row, and the basis of symmetric matrices on them, E[k] one at (iu[k],
+    ju[k]) and at (ju[k], iu[k]), zero elsewhere.  A symmetric X is the
+    sum of X[iu[k], ju[k]] E[k], each entry from exactly one term."""
+    iu, ju = np.triu_indices(d)
+    E = np.zeros((len(iu), d, d))
+    E[np.arange(len(iu)), iu, ju] = 1.0
+    E[np.arange(len(iu)), ju, iu] = 1.0
+    return iu, ju, E
 
 
 def lossless_lyap_solve(Au: np.ndarray, Bu: np.ndarray, Cu: np.ndarray,
@@ -167,25 +265,12 @@ def lossless_lyap_solve(Au: np.ndarray, Bu: np.ndarray, Cu: np.ndarray,
     k = Au.shape[0]
     if k == 0:
         return np.zeros((0, 0))
-    n = Bu.shape[1]
-    basis = []
-    for i in range(k):
-        for j in range(i, k):
-            E = np.zeros((k, k))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            basis.append(E)
-    cols = []
-    for E in basis:
-        lyap_part = (Au.T @ E + E @ Au).flatten()
-        cross_part = (E @ Bu).flatten()
-        cols.append(np.concatenate([lyap_part, cross_part]))
-    Amat = np.column_stack(cols)
+    _, _, E = symmetric_basis(k)
+    Amat = np.hstack([(Au.T @ E + E @ Au).reshape(len(E), -1),
+                      (E @ Bu).reshape(len(E), -1)]).T
     rhs = np.concatenate([np.zeros(k * k), Cu.T.flatten()])
     sol, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-    X = np.zeros((k, k))
-    for coef, E in zip(sol, basis):
-        X += coef * E
+    X = sum(c * Ek for c, Ek in zip(sol, E))
     scale = 1.0 + np.linalg.norm(Cu) + np.linalg.norm(Au)
     res = max(np.linalg.norm(Au.T @ X + X @ Au), np.linalg.norm(X @ Bu - Cu.T))
     if res > tol.residual_tol * scale:

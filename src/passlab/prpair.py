@@ -46,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, Tolerance, closed_rhp, hermitian_psd, region_of
+from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
+                      closed_rhp, hermitian_psd, rank_cut, region_of)
 from .numeric import roots as numeric_roots
 from .poly import Poly, find_negative_point
 from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, charpoly,
@@ -148,10 +149,10 @@ def check_condition2(P: PolyMat, Q: PolyMat,
 
 
 def _rank_drop_reverifies(PQ: PolyMat, lam: complex) -> bool:
-    """[P -Q](lam) is numerically rank deficient: a fixed relative SVD
-    threshold, like the other witness re-checks, not the tolerance policy."""
+    """[P -Q](lam) is numerically rank deficient: the rank cut at the fixed
+    WITNESS_RTOL, like the other witness re-checks, not a Tolerance field."""
     sv = np.linalg.svd(PQ.eval_complex(lam), compute_uv=False)
-    return bool(sv[-1] <= 1e-6 * (1.0 + sv[0]))
+    return bool(sv[-1] <= rank_cut(sv, WITNESS_RTOL))
 
 
 # -- condition 1 -------------------------------------------------------------
@@ -384,7 +385,8 @@ def _coupling_witness(P: PolyMat, Q: PolyMat, V: PolyMat, lam: complex
                      for entry in prow])
     res_rank = np.linalg.norm(p_at @ PQ.eval_complex(lam))
     scale = 1.0 + np.linalg.norm(PQ.eval_complex(lam)) * np.linalg.norm(p_at)
-    ok = bool(res_rank <= 1e-6 * scale and np.linalg.norm(p_at) > 1e-8)
+    ok = bool(res_rank <= WITNESS_RTOL * scale
+              and np.linalg.norm(p_at) > COUPLING_ROW_FLOOR)
     return Witness(kind="coupling", lam=lam, vector=tuple(g), polyrow=tuple(prow),
                    value=float(res_rank), reverified=ok,
                    detail="p^T = g^T V annihilates PQ*+QP* exactly and "

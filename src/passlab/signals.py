@@ -62,7 +62,7 @@ class Signal:
 
     def __init__(self, atoms=()):
         object.__setattr__(self, "atoms",
-                           tuple(a for a in atoms if a.coef != 0.0))
+                           tuple(a for a in atoms if a.coef != 0))
 
     def __setattr__(self, *a):
         raise AttributeError("Signal is immutable")

@@ -18,6 +18,7 @@ from operator import mul
 
 import numpy as np
 
+from .numeric import STORAGE_RTOL
 from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
                          _leading_rows, _rref_kernel, _scaled, row_reduced,
@@ -479,7 +480,8 @@ def _rk4_propagate(A, B, h: float, U, Um, X) -> None:
 class StorageCheck:
     """Energy-balance diagnostics of a Lur'e triple along one trajectory."""
     identity_residual: float
-    dissipation_slack: float  # integral u^T y - 1/2 [x^T X x]; >= -1e-6 rel. if ok
+    # integral u^T y - 1/2 [x^T X x]; at least -STORAGE_RTOL relative if ok
+    dissipation_slack: float
     ok: bool
 
 
@@ -505,8 +507,8 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
 
         int (u^T y + y^T u) dt - [x^T X x] = int |L x + W u|^2 dt
 
-    and the dissipation inequality  int u^T y >= 1/2 [x^T X x], both to a
-    relative 1e-6.
+    and the dissipation inequality  int u^T y >= 1/2 [x^T X x], both to the
+    relative STORAGE_RTOL.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(ss.d, ss.d)
     L, W = lure_rows(ss, L, W)
@@ -517,7 +519,8 @@ def storage_check(ss: StateSpace, X, L, W, traj: Trajectory) -> StorageCheck:
     lhs = supply - storage
     residual = abs(lhs - rhs) / (1.0 + abs(rhs))
     slack = 0.5 * supply - 0.5 * storage
-    ok = residual <= 1e-6 and slack >= -1e-6 * (1.0 + abs(0.5 * supply))
+    floor = -STORAGE_RTOL * (1.0 + abs(0.5 * supply))
+    ok = residual <= STORAGE_RTOL and slack >= floor
     return StorageCheck(identity_residual=residual, dissipation_slack=slack, ok=ok)
 
 

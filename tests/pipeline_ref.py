@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from passlab.certificate import (CertificateVerificationError, CertifyResult,
-                                 FactorizationError, StableStageError,
-                                 UnsupportedFactorizationError, _degree,
-                                 _stack, remark61_solve, spectral_factor_poly,
-                                 verify_certificate)
+                                 FactorizationError, FactorStepError,
+                                 StableStageError, UnsupportedFactorizationError,
+                                 _degree, _stack, remark61_solve,
+                                 spectral_factor_poly, verify_certificate)
 from passlab.numeric import (DEFAULT_TOL, LosslessInfeasibleError,
                              LyapunovError, SpectralSplitError, Tolerance,
                              lossless_lyap_solve, lyapunov_solve,
@@ -85,8 +85,8 @@ def pipeline_certify(ss: StateSpace, tol: Tolerance = DEFAULT_TOL
         W = limit_KMinv(sf.Z.num, M)
     except UnsupportedFactorizationError as e:
         return CertifyResult(status="unsupported", verdict=verdict, message=str(e))
-    except (LosslessInfeasibleError, FactorizationError, StableStageError,
-            LyapunovError, ValueError) as e:
+    except (LosslessInfeasibleError, FactorizationError, FactorStepError,
+            StableStageError, LyapunovError, ValueError) as e:
         return CertifyResult(status="discrepancy", verdict=verdict, message=str(e))
     d, d1 = ss.d, st.A11.shape[0]
     That = np.zeros((d, d))

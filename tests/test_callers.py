@@ -26,7 +26,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "passlab"
 
 SPANNED = "perfbench/tracer.py SPAN_TARGETS names it"
-QDF = "quadratic-differential-form algebra for storage on a pair (ROADMAP item 3)"
+QDF = "quadratic-differential-form algebra for storage on a pair (ROADMAP item 5)"
 SIGNAL = "a public builder of simulate inputs"
 DIAGNOSTIC = "a public result field that only the tests read"
 

@@ -4,10 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import astuple
 
 import pytest
 
-from passlab.cli import main
+import passlab.certificate
+from passlab.cli import build_parser, main
+from passlab.numeric import Tolerance
 
 
 @pytest.fixture()
@@ -136,6 +139,46 @@ class TestExitCodes:
             "status": "unsupported",
             "error": "unsupported: matrix spectral factorization beyond the "
                      "scalar and diagonal cases"}
+
+    def test_specfact_poly_premise_failure_exits_1(self, tmp_path, capsys):
+        # H = -1 is negative on the whole axis: the exact premise fails
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"kind": "poly", "H": [[["-1"]]]}))
+        assert main(["specfact", "--poly", str(p)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "not-factorizable"
+        assert "fails PSD-on-axis premise" in out["error"]
+
+    def test_specfact_poly_axis_band_contradiction_inconclusive(self, tmp_path,
+                                                                capsys):
+        # H = 10^-24 - s^2 has H(jw) = 10^-24 + w^2 > 0 and the factor
+        # 10^-12 + s, but the axis band tags its roots +-10^-12 as axis roots
+        # of odd multiplicity: the exact and float views disagree
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"kind": "poly", "H": [[[
+            "1/1000000000000000000000000", "0", "-1"]]]}))
+        assert main(["specfact", "--poly", str(p)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "inconclusive"
+        assert "exact PSD-on-axis premise holds" in out["error"]
+        assert "-1e-12+0j, 1e-12+0j" in out["error"]
+
+    @pytest.mark.parametrize("target, fake, message", [
+        ("numeric_roots", lambda p: [], "root split is inconsistent"),
+        ("_poly_spectral_check", lambda Z, H, tol: {"ok": False},
+         "failed re-verification"),
+    ])
+    def test_specfact_poly_failed_float_step_is_discrepancy(
+            self, files, capsys, monkeypatch, target, fake, message):
+        monkeypatch.setattr(passlab.certificate, target, fake)
+        assert main(["specfact", "--poly", files["density"]]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "discrepancy" and message in out["error"]
+
+    def test_tolerance_flag_defaults_are_the_policy_defaults(self):
+        args = build_parser().parse_args(["selftest"])
+        assert (args.tol_axis, args.tol_psd, args.tol_residual) == \
+            astuple(Tolerance())
 
     def test_input_errors_exit_2(self, files, capsys):
         assert main(["check-pair", files["bad"]]) == 2

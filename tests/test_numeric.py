@@ -10,7 +10,7 @@ from passlab.numeric import (AXIS, OPEN_LHP, OPEN_RHP, LosslessInfeasibleError,
                              LyapunovError, Tolerance, closed_rhp,
                              hermitian_psd, lossless_lyap_solve,
                              lyapunov_solve, region_of, roots,
-                             stable_unstable_split)
+                             stable_unstable_split, symmetric_basis)
 from passlab.poly import Poly, squarefree_decomposition
 from passlab.prpair import PASS, check_pair
 from passlab.statespace import realize_behavior
@@ -164,6 +164,23 @@ class TestLossless:
         Cu = np.array([[0.0, -1.0]])
         with pytest.raises(LosslessInfeasibleError, match="infeasible"):
             lossless_lyap_solve(Au, Bu, Cu)
+
+    def test_symmetric_basis_is_the_double_loop_basis(self):
+        """The basis lossless_lyap_solve once built in a double loop, in its
+        order, and X from its upper triangle bit for bit."""
+        rng = np.random.default_rng(3)
+        for d in range(1, 6):
+            ref = []
+            for i in range(d):
+                for j in range(i, d):
+                    E = np.zeros((d, d))
+                    E[i, j] = E[j, i] = 1.0
+                    ref.append(E)
+            iu, ju, E = symmetric_basis(d)
+            assert np.array_equal(E, np.reshape(ref, (len(ref), d, d)))
+            X = rng.standard_normal((d, d))
+            X = X + X.T
+            assert np.array_equal(sum(c * Ek for c, Ek in zip(X[iu, ju], E)), X)
 
 
 class TestPsd:
