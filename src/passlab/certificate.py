@@ -52,6 +52,7 @@ its certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,13 +67,23 @@ from .numeric import (ARE_POLISH_ABS, ARE_RESIDUAL_FLOOR, AXIS, DEFAULT_TOL,
 from .numeric import roots as numeric_roots
 from .poly import Poly, squarefree_decomposition
 from .polymatrix import PolyMat
-from .prpair import PASS, INCONCLUSIVE, PRPairVerdict, axis_psd, check_pair
+from .prpair import (PASS, INCONCLUSIVE, PRPairVerdict, _axis_violation,
+                     check_pair)
 from .statespace import (StateSpace, lure_rows, realize_behavior, resolvent,
                          shifted_solve, staircase)
 
 
 class FactorizationError(Exception):
-    """The density violates the PSD-on-axis premise (no factor exists)."""
+    """The density violates the PSD-on-axis premise (no factor exists).
+    The witness is exact: the principal minor `subset` of H(jw) has the
+    value `value` < 0 at w = `wstar`, re-evaluated from H."""
+
+    def __init__(self, subset: tuple[int, ...], wstar: Fraction, value: Fraction):
+        super().__init__("not factorizable: fails PSD-on-axis premise at "
+                         f"w = {float(wstar):g}")
+        self.subset = subset
+        self.wstar = wstar
+        self.value = value
 
 
 class FactorStepError(Exception):
@@ -207,16 +218,21 @@ def spectral_factor_poly(H: PolyMat, tol: Tolerance = DEFAULT_TOL
 
     Supported sub-cases: scalar, and diagonal (entrywise scalar problems).
     The PSD-on-axis premise is decided exactly first, and only its failure
-    raises FactorizationError; a failed float step after it raises
-    FactorStepError.  General polynomial matrices raise
-    UnsupportedFactorizationError.
+    raises FactorizationError, whose witness minor is evaluated again from
+    H at w*; a failed float step after it raises FactorStepError.  General
+    polynomial matrices raise UnsupportedFactorizationError.
     """
     if not (H.star() == H):
         raise ValueError("matrix is not para-Hermitian")
-    ok, wstar = axis_psd(H)
-    if not ok:
-        raise FactorizationError(
-            f"not factorizable: fails PSD-on-axis premise at w = {float(wstar):g}")
+    found = _axis_violation(H)
+    if found is not None:
+        subset, _, wstar = found
+        value = H.submatrix(subset, subset).det().real_on_axis()(wstar)
+        if not value < 0:
+            raise FactorStepError(
+                "discrepancy", f"principal minor {list(subset)} of H(jw) at "
+                f"w = {float(wstar):g} failed re-verification")
+        raise FactorizationError(subset, wstar, value)
     n = H.rows
     if any(not H[i, j].is_zero for i in range(n) for j in range(n) if i != j):
         raise UnsupportedFactorizationError(

@@ -23,9 +23,10 @@ from .certificate import (CertificateVerificationError, FactorizationError,
                           FactorStepError, UnsupportedFactorizationError,
                           certificate_status_exit, construct_certificate,
                           spectral_factor_poly, verify_certificate)
-from .jsonio import (InputError, certificate_json, dumps, fnum, load_document,
-                     load_system, matrix_json, parse_cert, parse_polymat,
-                     parse_ss, polymat_json, rational_matrix_json, verdict_json)
+from .jsonio import (InputError, certificate_json, dumps, fnum, frac_str,
+                     load_document, load_system, matrix_json, parse_cert,
+                     parse_polymat, parse_ss, polymat_json, rational_matrix_json,
+                     verdict_json)
 from .numeric import DEFAULT_TOL, Tolerance
 from .poly import Poly
 from .polymatrix import PolyMat
@@ -242,8 +243,13 @@ def cmd_specfact(args) -> int:
     except FactorStepError as e:  # a float step failed: no verdict on H
         _emit(args, {"error": str(e), "status": e.status})
         return EXIT_INCONCLUSIVE
-    except FactorizationError as e:  # the exact premise fails
-        _emit(args, {"error": str(e), "status": "not-factorizable"})
+    except FactorizationError as e:  # the exact premise fails, with a witness
+        _emit(args, {"error": str(e), "status": "not-factorizable",
+                     "witnesses": [{
+                         "kind": "axis-indefinite", "reverified": True,
+                         "detail": "det H(jw)[subset, subset] = value < 0",
+                         "subset": list(e.subset), "w": frac_str(e.wstar),
+                         "value": frac_str(e.value)}]})
         return EXIT_NEGATIVE
     _emit(args, _factor_doc(sf.Z, sf.r, sf.diagnostics))
     return EXIT_OK

@@ -403,10 +403,46 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p: p over
-    gcd(p, p')."""
+    gcd(p, p').
+
+    A constant gcd of p and p' modulo the prime _SQUAREFREE_PRIME, where
+    the prime does not divide the leading coefficient, proves p square-free
+    over Q (Brown, J. ACM 18, 1971): by Gauss's lemma a repeated factor f
+    of p's integer numerators has integer coefficients, keeps its degree
+    modulo the prime, and divides both reductions.  Then the part is
+    p.monic(); otherwise the exact Euclidean gcd decides."""
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
+    q, num = _SQUAREFREE_PRIME, p.num
+    if num[-1] % q:
+        high = [c % q for c in reversed(num)]
+        deriv = [k * c % q for k, c in zip(range(len(num) - 1, 0, -1), high)]
+        if _coprime_mod(high, deriv, q):
+            return p.monic()
     return p.monic() // poly_gcd(p, p.derivative())
+
+
+_SQUAREFREE_PRIME = (1 << 31) - 1  # a Mersenne prime: residue products fit a word
+
+
+def _coprime_mod(a: list[int], b: list[int], q: int) -> bool:
+    """Whether the gcd of a and b over the integers modulo the prime q is a
+    nonzero constant.  Coefficients run high degree first, reduced mod q,
+    with no leading zero; a is nonempty and longer than b."""
+    while b:
+        inv = pow(b[0], -1, q)
+        a = a[:]
+        top = len(a) - len(b) + 1
+        for i in range(top):  # a mod b, in place
+            f = a[i] * inv % q
+            if f:
+                for j, y in enumerate(b[1:], i + 1):
+                    a[j] = (a[j] - f * y) % q
+        k = top
+        while k < len(a) and not a[k]:
+            k += 1
+        a, b = b, a[k:]
+    return len(a) == 1
 
 
 # -- exact real-root analysis ----------------------------------------------------

@@ -11,7 +11,8 @@ by row Hermite forms, the max-degree-of-full-size-minors functional `delta`
 coefficients), and constant-rank tests over a region of the complex plane.
 The dense rational-matrix helpers (`_frref` and the rank, kernel, inverse
 and product built on it) live here too; their elimination, `_irref`, runs
-on integer rows, and `normalrank` reuses it.
+on integer rows, and `normalrank` and `statespace.realize_behavior` reuse
+it.
 
 Conventions:
   * row echelon:     U @ M == stack(E, zero rows),  U unimodular

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import numpy as np
 
 from .numeric import STORAGE_RTOL
 from .poly import Poly, _lowest
-from .polymatrix import (PolyMat, _finverse, _fmatmul, _frank, _frref,
+from .polymatrix import (PolyMat, _finverse, _fmatmul, _frref, _irref,
                          _leading_rows, _rref_kernel, _scaled, row_reduced,
                          unimodularly_equivalent)
 
@@ -143,24 +144,25 @@ def resolvent(A_exact) -> tuple[Poly, PolyMat]:
 # -- Krylov rows -----------------------------------------------------------------------
 
 
-def _krylov_blocks(C, A, count: int) -> list[list[list[Fraction]]]:
-    """[C, C A, ..., C A^(count-1)] (at least [C]), exact.  The powers run on
-    ints: with c and a the lcms of the denominators of C and A, block k is
-    the integer matrix (c C)(a A)^k over c a^k."""
-    blk, dc = _scaled(C)
-    a_cols, da = _scaled(zip(*A))
-    den = dc
-    blocks = [[[Fraction(x, den) for x in row] for row in blk]]
+def _krylov_blocks(C, A, count: int) -> tuple[list[list[list[int]]], int, int]:
+    """(blocks, c, a): C A^k is the integer matrix blocks[k] over c a^k, for
+    k < count (at least k = 0), exact.  c and a are the lcms of the
+    denominators of C and A, and blocks[k] = (c C)(a A)^k."""
+    blk, c = _scaled(C)
+    a_cols, a = _scaled(zip(*A))
+    blocks = [blk]
     for _ in range(count - 1):
         blk = [[sum(map(mul, row, col)) for col in a_cols] for row in blk]
-        den *= da
-        blocks.append([[Fraction(x, den) for x in row] for row in blk])
-    return blocks
+        blocks.append(blk)
+    return blocks, c, a
 
 
-def observability_matrix(ss: StateSpace) -> list[list[Fraction]]:
-    return [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, ss.d)
-            for row in blk]
+def observability_matrix(ss: StateSpace) -> list[list[int]]:
+    """[C; C A; ...; C A^(d-1)] with block k scaled by c a^k to integers
+    (see `_krylov_blocks`): the same row space, so the same rank and the
+    same reduced echelon form."""
+    blocks, _, _ = _krylov_blocks(ss.C_exact, ss.A_exact, ss.d)
+    return [row for blk in blocks for row in blk]
 
 
 # -- observer staircase ------------------------------------------------------------------
@@ -239,7 +241,7 @@ def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
     certify the pair, with no polynomial echelon form:
 
       (a) M C = N (sI - A): M_k C + N_k A = N_(k-1) for every k (N_(-1) = 0),
-          in integers, each row scaled by the lcm of its denominators;
+          in integers;
       (b) the leading row-coefficient matrix [coeff(M[i, l], nu_i)] is
           nonsingular, so M is row reduced and deg det M = sum nu_i;
       (c) sum nu_i equals the rank of the Krylov rows.
@@ -250,49 +252,65 @@ def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
     M^-1 N, the rank of the observability matrix as (A, I) is controllable,
     with equality exactly when (M, N) is left coprime (Kailath, ch. 6):
     that is (c).
+
+    Everything runs on integers.  The Krylov row c_i A^k is the integer
+    row K_j (j = k n + i) over c a^k (`_krylov_blocks`), and `_irref`
+    reduces the integer matrix with columns K_j.  Scaling a column keeps
+    the pivots, so its reduced form reads each dependent K_dep as a
+    rational combination of kept K_p, and one integer multiple of it is a
+    relation sum_j v_j K_j = 0 with v_dep > 0.  Over the one denominator
+    c a^nu v_dep, row i of M_k is c a^k v_k and row i of N_p is
+    a^(p+1) sum_(k>p) v_k K_(k-1-p), where v_k is block k of v.
     """
     n, d = ss.n, ss.d
-    krylov = [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
-              for row in blk]  # row k n + i is c_i A^k
-    rref, pivots = _frref([list(col) for col in zip(*krylov)])  # d x n(d+1)
+    blocks, c, a = _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
+    cols = list(zip(*(row for blk in blocks for row in blk)))  # K_j as columns
+    m = [list(col) for col in cols]  # d x n(d+1)
+    pivots = _irref(m)
     kept = set(pivots)
     coeffs = []
     for i in range(n):
         nu = next(k for k in range(d + 1) if k * n + i not in kept)
         dep = nu * n + i
-        row = [Fraction(0)] * ((nu + 1) * n)  # row i of [M_0 M_1 ... M_nu]
-        row[dep] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if p < dep:
-                row[p] = -rref[r][dep]
-        # N_p = [M_(p+1) ... M_nu 0] krylov, so N_nu = 0
-        n_blocks = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
-                             for p in range(nu + 1)], krylov[:len(row)])
-        coeffs.append([row[k * n:(k + 1) * n] + nk for k, nk in enumerate(n_blocks)])
+        # row r of the reduced form is m[r] / m[r][p]: K_dep is the sum of
+        # m[r][dep] / m[r][p] K_p over the pivots p < dep
+        rel = [(p, m[r][dep], m[r][p]) for r, p in enumerate(pivots)
+               if p < dep and m[r][dep]]
+        lead = lcm(*(piv for _, _, piv in rel))
+        v = [0] * ((nu + 1) * n)
+        v[dep] = lead
+        for p, x, piv in rel:
+            v[p] = -x * (lead // piv)
+        rows = []
+        for k in range(nu + 1):
+            tail = v[(k + 1) * n:]
+            ak = a ** k
+            rows.append([c * ak * x for x in v[k * n:(k + 1) * n]]
+                        + [ak * a * sum(map(mul, tail, col)) for col in cols])
+        coeffs.append((rows, c * a ** nu * lead))
     return _certified_pair(ss, coeffs, len(pivots))
 
 
 def _certified_pair(ss: StateSpace, coeffs, rank: int) -> tuple[PolyMat, PolyMat]:
     """(N B + M D, M), once certificates (a) to (c) of `realize_behavior`
-    pass.  coeffs[i][k] is row i of [M_k N_k] for k = 0..nu_i, where
-    M(s) = sum_k M_k s^k and N(s) likewise; rank is the observable
-    dimension."""
+    pass.  coeffs[i] is (rows, den): rows[k] is row i of [M_k N_k] times
+    den, in integers, for k = 0..nu_i, where M(s) = sum_k M_k s^k and N(s)
+    likewise; rank is the observable dimension."""
     n, d = ss.n, ss.d
     ca_cols, dca = _scaled(zip(*(ss.C_exact + ss.A_exact)))  # [C; A]
     db_cols, ddb = _scaled(zip(*(ss.D_exact + ss.B_exact)))  # [D; B]
     zero = [0] * (n + d)
     P_rows, Q_rows = [], []
-    for row_coeffs in coeffs:
-        mn, den = _scaled(row_coeffs)
+    for mn, den in coeffs:
         for row, prev in zip(mn + [zero], [zero] + mn):  # [M_k N_k] [C; A] = N_(k-1)
             if any(sum(map(mul, row, col)) != dca * p for col, p in zip(ca_cols, prev[n:])):
                 raise AssertionError("M C != N (sI - A)")
         P_rows.append([_lowest([sum(map(mul, row, col)) for row in mn], den * ddb)
                        for col in db_cols])
         Q_rows.append([_lowest([row[l] for row in mn], den) for l in range(n)])
-    if _frank([c[-1][:n] for c in coeffs]) < n:
+    if len(_irref([mn[-1][:n] for mn, _ in coeffs])) < n:
         raise AssertionError("observability-index M is not row reduced")
-    if sum(len(c) - 1 for c in coeffs) != rank:
+    if sum(len(mn) - 1 for mn, _ in coeffs) != rank:
         raise AssertionError("observability-index pair is not left coprime")
     return PolyMat(P_rows, cols=n), PolyMat(Q_rows, cols=n)
 

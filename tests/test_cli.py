@@ -5,11 +5,13 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 
 import passlab.certificate
 from passlab.cli import build_parser, main
+from passlab.jsonio import parse_polymat
 from passlab.numeric import Tolerance
 
 
@@ -148,6 +150,37 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "not-factorizable"
         assert "fails PSD-on-axis premise" in out["error"]
+        assert out["witnesses"] == [{
+            "kind": "axis-indefinite", "reverified": True,
+            "detail": "det H(jw)[subset, subset] = value < 0",
+            "subset": [0], "w": "0", "value": "-1"}]
+
+    @pytest.mark.parametrize("H, subset", [
+        # the diagonal 1 and 2 - s^2 is positive, the 2 x 2 minor is not
+        ([[["1"], ["2"]], [["2"], ["2", "0", "-1"]]], [0, 1]),
+        # diag(1 - s^2, s^2 - 5): the second diagonal entry is -5 - w^2
+        ([[["1", "0", "-1"], []], [[], ["-5", "0", "1"]]], [1]),
+    ])
+    def test_specfact_poly_witness_is_exact(self, tmp_path, capsys, H, subset):
+        p = tmp_path / "h.json"
+        p.write_text(json.dumps({"kind": "poly", "H": H}))
+        assert main(["specfact", "--poly", str(p)]) == 1
+        (w,) = json.loads(capsys.readouterr().out)["witnesses"]
+        assert w["subset"] == subset and w["reverified"] is True
+        Hm = parse_polymat(H, "H")
+        minor = Hm.submatrix(subset, subset).det().real_on_axis()
+        assert minor(Fraction(w["w"])) == Fraction(w["value"]) < 0
+
+    def test_specfact_poly_witness_that_fails_to_reverify_is_discrepancy(
+            self, files, capsys, monkeypatch):
+        # H = 4 - 2 s^2 is positive on the axis: a minor named negative
+        # there must not read as a verdict on H
+        monkeypatch.setattr(passlab.certificate, "_axis_violation",
+                            lambda H: ((0,), None, Fraction(3)))
+        assert main(["specfact", "--poly", files["density"]]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "discrepancy"
+        assert "failed re-verification" in out["error"]
 
     def test_specfact_poly_axis_band_contradiction_inconclusive(self, tmp_path,
                                                                 capsys):

@@ -85,6 +85,101 @@ class TestGcd:
         assert squarefree_part(p) == ((S + 1) * (S - 2)).monic()
 
 
+def squarefree_by_euclid(p: Poly) -> Poly:
+    """The exact reference: p over its Euclidean gcd with p', monic."""
+    return p.monic() // poly_gcd(p, p.derivative())
+
+
+PRIME = passlab.poly._SQUAREFREE_PRIME
+
+
+def rand_int_poly(rng: random.Random, deg: int, bits: int) -> Poly:
+    """Degree deg, integer coefficients of up to `bits` bits."""
+    top = 2 ** bits
+    return Poly([rng.randint(-top, top) for _ in range(deg)]
+                + [rng.choice([-1, 1]) * rng.randint(1, top)])
+
+
+class TestModularSquarefree:
+    """`squarefree_part` tries a gcd modulo one prime first, and runs the
+    Euclidean gcd only where that gcd is not constant or the prime divides
+    the leading coefficient."""
+
+    @pytest.fixture
+    def euclid_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+        monkeypatch.setattr(passlab.poly, "poly_gcd", recorded)
+        return calls
+
+    def test_repeated_factors_fall_back_to_euclid(self, euclid_calls):
+        rng = random.Random(20261020)
+        for _ in range(40):
+            f = rand_int_poly(rng, rng.randint(1, 3), 8)
+            g = rand_int_poly(rng, rng.randint(0, 4), 8)
+            p = f ** rng.randint(2, 3) * g * Fraction(rng.randint(1, 9),
+                                                      rng.randint(1, 9))
+            euclid_calls.clear()
+            assert squarefree_part(p) == squarefree_by_euclid(p)
+            assert squarefree_part(p).degree < p.degree
+            assert euclid_calls
+
+    def test_square_free_skips_euclid(self, euclid_calls):
+        rng = random.Random(20261021)
+        for _ in range(40):
+            p = rand_int_poly(rng, rng.randint(2, 12), 30) * Fraction(
+                1, rng.randint(1, 10**6))
+            want = squarefree_by_euclid(p)
+            euclid_calls.clear()
+            assert squarefree_part(p) == want == p.monic()
+            assert not euclid_calls
+
+    def test_leading_coefficient_divisible_by_the_prime(self, euclid_calls):
+        for p in (PRIME * S**3 + S + 1, (PRIME * S + 1) ** 2 * (S - 2),
+                  2 * PRIME * S**2 - 1, Fraction(1, 3) * (PRIME * S + 5)):
+            euclid_calls.clear()
+            assert squarefree_part(p) == squarefree_by_euclid(p)
+            assert euclid_calls
+
+    def test_prime_divides_the_discriminant(self, euclid_calls):
+        # square-free over Q, with a repeated root modulo the prime
+        for p in (S**2 + PRIME, (S - 1) * (S - 1 - PRIME),
+                  (S**2 - 2) * (S - 3) * (S - 3 + 5 * PRIME),
+                  (S + Fraction(1, 2)) * (S + Fraction(1, 2) + PRIME)):
+            assert poly_gcd(p, p.derivative()) == Poly.one()
+            euclid_calls.clear()
+            assert squarefree_part(p) == squarefree_by_euclid(p) == p.monic()
+            assert euclid_calls
+
+    @pytest.mark.parametrize("p", [Poly([5]), Poly([Fraction(-3, 7)]),
+                                   3 * S + 1, Fraction(2, 5) * S - 7,
+                                   PRIME * S + 1, Poly([0, 1])])
+    def test_degrees_zero_and_one(self, p):
+        assert squarefree_part(p) == squarefree_by_euclid(p) == p.monic()
+
+    def test_400_bit_coefficients(self, euclid_calls):
+        rng = random.Random(20261022)
+        for deg in (10, 20):
+            p = rand_int_poly(rng, deg, 400)
+            euclid_calls.clear()
+            assert squarefree_part(p) == squarefree_by_euclid(p) == p.monic()
+            assert not euclid_calls
+            f, g = rand_int_poly(rng, deg // 5, 200), rand_int_poly(rng, deg // 2, 400)
+            q = f * f * g
+            assert squarefree_part(q) == squarefree_by_euclid(q)
+            assert squarefree_part(q).degree == f.degree + g.degree
+
+    @given(polys, polys)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_euclid(self, p, q):
+        for r in (p, p * p * q):
+            if not r.is_zero:
+                assert squarefree_part(r) == squarefree_by_euclid(r)
+
+
 class TestRealRoots:
     def test_spec_examples(self):
         assert find_negative_point(Poly([0, 0, 2])) is None  # 2 t^2

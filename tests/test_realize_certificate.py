@@ -1,7 +1,7 @@
 """Old-equals-new checks of the certificate that `realize_behavior` gives
-its pair.
+its pair, and of the integer rows it builds the pair from.
 
-The reference below is the earlier check, kept here to test its
+The first reference below is the earlier check, kept here to test its
 replacement against: it rebuilt M C - N (sI - A) as a polynomial matrix
 product and decided left coprimeness of (M, N) by the gcd of the maximal
 minors of [M N], a Euclidean sweep.  The new certificate reads only
@@ -11,24 +11,32 @@ row-coefficient matrix of M, and the observable dimension.
 A second reference is the float check that once ran after that
 certificate: Q^-1 P against the transfer function at random points.  The
 certificate implies it, and every pair it accepts here passes it too.
+
+A third is the coefficient builder that `realize_behavior` ran on
+`Fraction` rows: the Krylov rows c_i A^k as Fractions, one `_frref` of
+them, and one `_fmatmul` per output for the rows of N.  The pair and the
+observer staircase must come out the same from the integer rows.
 """
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (controllable, corpus, jordan_system, left_coprime,
                       observable, si_matrix, siso_sweep_system)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_certificate import coupled_rc
 from test_statespace import staircase_system
 
-from passlab import polymatrix
+from passlab import polymatrix, statespace
 from passlab.poly import Poly
-from passlab.polymatrix import PolyMat, _fmatmul, _frank, _frref
-from passlab.statespace import (StateSpace, _certified_pair, _krylov_blocks,
+from passlab.polymatrix import PolyMat, _fmatmul, _frank, _frref, _scaled
+from passlab.statespace import (StateSpace, _certified_pair,
                                 observability_matrix, realize_behavior,
-                                shifted_solve)
+                                shifted_solve, staircase)
 
 S = Poly.x()
 
@@ -67,33 +75,64 @@ def check_transfer_consistency(ss: StateSpace, P: PolyMat, Q: PolyMat,
         raise AssertionError("transfer function mismatch in realization")
 
 
-def reference_fraction(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
-    """(M, N) from the observability indices, built as `realize_behavior`
-    built them before the certificate, as polynomial matrices."""
+def reference_krylov(ss: StateSpace, count: int) -> list[list[Fraction]]:
+    """[C; C A; ...; C A^(count-1)] (at least C) as Fraction rows."""
+    block = [list(row) for row in ss.C_exact]
+    rows = list(block)
+    for _ in range(count - 1):
+        block = _fmatmul(block, ss.A_exact)
+        rows += block
+    return rows
+
+
+def reference_coefficient_rows(ss: StateSpace) -> tuple[list, int]:
+    """(coeffs, rank): coeffs[i][k] is row i of [M_k N_k] for k = 0..nu_i
+    as Fractions, and rank that of the Krylov rows, built as
+    `realize_behavior` built them on Fraction rows."""
     n, d = ss.n, ss.d
-    krylov = [row for blk in _krylov_blocks(ss.C_exact, ss.A_exact, d + 1)
-              for row in blk]
-    rref, pivots = _frref([list(col) for col in zip(*krylov)])
+    krylov = reference_krylov(ss, d + 1)  # row k n + i is c_i A^k
+    rref, pivots = _frref([list(col) for col in zip(*krylov)])  # d x n(d+1)
     kept = set(pivots)
-    width = n * (d + 1)
-    nus, m_rows = [], []
+    coeffs = []
     for i in range(n):
         nu = next(k for k in range(d + 1) if k * n + i not in kept)
         dep = nu * n + i
-        row = [Fraction(0)] * width
+        row = [Fraction(0)] * ((nu + 1) * n)  # row i of [M_0 M_1 ... M_nu]
         row[dep] = Fraction(1)
         for r, p in enumerate(pivots):
-            row[p] = -rref[r][dep]
-        nus.append(nu)
-        m_rows.append(row)
-    n_coeffs = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
-                         for row, nu in zip(m_rows, nus) for p in range(nu)], krylov)
-    M_rows, N_rows = [], []
-    for row, nu in zip(m_rows, nus):
-        M_rows.append([Poly(row[l:(nu + 1) * n:n]) for l in range(n)])
-        N_rows.append([Poly([n_coeffs[p][col] for p in range(nu)]) for col in range(d)])
-        n_coeffs = n_coeffs[nu:]
-    return PolyMat(M_rows, cols=n), PolyMat(N_rows, cols=d)
+            if p < dep:
+                row[p] = -rref[r][dep]
+        # N_p = [M_(p+1) ... M_nu 0] krylov, so N_nu = 0
+        n_blocks = _fmatmul([row[(p + 1) * n:] + [Fraction(0)] * ((p + 1) * n)
+                             for p in range(nu + 1)], krylov[:len(row)])
+        coeffs.append([row[k * n:(k + 1) * n] + nk for k, nk in enumerate(n_blocks)])
+    return coeffs, len(pivots)
+
+
+def reference_realize(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
+    """The pair from the Fraction coefficient rows, through the same
+    certificate."""
+    coeffs, rank = reference_coefficient_rows(ss)
+    return _certified_pair(ss, [_scaled(rows) for rows in coeffs], rank)
+
+
+def reference_staircase(ss: StateSpace) -> statespace.StaircaseForm:
+    """`staircase` on the Fraction observability matrix."""
+    with mock.patch.object(statespace, "observability_matrix",
+                           lambda ss: reference_krylov(ss, ss.d)):
+        return staircase(ss)
+
+
+def reference_fraction(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
+    """(M, N) from the observability indices, as polynomial matrices read
+    off the Fraction coefficient rows."""
+    n, d = ss.n, ss.d
+    coeffs, _ = reference_coefficient_rows(ss)
+    M = PolyMat([[Poly([r[l] for r in rows]) for l in range(n)]
+                 for rows in coeffs], cols=n)
+    N = PolyMat([[Poly([r[n + c] for r in rows]) for c in range(d)]
+                 for rows in coeffs], cols=d)
+    return M, N
 
 
 def reference_pair(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
@@ -117,7 +156,7 @@ def coefficient_rows(M: PolyMat, N: PolyMat):
 
 
 def certify(ss: StateSpace, M: PolyMat, N: PolyMat):
-    return _certified_pair(ss, coefficient_rows(M, N),
+    return _certified_pair(ss, [_scaled(rows) for rows in coefficient_rows(M, N)],
                            _frank(observability_matrix(ss)))
 
 
@@ -161,6 +200,69 @@ def test_certificate_accepts_and_pair_equals_reference(ss):
     check_transfer_consistency(ss, P, Q)
     if ss.d:
         assert certify(ss, *reference_fraction(ss)) == (P, Q)
+
+
+# -- integer rows equal Fraction rows ------------------------------------------
+
+
+def integer_row_systems():
+    yield from corpus()
+    yield from hidden_mode_systems()
+    for seed in (1, 2):
+        for d in range(1, 21):
+            yield f"siso-{d}-seed{seed}", siso_sweep_system(random.Random(seed), d)
+    for n in range(2, 7):
+        yield f"coupled-rc-{n}", coupled_rc(n)
+
+
+def assert_same_staircase(ss: StateSpace) -> None:
+    got, want = staircase(ss), reference_staircase(ss)
+    for name in ("T", "Tinv", "A11", "C1", "B1"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("ss", [pytest.param(ss, id=name)
+                                for name, ss in integer_row_systems()])
+def test_integer_rows_give_the_fraction_rows_pair_and_staircase(ss):
+    assert realize_behavior(ss) == reference_realize(ss)
+    assert_same_staircase(ss)
+
+
+# rational entries with mixed denominators, binary floats (read exactly),
+# and zeros, so that unobservable and uncontrollable modes turn up
+state_space_entries = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.floats(min_value=-8, max_value=8, allow_nan=False).map(
+        lambda x: Fraction(x) if x else 0),
+)
+
+
+@given(st.integers(0, 5), st.integers(1, 3), st.data())
+@settings(max_examples=120)
+def test_integer_rows_equal_fraction_rows_on_random_systems(d, n, data):
+    grid = lambda r, c: [[data.draw(state_space_entries) for _ in range(c)]
+                         for _ in range(r)]
+    ss = StateSpace.from_arrays(grid(d, d), grid(d, n), grid(n, d), grid(n, n))
+    assert realize_behavior(ss) == reference_realize(ss)
+    assert_same_staircase(ss)
+
+
+def test_realize_behavior_builds_no_fraction_rows(monkeypatch):
+    """The Fraction row helpers refuse; `realize_behavior` reaches none of
+    them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction row helper was called")
+    for name in ("_frref", "_fmatmul", "_frank", "_finverse"):
+        if hasattr(statespace, name):
+            monkeypatch.setattr(statespace, name, refuse)
+        monkeypatch.setattr(polymatrix, name, refuse)
+    for ss in (siso_sweep_system(random.Random(104729), 8), coupled_rc(3),
+               jordan_system([[1, 3, 3]], [[0]])):
+        P, Q = realize_behavior(ss)
+        assert Q.rows == ss.n
 
 
 # -- rejections ----------------------------------------------------------------
