@@ -9,11 +9,13 @@ ordered real Schur stable/unstable spectral split.
 Every float threshold of the package is named in this module (see "the
 threshold rules" below).  Every pass/fail decision that depends on where a
 point sits relative to the imaginary axis goes through one policy, and
-`region_of` and `closed_rhp` are its only entry points: a point is "on the
-axis" when |Re z| <= axis_band * (1 + |z|).  `closed_rhp` flags a
+`region_of` and `closed_rhp` are its float entry points: a point is "on
+the axis" when |Re z| <= axis_band * (1 + |z|).  `closed_rhp` flags a
 closed-RHP verdict that flips when the band is widened tenfold as
 non-robust, and callers report such verdicts as inconclusive instead of
-pass/fail.
+pass/fail.  `zeros_left_of_band` is its exact entry point: it shows on
+integers, with no root found, that every zero of a polynomial lies left of
+the tenfold band, where `closed_rhp` of those zeros finds no hit.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ DEFAULT_TOL = Tolerance()
 # absolute for a scale near zero; each rule names its scale.
 
 # Verdicts.  A closed-RHP verdict is robust when it survives the axis band
-# (tol.axis_band, relative to 1 + |z|) widened by this factor (`closed_rhp`).
+# (tol.axis_band, relative to 1 + |z|) widened by this factor (`closed_rhp`,
+# and `zeros_left_of_band` on the exact side).
 # The Riccati solve takes its Newton route when an eigenvalue of the
 # Hamiltonian lies in that wider band.
 ROBUST_BAND_SCALE = 10.0
@@ -161,6 +164,97 @@ def closed_rhp(points: Iterable[complex], tol: Tolerance = DEFAULT_TOL
     robust = bool(hits) or all(
         region_of(z, tol, band_scale=ROBUST_BAND_SCALE) == OPEN_LHP for z in points)
     return hits, robust
+
+
+# `zeros_left_of_band` reads "not shown" when deg p > 1 and its shift 2^j
+# would add more than this many bits to the coefficients, |j| deg p.  The
+# Routh rows grow with the shift (degree 1 has none), and a tiny or a huge
+# axis band would otherwise cost more than the route that then runs.  On
+# SISO d = 10, 20, 30 and 40 (seed 1), that route takes 1.4, 9.4, 58 and
+# 228 ms in all of `check_pair`, and the test at 1,024 bits 0.4, 7.4, 41
+# and 117 ms (at 2,048 bits: 1.3, 19, 90 and 266 ms).  The default band
+# takes 480 bits at d = 40.
+BAND_SHIFT_BITS = 1024
+
+
+def zeros_left_of_band(p: Poly, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether every zero z of the nonzero exact p is shown, exactly, to lie
+    left of the tenfold axis band: Re z < -2^j, with
+    2^j >= ROBUST_BAND_SCALE axis_band (1 + rho) and rho >= |z|
+    (`_zero_bound_exponent`).  Then `closed_rhp` of the zeros finds no hit,
+    robustly.  False means "not shown", never "a zero is there".
+
+    j is the least such exponent, of either sign; with d > 1, |j| d must
+    not exceed BAND_SHIFT_BITS.  The zeros of g(t) = p(2^j (t - 1)), scaled
+    to integers, are t = z / 2^j + 1, so Re z < -2^j for all of them iff g
+    is Hurwitz, which `_hurwitz` decides.  With axis_band = 0, p itself is
+    tested."""
+    num = p.num
+    if num[-1] < 0:
+        num = tuple(-c for c in num)
+    if min(num) <= 0:  # a Hurwitz polynomial has positive coefficients (Stodola)
+        return False
+    d = len(num) - 1
+    if d == 0:
+        return True
+    if not np.isfinite(tol.axis_band):
+        return False
+    # the width ROBUST_BAND_SCALE axis_band (1 + 2^e) as the exact ratio w / v
+    (sn, sd), (bn, bd) = (ROBUST_BAND_SCALE.as_integer_ratio(),
+                          tol.axis_band.as_integer_ratio())
+    e = _zero_bound_exponent(num)
+    w = sn * bn * ((1 << max(e, 0)) + (1 << max(-e, 0)))
+    v = sd * bd << max(-e, 0)
+    if w:
+        j = w.bit_length() - v.bit_length()  # 2^(j - 1) < w / v < 2^(j + 1)
+        if (v << j if j >= 0 else v) < (w if j >= 0 else w << -j):
+            j += 1
+        if d > 1 and abs(j) * d > BAND_SHIFT_BITS:
+            return False
+        g = ([c << (j * i) for i, c in enumerate(num)] if j >= 0 else
+             [c << (-j * (d - i)) for i, c in enumerate(num)])
+        for i in range(d):  # the Taylor shift g(t) <- g(t - 1)
+            for m in range(d - 1, i - 1, -1):
+                g[m] -= g[m + 1]
+        if min(g) <= 0:
+            return False
+        num = g
+    return _hurwitz(num)
+
+
+def _zero_bound_exponent(num) -> int:
+    """e with |z| <= 2^e for every zero z of the integer polynomial num
+    (coefficients low to high, degree >= 1, num[0] != 0): Fujiwara's bound
+    2 max_i |a_(d-i) / a_d|^(1/i) (Fujiwara, Tohoku Math. J. 10, 1916),
+    rounded up to a power of two from bit lengths, since
+    |a_(d-i) / a_d| < 2^(b_(d-i) - b_d + 1)."""
+    top = abs(num[-1]).bit_length()
+    return 1 + max(-((top - abs(c).bit_length() - 1) // i)  # ceil((b_c - b_d + 1) / i)
+                   for i, c in enumerate(reversed(num[:-1]), 1))
+
+
+def _hurwitz(c) -> bool:
+    """Whether every zero of the integer polynomial c (coefficients low to
+    high, degree n >= 1, c[n] > 0) lies in the open left half-plane: every
+    leading principal minor Delta_k of its Hurwitz matrix is positive
+    (Routh-Hurwitz; Gantmacher, The Theory of Matrices, vol. 2, ch. XV).
+
+    The rows are those of the Routh array, fraction-free: R_0 = (c_n,
+    c_(n-2), ...), R_1 = (c_(n-1), c_(n-3), ...) and
+    R_(k+1)[i] = (R_k[0] R_(k-1)[i+1] - R_(k-1)[0] R_k[i+1]) / Delta_(k-2),
+    with Delta_(-1) = Delta_0 = 1.  R_k is Delta_(k-1) times Routh's row k,
+    so R_k[0] = Delta_k and every division is exact (Bareiss's, on the
+    Hurwitz matrix).  A zero or negative Delta_k ends the test."""
+    n = len(c) - 1
+    a, b = list(c[n::-2]), list(c[n - 1::-2])
+    div = 1
+    for k in range(1, n):
+        if b[0] <= 0:
+            return False
+        b += [0] * (len(a) - len(b))
+        a, b, div = b, [(b[0] * x - a[0] * y) // div
+                        for x, y in zip(a[1:], b[1:])], a[0] if k > 1 else 1
+    return b[0] > 0
 
 
 # -- polynomial roots ------------------------------------------------------------

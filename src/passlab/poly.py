@@ -18,8 +18,9 @@ Also provided:
   * exact real-root counting and isolation from the signs of one integer
     Sturm sequence (primitive negated pseudo-remainders), from which "is
     p(t) >= 0 for every real t" is decided with no tolerance; an even p is
-    first counted through k(u) = p(sqrt u), and isolated only when the
-    count is not zero,
+    first read through k(u) = p(sqrt u): passed with no Sturm sequence when
+    k(0) > 0 and no coefficient of k is negative (Descartes' rule), else
+    counted, and isolated only when the count is not zero,
   * two-variable polynomials on a (xi^i eta^j) grid, and the exact
     divided difference  (p(xi) - p(-eta)) / (xi + eta)  that generates
     the bilinear-differential-form boundary terms of energy identities.
@@ -595,15 +596,20 @@ def find_negative_point(p: Poly) -> Fraction | None:
     Exact: candidate points are taken one per sign region of p.
 
     Counts before it isolates: an even p with p(0) != 0 is k(t^2), and it
-    has a real root iff k has one in (0, inf), which the variations of k's
-    Sturm sequence at 0 and +inf count.  With none, p keeps the sign of
-    p(0) and no isolation runs."""
+    has a real root iff k has one in (0, inf).  When p(0) > 0 and k has no
+    negative coefficient, k has no sign change, so by Descartes' rule no
+    positive root, and p >= p(0) > 0 with no Sturm sequence built
+    (Collins and Akritas, SYMSAC 1976).  Otherwise the variations of k's
+    Sturm sequence at 0 and +inf count its positive roots.  With none, p
+    keeps the sign of p(0) and no isolation runs."""
     if p.is_zero:
         return None
     if p.degree == 0:
         return Fraction(0) if p.num[0] < 0 else None
     num = p.num
     if num[0] and not any(num[1::2]):
+        if num[0] > 0 and min(num[0::2]) >= 0:
+            return None
         seq = _sturm_sequence(num[0::2])
         if _sign_changes(c[0] for c in seq) == _changes_at_inf(seq, 1):
             return Fraction(0) if num[0] < 0 else None

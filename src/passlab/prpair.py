@@ -25,6 +25,19 @@ together prove it; an s2 failure refutes it only when condition 2 holds
 so with condition 2 failed an s2 failure leaves condition 1 undecided and
 the verdict is reported as inconclusive for that condition alone.
 
+`check_pair` and `check_condition1` decide s1 first, in one place.  Only
+when it passes is det(P + Q) built, and `numeric.zeros_left_of_band` asks
+for an exact proof, on integers, that every zero lies left of the tenfold
+axis band: a fraction-free Routh-Hurwitz test of det(P + Q) shifted past
+the band.  When it holds, s2 holds, and so does condition 2: by
+Cauchy-Binet, det(P + Q) = det([P -Q] [I; -I]) is a combination of the
+maximal minors of [P -Q], so their gcd divides it, and [P -Q] loses rank
+only at zeros of det(P + Q).  Both conditions then pass with no float root
+and no `minor_gcd` sweep.  Every other pair (det(P + Q) = 0, a zero pivot,
+a zero in or near the band, a shift too wide for the test, any s1 failure)
+runs condition 2's sweep and the float zeros of det(P + Q) under the band
+rule, which also place every witness.
+
 The E_k come from one division-free Berkowitz pass, in place of the 2^n - 1
 principal minors.  When some E_k goes negative the principal minors are
 still scanned, smallest first: the witness point w* and the report name
@@ -47,7 +60,8 @@ from fractions import Fraction
 import numpy as np
 
 from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
-                      closed_rhp, hermitian_psd, rank_cut, region_of)
+                      closed_rhp, hermitian_psd, rank_cut, region_of,
+                      zeros_left_of_band)
 from .numeric import roots as numeric_roots
 from .poly import Poly, find_negative_point
 from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, charpoly,
@@ -252,15 +266,33 @@ def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
     analyticity (see module docstring for the soundness argument).  An exact
     axis violation that floats cannot confirm at w* is inconclusive."""
     _validate_pair(P, Q)
+    return _conditions12(P, Q, _pr_density(P, Q), tol, cond2)[0]
+
+
+def _conditions12(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
+                  cond2: CondVerdict | None = None
+                  ) -> tuple[CondVerdict, CondVerdict]:
+    """(condition 1, condition 2) of a validated pair with Phi = PQ* + QP*.
+    The exact axis test s1 runs first.  When it passes and
+    `zeros_left_of_band` shows every zero of det(P + Q) left of the tenfold
+    axis band, both pass with no float root and no `minor_gcd` sweep (see
+    the module docstring).  Otherwise condition 2 is decided (unless given),
+    then the rest of condition 1."""
+    found, dpq = _axis_violation(Phi), None
+    if found is None:
+        dpq = (P + Q).det()
+        if dpq and zeros_left_of_band(dpq, tol):
+            return CondVerdict(PASS), CondVerdict(PASS)
     if cond2 is None:
         cond2 = check_condition2(P, Q, tol)
-    return _condition1(P, Q, _pr_density(P, Q), tol, cond2)
+    return _condition1(P, Q, Phi, tol, cond2, found, dpq), cond2
 
 
 def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
-                cond2: CondVerdict) -> CondVerdict:
-    """`check_condition1` on a validated pair with Phi = PQ* + QP*."""
-    found = _axis_violation(Phi)
+                cond2: CondVerdict, found, dpq: Poly | None) -> CondVerdict:
+    """`check_condition1` on a validated pair with Phi = PQ* + QP*, given
+    what the exact axis test s1 found (`_axis_violation`) and, when it found
+    nothing, dpq = det(P + Q)."""
     if found is not None:
         subset, h, wstar = found
         lam = complex(0.0, float(wstar))
@@ -278,7 +310,6 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
                     detail=f"PQ*+QP* indefinite at s = j{float(wstar):g}")
         return CondVerdict(FAIL, (w,))
 
-    dpq = (P + Q).det()
     if dpq.is_zero:
         # singular everywhere; pick one point
         bad = [(complex(1.0, 0.0), "det(P+Q) identically zero")]
@@ -398,11 +429,9 @@ def _coupling_witness(P: PolyMat, Q: PolyMat, V: PolyMat, lam: complex
 
 def check_pair(P: PolyMat, Q: PolyMat,
                tol: Tolerance = DEFAULT_TOL) -> PRPairVerdict:
-    """Run all three conditions (order 2, 1, 3; no short-circuit); PQ* + QP*
-    is built once for conditions 1 and 3."""
+    """Run all three conditions, 1 and 2 through `_conditions12` (no
+    short-circuit); PQ* + QP* is built once for conditions 1 and 3."""
     _validate_pair(P, Q)
     Phi = _pr_density(P, Q)
-    c2 = check_condition2(P, Q, tol)
-    c1 = _condition1(P, Q, Phi, tol, c2)
-    c3 = _condition3(P, Q, Phi, tol)
-    return PRPairVerdict(cond1=c1, cond2=c2, cond3=c3)
+    c1, c2 = _conditions12(P, Q, Phi, tol)
+    return PRPairVerdict(cond1=c1, cond2=c2, cond3=_condition3(P, Q, Phi, tol))

@@ -372,7 +372,8 @@ class TestDeterminism:
         assert first == second
 
 
-# passive (C = B^T, A < 0, D = 1), but its entries overflow the float kernels
+# passive (C = B^T, A < 0, D = 1): the pair passes exactly, but its entries
+# overflow the float kernels of the certificate
 HUGE_SS = {"kind": "ss", "A": [["-1e300"]], "B": [["1e300"]],
            "C": [["1e300"]], "D": [["1"]]}
 
@@ -402,20 +403,31 @@ class TestErrorExitCodes:
             "status": "inconclusive"}
         assert "Traceback" not in captured.err + captured_cert.err
 
-    @pytest.mark.parametrize("argv, error", [
-        (["check-pair"], "OverflowError: "),
-        (["certify"], "OverflowError: "),
-        (["specfact", "--ss"], "OverflowError: "),
+    def test_huge_entries_pass_exactly(self, tmp_path, capsys):
+        # the zero of det(P + Q), of degree 1, is shown left of the axis
+        # band on integers (a shift 2^j with j = 1968), so no float sees 1e300
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(HUGE_SS))
+        assert main(["check-pair", str(p)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["overall"] == "pass"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["certify"], "message"),
+        (["specfact", "--ss"], "error"),
     ])
     def test_huge_entries_exit_3_without_traceback(self, tmp_path, capsys,
-                                                   argv, error):
+                                                   argv, key):
+        # the pair passes, and the float construction overflows
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(HUGE_SS))
         assert main(argv + [str(p)]) == 3
         captured = capsys.readouterr()
         out = json.loads(captured.out)
-        assert out["status"] == "internal-error"
-        assert out["error"].startswith(error)
+        assert out["status"] == "discrepancy"
+        assert out["pair_verdict"]["overall"] == "pass"
+        assert out[key].startswith("positive-real check passed but the "
+                                   "construction failed")
         assert "Traceback" not in captured.err
 
     def test_any_exception_is_reported(self, files, capsys, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import passlab.poly
-from passlab.poly import (Poly, TwoVarPoly, _changes_at, _frac,
-                          _sturm_sequence, bdf_phi, cauchy_bound,
+from passlab.poly import (Poly, TwoVarPoly, _changes_at, _changes_at_inf, _frac,
+                          _sign_changes, _sturm_sequence, bdf_phi, cauchy_bound,
                           find_negative_point, isolate_real_roots, poly_gcd,
                           squarefree_decomposition, squarefree_part)
 
@@ -706,3 +706,34 @@ class TestSturmAgainstFractionReference:
         monkeypatch.setattr(passlab.poly, "isolate_real_roots", isolate)
         want = Fraction(0) if p.coeff(0) < 0 else None
         assert find_negative_point(p) == want
+
+
+class TestDescartesSignCheck:
+    """An even p(t) = k(t^2) with p(0) > 0 and no negative coefficient in k
+    passes with no Sturm sequence: k has no sign change, so by Descartes'
+    rule no positive root."""
+
+    @given(st.integers(-5, 40).filter(bool),
+           st.lists(st.integers(-3, 40), min_size=1, max_size=7))
+    @settings(max_examples=150)
+    @example(1, [0, 0, 1])
+    @example(2, [-3, 1])
+    @example(-1, [2, 1])
+    def test_sign_check_agrees_with_the_sturm_path(self, k0, ks):
+        p = Poly([c for x in [k0] + ks for c in (x, 0)])
+        if p.degree <= 0:
+            return
+        seq = _sturm_sequence(p.num[0::2])
+        no_positive_root = _sign_changes(c[0] for c in seq) == _changes_at_inf(seq, 1)
+        if k0 > 0 and min(ks) >= 0:
+            assert no_positive_root
+        assert find_negative_point(p) == find_negative_by_fractions(p)
+
+    @pytest.mark.parametrize("p", [T2 + 1, (T2 + 2) ** 3 * (T2 + BIG),
+                                   T2 ** 4 + 3 * T2 ** 2 + Fraction(1, 7)])
+    def test_sign_check_builds_no_sturm_sequence(self, p, monkeypatch):
+        def refuse(_):
+            raise AssertionError("built a Sturm sequence")
+
+        monkeypatch.setattr(passlab.poly, "_sturm_sequence", refuse)
+        assert find_negative_point(p) is None
