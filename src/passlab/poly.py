@@ -428,22 +428,46 @@ _SQUAREFREE_PRIME = (1 << 31) - 1  # a Mersenne prime: residue products fit a wo
 
 def _coprime_mod(a: list[int], b: list[int], q: int) -> bool:
     """Whether the gcd of a and b over the integers modulo the prime q is a
-    nonzero constant.  Coefficients run high degree first, reduced mod q,
-    with no leading zero; a is nonempty and longer than b."""
+    nonzero constant.  Coefficients run high degree first, reduced mod q;
+    either list may be empty or start with zeros, and they may come in any
+    length order."""
+    a, b = _without_leading_zeros(a), _without_leading_zeros(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
         inv = pow(b[0], -1, q)
-        a = a[:]
         top = len(a) - len(b) + 1
-        for i in range(top):  # a mod b, in place
+        for i in range(top):  # a mod b, in place on the copy
             f = a[i] * inv % q
             if f:
                 for j, y in enumerate(b[1:], i + 1):
                     a[j] = (a[j] - f * y) % q
-        k = top
-        while k < len(a) and not a[k]:
-            k += 1
-        a, b = b, a[k:]
+        a, b = b, _without_leading_zeros(a[top:])
     return len(a) == 1
+
+
+def _without_leading_zeros(c: list[int]) -> list[int]:
+    """A copy of the high-first list c from its first nonzero entry on."""
+    k = 0
+    while k < len(c) and not c[k]:
+        k += 1
+    return c[k:]
+
+
+def shown_coprime(a: Poly, b: Poly) -> bool:
+    """True when a and b are nonzero and a gcd modulo the prime
+    _SQUAREFREE_PRIME proves them coprime over Q; False says nothing.
+
+    The proof needs the prime not to divide the leading numerator of one of
+    them, say a (Brown, J. ACM 18, 1971).  A common factor over Q is, by
+    Gauss's lemma, a primitive integer f dividing both numerators; lc(f)
+    divides lc(a), so f keeps its degree modulo the prime and divides both
+    reductions.  A constant gcd of the reductions rules it out."""
+    x, y, q = a.num, b.num, _SQUAREFREE_PRIME
+    if not (x and y) or not (x[-1] % q or y[-1] % q):
+        return False
+    return _coprime_mod([c % q for c in reversed(x)],
+                        [c % q for c in reversed(y)], q)
 
 
 # -- exact real-root analysis ----------------------------------------------------

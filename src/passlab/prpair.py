@@ -35,8 +35,15 @@ maximal minors of [P -Q], so their gcd divides it, and [P -Q] loses rank
 only at zeros of det(P + Q).  Both conditions then pass with no float root
 and no `minor_gcd` sweep.  Every other pair (det(P + Q) = 0, a zero pivot,
 a zero in or near the band, a shift too wide for the test, any s1 failure)
-runs condition 2's sweep and the float zeros of det(P + Q) under the band
-rule, which also place every witness.
+decides condition 2 on its own, and condition 1 from the float zeros of
+det(P + Q) under the band rule, which also place every witness.  Condition 2
+first builds det P and det Q, two maximal minors of [P -Q]: when
+`shown_coprime` proves them coprime, by a gcd modulo one prime that keeps
+the degree of any common integer factor (Gauss's lemma), the gcd of all the
+minors is constant and condition 2 passes with no sweep.  Only the pairs
+left (a zero determinant, a common factor, or a prime that divides both
+leading coefficients or the resultant) run the `minor_gcd` sweep, which
+places the rank-drop witnesses.
 
 The E_k come from one division-free Berkowitz pass, in place of the 2^n - 1
 principal minors.  When some E_k goes negative the principal minors are
@@ -56,6 +63,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -63,9 +71,9 @@ from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
                       closed_rhp, hermitian_psd, rank_cut, region_of,
                       zeros_left_of_band)
 from .numeric import roots as numeric_roots
-from .poly import Poly, find_negative_point
-from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, charpoly,
-                         minor_gcd, rank_drops, syzygy_basis)
+from .poly import Poly, _lowest, find_negative_point, shown_coprime
+from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, _int_polys,
+                         charpoly, minor_gcd, rank_drops, syzygy_basis)
 
 PASS = "pass"
 FAIL = "fail"
@@ -125,9 +133,47 @@ def pr_form(P: PolyMat, Q: PolyMat, lam: complex) -> np.ndarray:
 
 def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
     """PQ* + QP*, which conditions 1 and 3 both read.  It is X + X* with
-    X = PQ*, since (PQ*)* = QP*, so only one product is built."""
-    X = P @ Q.star()
-    return X + X.star()
+    X = PQ*, since (PQ*)* = QP*, so only one product is built, on integers:
+    each row of P and Q is scaled once over the lcm of its denominators, and
+    X_ij = sum_k P_ik(s) Q_jk(-s) is a sum of integer convolutions.  Entry
+    (i, j) is X_ij + X_ji(-s), brought to lowest terms once, and entry (j, i)
+    is its star, since PQ* + QP* is para-Hermitian."""
+    n = P.rows
+    ps = [_int_polys(row) for row in P.entries]
+    qs = [_int_polys(row) for row in Q.entries]
+    dp = [lcm(*(e.den for e in row)) for row in P.entries]
+    dq = [lcm(*(e.den for e in row)) for row in Q.entries]
+    X = [[_star_products(pi, qj) for qj in qs] for pi in ps]
+    Phi = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, da = X[i][j], dp[i] * dq[j]
+            b, db = X[j][i], dp[j] * dq[i]
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = [x * fa for x in a] + [0] * (len(b) - len(a))
+            for k, y in enumerate(b):
+                out[k] += -y * fb if k & 1 else y * fb
+            Phi[i][j] = _lowest(out, da * fa)
+            Phi[j][i] = Phi[i][j].star()
+    return PolyMat(Phi, cols=n)
+
+
+def _star_products(p: list[list[int]], q: list[list[int]]) -> list[int]:
+    """sum_k p_k(s) q_k(-s) on integer coefficient lists, low to high."""
+    out: list[int] = []
+    for a, b in zip(p, q):
+        if not (a and b):
+            continue
+        if len(out) < len(a) + len(b) - 1:
+            out += [0] * (len(a) + len(b) - 1 - len(out))
+        for i, y in enumerate(b):
+            if y:
+                if i & 1:
+                    y = -y
+                for k, x in enumerate(a, i):
+                    out[k] += x * y
+    return out
 
 
 # -- condition 2 -------------------------------------------------------------
@@ -136,9 +182,18 @@ def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
 def check_condition2(P: PolyMat, Q: PolyMat,
                      tol: Tolerance = DEFAULT_TOL) -> CondVerdict:
     """Full row rank of [P -Q] everywhere on the closed right half-plane.
-    One `minor_gcd` sweep decides both: a zero gcd is normalrank
-    deficiency, and otherwise the rank drops at its roots."""
+
+    det P and (-1)^n det Q are two of the maximal minors of [P -Q], so the
+    gcd of those minors divides both, and the rank drops only at its zeros
+    (Kailath, Linear Systems, 1980).  So when `shown_coprime` proves det P
+    and det Q coprime, by a gcd modulo one prime whose soundness rests on
+    Gauss's lemma, the gcd is constant, the rank never drops, and condition
+    2 passes with no `minor_gcd` sweep.  Otherwise one sweep decides: a zero
+    gcd is normalrank deficiency, and otherwise the rank drops at its
+    roots."""
     _validate_pair(P, Q)
+    if shown_coprime(P.det(), Q.det()):
+        return CondVerdict(PASS)
     PQ = P.hstack(-Q)
     g = minor_gcd(PQ)
     if g.is_zero:

@@ -2,7 +2,9 @@
 reference: condition 2's `minor_gcd` sweep first, then condition 1 (the
 exact axis test s1, then the float zeros of det(P + Q) and the band rule),
 then condition 3.  The pass path must give the same verdicts, details and
-witnesses, and raise where this raises.
+witnesses, and raise where this raises.  Condition 2 is its own copy of the
+sweep, `check_condition2_ref`, so a wrong shortcut in
+`prpair.check_condition2` shows here too.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import numpy as np
 from passlab.numeric import (DEFAULT_TOL, Tolerance, closed_rhp, hermitian_psd,
                              region_of)
 from passlab.numeric import roots as numeric_roots
-from passlab.polymatrix import PolyMat
+from passlab.polymatrix import (REGION_CLOSED_RHP, PolyMat, minor_gcd,
+                                rank_drops)
 from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, CondVerdict,
                             PRPairVerdict, Witness, _axis_inconclusive,
                             _axis_violation, _condition3, _pr_density,
-                            _rhp_direction_witness, _validate_pair,
-                            check_condition2)
+                            _rank_drop_reverifies, _rhp_direction_witness,
+                            _validate_pair)
 
 
 def check_pair_ref(P: PolyMat, Q: PolyMat,
@@ -26,10 +29,39 @@ def check_pair_ref(P: PolyMat, Q: PolyMat,
     is built once for conditions 1 and 3."""
     _validate_pair(P, Q)
     Phi = _pr_density(P, Q)
-    c2 = check_condition2(P, Q, tol)
+    c2 = check_condition2_ref(P, Q, tol)
     c1 = _condition1(P, Q, Phi, tol, c2)
     c3 = _condition3(P, Q, Phi, tol)
     return PRPairVerdict(cond1=c1, cond2=c2, cond3=c3)
+
+
+def check_condition2_ref(P: PolyMat, Q: PolyMat,
+                         tol: Tolerance = DEFAULT_TOL) -> CondVerdict:
+    """Full row rank of [P -Q] on the closed right half-plane, by the
+    `minor_gcd` sweep alone: a zero gcd is normalrank deficiency, and
+    otherwise the rank drops at its roots."""
+    _validate_pair(P, Q)
+    PQ = P.hstack(-Q)
+    g = minor_gcd(PQ)
+    if g.is_zero:
+        w = Witness(kind="rank-drop", lam=0j,
+                    reverified=_rank_drop_reverifies(PQ, 0j),
+                    detail="normalrank of [P -Q] is deficient; rank drops at "
+                           "every point (shown at lambda = 0)")
+        return CondVerdict(FAIL, (w,), "normalrank([P -Q]) < n")
+    res = rank_drops(g, REGION_CLOSED_RHP, tol)
+    if not res.robust:
+        return CondVerdict(INCONCLUSIVE, (),
+                           "rank-drop points straddle the axis band")
+    if res.ok:
+        return CondVerdict(PASS)
+    wits = tuple(
+        Witness(kind="rank-drop", lam=z,
+                reverified=_rank_drop_reverifies(PQ, z))
+        for z in res.witnesses)
+    if not all(w.reverified for w in wits):
+        raise AssertionError("rank-drop witness failed re-verification")
+    return CondVerdict(FAIL, wits)
 
 
 def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,

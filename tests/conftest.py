@@ -1,12 +1,14 @@
 """Shared generators for randomized checks, the polynomial references
 `si_matrix` and `left_coprime` that realizations are checked against, and
-the float transfer function and Krylov rank tests of a state-space system.
-Everything is seeded."""
+the float transfer function and Krylov rank tests of a state-space system,
+and the benchmark's reference pool of random pairs.  Everything is seeded."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
@@ -54,6 +56,19 @@ def controllable(ss: StateSpace) -> bool:
         for row, new in zip(krylov, cols):
             row.extend(new)
     return ss.d == 0 or _frank(krylov) == ss.d
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "pairs.json"
+
+
+def pool_pairs() -> list[tuple[str, PolyMat, PolyMat, tuple[str, ...]]]:
+    """The random pairs of the benchmark's reference pool, read only:
+    (label, P, Q, recorded (cond1, cond2, cond3) statuses)."""
+    return [(f"pool #{i}",
+             *(PolyMat([[Poly([Fraction(c) for c in e]) for e in row]
+                        for row in rec[k]]) for k in "PQ"),
+             tuple(rec["verdict"]))
+            for i, rec in enumerate(json.loads(POOL.read_text()))]
 
 
 def rand_poly(rng: random.Random, max_deg: int, coeff_bound: int = 5,

@@ -11,14 +11,12 @@ Sturm sequence.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from check_pair_ref import check_pair_ref
-from conftest import corpus, siso_sweep_system
+from conftest import corpus, pool_pairs, siso_sweep_system
 from test_certificate import coupled_rc
 from test_partition import diagonal_rc
 
@@ -32,8 +30,6 @@ from passlab.poly import Poly
 from passlab.polymatrix import PolyMat
 from passlab.prpair import PASS, check_condition1, check_pair
 from passlab.statespace import StateSpace, realize_behavior
-
-POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "pairs.json"
 
 S = Poly.x()
 EPS = Fraction(1, 10**9)
@@ -89,11 +85,7 @@ def test_siso(seed, feed):
 
 
 def test_reference_pool():
-    pairs = [(f"pool #{i}",
-              *(PolyMat([[Poly([Fraction(c) for c in e]) for e in row]
-                         for row in rec[k]]) for k in "PQ"))
-             for i, rec in enumerate(json.loads(POOL.read_text()))]
-    assert_old_equals_new(pairs)
+    assert_old_equals_new(pair[:3] for pair in pool_pairs())
 
 
 @pytest.mark.parametrize("n", range(2, 9))

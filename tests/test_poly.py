@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import passlab.poly
-from passlab.poly import (Poly, TwoVarPoly, _changes_at, _changes_at_inf, _frac,
-                          _sign_changes, _sturm_sequence, bdf_phi, cauchy_bound,
-                          find_negative_point, isolate_real_roots, poly_gcd,
+from passlab.poly import (Poly, TwoVarPoly, _changes_at, _changes_at_inf,
+                          _coprime_mod, _frac, _sign_changes, _sturm_sequence,
+                          bdf_phi, cauchy_bound, find_negative_point,
+                          isolate_real_roots, poly_gcd, shown_coprime,
                           squarefree_decomposition, squarefree_part)
 
 S = Poly.x()
@@ -178,6 +179,42 @@ class TestModularSquarefree:
         for r in (p, p * p * q):
             if not r.is_zero:
                 assert squarefree_part(r) == squarefree_by_euclid(r)
+
+
+class TestModularCoprime:
+    """`_coprime_mod` takes high-first residue lists of any lengths, with
+    leading zeros; `shown_coprime` adds the leading-coefficient rule that
+    makes its True a proof over Q."""
+
+    @pytest.mark.parametrize("a,b,want", [
+        ([1, 0, PRIME - 1], [1, 0, 1], True),      # s^2 - 1, s^2 + 1
+        ([1, 0, PRIME - 1], [1, PRIME - 2, 1], False),  # (s - 1)^2 shares s - 1
+        ([3, 1], [6, 2], False),                   # equal lengths, proportional
+        ([1, 2, 3], [5], True), ([5], [0, 1, 1], True),  # constant b
+        ([1, 2], [0, 0], False), ([1, 2], [], False),  # b = 0 mod the prime
+        ([7], [0], True), ([0], [0], False), ([], [], False),
+        ([0, 0, 1, 0, PRIME - 1], [0, 1, 0, 1], True),  # leading zeros
+        ([0, 1, 1], [1, 1], False)])
+    def test_contract(self, a, b, want):
+        assert _coprime_mod(a, b, PRIME) is want
+        assert _coprime_mod(b, a, PRIME) is want
+
+    def test_leading_coefficient_rule(self):
+        h = PRIME * S - PRIME - 1  # a unit modulo the prime
+        assert poly_gcd(h * (S + 2), 3 * h).degree == 1
+        assert not shown_coprime(h * (S + 2), 3 * h)
+        assert shown_coprime(PRIME * S + 1, S + 5)       # one lc is enough
+        assert not shown_coprime(PRIME * S + 1, PRIME * S + 2)
+        assert not shown_coprime(Poly.zero(), Poly.one())
+        assert shown_coprime(Poly([Fraction(2, 3)]), Poly.one())
+
+    @given(polys, polys, polys, st.integers(-3, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_true_means_constant_gcd(self, p, r, f, c):
+        h = PRIME * S + c
+        for a, b in ((p, r), (p * f, r * f), (p * h, r * h), (p * h * f, r * f)):
+            if shown_coprime(a, b):
+                assert poly_gcd(a, b).degree == 0
 
 
 class TestRealRoots:

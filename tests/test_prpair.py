@@ -4,18 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (rand_fullrank_pair, rand_nonsingular, rand_poly,
-                      rand_polymat)
+from check_pair_ref import check_condition2_ref
+from conftest import (corpus, pool_pairs, rand_fullrank_pair, rand_nonsingular,
+                      rand_poly, rand_polymat)
 from test_certificate import coupled_rc
+from test_pass_path import outcome
 
+import passlab.poly
+import passlab.prpair
 from passlab.behavior import (DecompositionError, coupling_condition_direct,
                               decompose)
 from passlab.jsonio import parse_ss
 from passlab.poly import Poly, find_negative_point
 from passlab.polymatrix import PolyMat, charpoly, normalrank
-from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, _axis_violation, axis_psd,
-                            check_condition1, check_condition2,
-                            check_condition3, check_pair, pr_form)
+from passlab.prpair import (FAIL, INCONCLUSIVE, PASS, _axis_violation,
+                            _pr_density, axis_psd, check_condition1,
+                            check_condition2, check_condition3, check_pair,
+                            pr_form)
 from passlab.statespace import realize_behavior
 
 S = Poly.x()
@@ -412,3 +417,153 @@ class TestCheckPairSharesDensity:
             assert (v.cond1, v.cond2, v.cond3) == want
             statuses.add(v.cond3.status)
         assert {PASS, FAIL} <= statuses
+
+
+# -- condition 2 from coprime determinants, PQ* + QP* on integers -------------
+
+
+def mixed_denominators(rng: random.Random, M: PolyMat) -> PolyMat:
+    """M with each entry scaled by its own p/q, p, q <= 9, or zeroed (one
+    in ten)."""
+    return PolyMat([[e * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                     if rng.random() >= 0.1 else Poly.zero() for e in row]
+                    for row in M.entries], cols=M.cols)
+
+
+def planted(rng: random.Random, f: Poly, n: int) -> tuple[PolyMat, PolyMat]:
+    """(F P0, F Q0) with a common left factor F = T diag(f, 1, ..., 1), T
+    constant and nonsingular, so det F = c f."""
+    P0, Q0 = rand_fullrank_pair(rng, n, 2)
+    while True:
+        T = PolyMat.constant([[rng.randint(-3, 3) for _ in range(n)]
+                              for _ in range(n)])
+        if not T.det().is_zero:
+            break
+    D = PolyMat([[f if i == j == 0 else Poly.one() if i == j else Poly.zero()
+                  for j in range(n)] for i in range(n)])
+    return T @ D @ P0, T @ D @ Q0
+
+
+PRIME = passlab.poly._SQUAREFREE_PRIME  # the prime of `shown_coprime`
+BAND = Fraction(1, 10**10)  # a tenth of the default axis band
+
+
+class TestCondition2FromCoprimeDeterminants:
+    """`check_condition2` passes pairs with coprime det P and det Q before
+    its `minor_gcd` sweep; on every pair it must give the sweep's verdict,
+    detail and witnesses, or raise what the sweep raises."""
+
+    @staticmethod
+    def assert_old_equals_new(pairs):
+        for label, P, Q in pairs:
+            new = outcome(check_condition2, P, Q)
+            assert new == outcome(check_condition2_ref, P, Q), label
+
+    def test_reference_pool(self):
+        self.assert_old_equals_new(pair[:3] for pair in pool_pairs())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_rational_pairs(self, n):
+        rng = random.Random(8675309 + n)
+        pairs = []
+        for k in range(12):
+            P, Q = rand_fullrank_pair(rng, n, rng.randint(1, 2))
+            pairs.append((f"n={n} #{k}", mixed_denominators(rng, P),
+                          mixed_denominators(rng, Q)))
+        self.assert_old_equals_new(pairs)
+
+    @pytest.mark.parametrize("f,status", [
+        (S - 2, FAIL), (S * S - S + 3, FAIL),           # open RHP
+        (S, FAIL), (S * S + 4, FAIL),                   # on the axis
+        (S - BAND, FAIL), (S + BAND, FAIL),             # in the axis band
+        (S + 50 * BAND, INCONCLUSIVE),                  # in the tenfold band
+        (S + 3, PASS), (S * S + 2 * S + 5, PASS)])      # open LHP
+    def test_planted_common_factor(self, f, status):
+        rng = random.Random(31337)
+        pairs = [(f"n={n} #{k}", *planted(rng, f, n))
+                 for n in (1, 2, 3) for k in range(3)]
+        self.assert_old_equals_new(pairs)
+        assert {check_condition2(P, Q).status for _, P, Q in pairs} == {status}
+
+    def test_singular_det_p(self):
+        P = PolyMat([[S + 1, S + 1], [2 * S, 2 * S]])
+        Q = PolyMat([[S, Poly.one()], [Poly.zero(), S + 2]])
+        assert P.det().is_zero
+        self.assert_old_equals_new([("det P = 0", P, Q), ("det Q = 0", Q, P),
+                                    ("both", P, P)])
+
+    def test_prime_divides_the_leading_coefficient(self):
+        # common factor q s - q - 1 (zero near 1, in the open RHP): it is 1
+        # less a multiple of q, a unit modulo q, so its images modulo q are
+        # coprime, and only the leading-coefficient rule keeps the proof
+        # from passing the pair
+        h = PRIME * S - PRIME - 1
+        pairs = [("hidden", PolyMat([[h * (S + 2)]]), PolyMat([[3 * h]])),
+                 ("lc(det P) only, coprime", PolyMat([[PRIME * S + 1]]),
+                  PolyMat([[S + 5]])),
+                 ("lc(det P) only, shared", PolyMat([[(S - 2) * (PRIME * S + 1)]]),
+                  PolyMat([[(S - 2) * (S - 1)]])),
+                 ("shared h, coprime minors",
+                  PolyMat([[h, Poly.zero()], [Poly.zero(), S + 1]]),
+                  PolyMat([[7 * h, Poly.one()], [Poly.zero(), PRIME * S]]))]
+        self.assert_old_equals_new(pairs)
+        assert [check_condition2(P, Q).status for _, P, Q in pairs] == \
+            [FAIL, PASS, FAIL, PASS]
+        # both bodies raise here: the float rank re-check at the zero of h
+        # does not see the exact rank drop
+        self.assert_old_equals_new([("wide", PolyMat([[h * (PRIME * S + 1)]]),
+                                     PolyMat([[h * (S - 1)]]))])
+
+    def test_no_ports(self):
+        E = PolyMat([], cols=0)
+        self.assert_old_equals_new([("n=0", E, E)])
+        assert check_condition2(E, E).status == PASS
+
+    def test_pool_needs_no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("minor_gcd swept a pool pair")
+
+        monkeypatch.setattr(passlab.prpair, "minor_gcd", refuse)
+        for label, P, Q, want in pool_pairs():
+            v = check_pair(P, Q)
+            assert (v.cond1.status, v.cond2.status, v.cond3.status) == want, label
+
+
+def density_by_polys(P: PolyMat, Q: PolyMat) -> PolyMat:
+    """PQ* + QP* built from Poly objects: X = PQ*, then X + X*."""
+    X = P @ Q.star()
+    return X + X.star()
+
+
+def assert_same_density(P: PolyMat, Q: PolyMat):
+    got, want = _pr_density(P, Q), density_by_polys(P, Q)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for a, b in zip(itertools.chain(*got.entries), itertools.chain(*want.entries)):
+        assert (a.num, a.den) == (b.num, b.den)
+
+
+class TestDensityOnIntegers:
+    """`_pr_density` works on integer rows; its entries must be the
+    numerators and denominators of the Poly-object form."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_random_rational_pairs(self, n):
+        rng = random.Random(4242 + n)
+        for _ in range(6):
+            P, Q = (mixed_denominators(rng, PolyMat(
+                [[rand_poly(rng, 3) for _ in range(n)] for _ in range(n)],
+                cols=n)) for _ in "PQ")
+            if n:  # a zero row, in P here and in Q below
+                rows = list(P.entries)
+                rows[rng.randrange(n)] = (Poly.zero(),) * n
+                P = PolyMat(rows, cols=n)
+            assert_same_density(P, Q)
+            assert_same_density(Q, P)
+
+    def test_corpus_pairs(self):
+        for _, ss in corpus():
+            assert_same_density(*realize_behavior(ss))
+
+    def test_reference_pool(self):
+        for _, P, Q, _ in pool_pairs():
+            assert_same_density(P, Q)
