@@ -5,10 +5,10 @@ row/column echelon reductions, the inverse of a unimodular matrix (one more
 echelon pass), fraction-free Bareiss determinants, the characteristic
 polynomial by Berkowitz's division-free algorithm and the adjugate from its
 coefficients by Cayley-Hamilton, the normal rank from exact ranks of
-constant matrices M(lam), syzygy bases, right-divisibility, kernel equality
-by row Hermite forms, the max-degree-of-full-size-minors functional `delta`
-(kept as the reference for properness, which callers read from leading row
-coefficients), and constant-rank tests over a region of the complex plane.
+constant matrices M(lam), syzygy bases, right-divisibility, the
+max-degree-of-full-size-minors functional `delta` (kept as the reference
+for properness, which callers read from leading row coefficients), and
+constant-rank tests over a region of the complex plane.
 The dense rational-matrix helpers (`_frref` and the rank, kernel, inverse
 and product built on it) live here too; their elimination, `_irref`, runs
 on integer rows, and `normalrank` and `statespace.realize_behavior` reuse
@@ -28,11 +28,10 @@ the loop.  A transform is carried in the row, appended after the swept
 columns, and `_sweep_polys` tracks each row's multiplier (integer row =
 multiplier * rational row) to map the rows back exactly.  `row_echelon`
 carries the transform, then makes each pivot monic and reduces above it;
-`unimodularly_equivalent` does that with no transform; `syzygy_basis`
-carries the transform but skips the back-reduction, which never touches
-the syzygy rows.  `minor_gcd` sweeps with no transform or multiplier,
-multiplies the pivots, and reads a missing pivot as rank deficiency (a
-zero gcd), so it needs no separate `normalrank` pass.
+`syzygy_basis` carries the transform but skips the back-reduction, which
+never touches the syzygy rows.  `minor_gcd` sweeps with no transform or
+multiplier, multiplies the pivots, and reads a missing pivot as rank
+deficiency (a zero gcd), so it needs no separate `normalrank` pass.
 """
 
 from __future__ import annotations
@@ -744,20 +743,6 @@ def divisible_on_right(A: PolyMat, F: PolyMat) -> tuple[bool, PolyMat | None]:
         out.append(hrow)
     H = PolyMat(out)
     return True, H
-
-
-def unimodularly_equivalent(R1: PolyMat, R2: PolyMat) -> bool:
-    """Do R1 and R2 define the same kernel, i.e. R1 == U @ R2 for unimodular U?
-    Both must have full row normalrank.  The row Hermite form is canonical
-    under left unimodular equivalence (Kailath, Linear Systems, 1980, sec.
-    6.3), so the kernels agree exactly when the forms do.  Only the forms
-    are compared, so `_hermite` builds no transform."""
-    if (R1.rows, R1.cols) != (R2.rows, R2.cols):
-        return False
-    forms = [[list(row) for row in R.entries] for R in (R1, R2)]
-    for a in forms:
-        _hermite(a)
-    return forms[0] == forms[1]
 
 
 # -- constant-rank tests over a region --------------------------------------------

@@ -22,8 +22,7 @@ import numpy as np
 from .numeric import STORAGE_RTOL
 from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frref, _irref,
-                         _leading_rows, _rref_kernel, _scaled, row_reduced,
-                         unimodularly_equivalent)
+                         _leading_rows, _rref_kernel, _scaled, row_reduced)
 
 
 class RealizationError(Exception):
@@ -281,14 +280,25 @@ def realize_behavior(ss: StateSpace) -> tuple[PolyMat, PolyMat]:
         v[dep] = lead
         for p, x, piv in rel:
             v[p] = -x * (lead // piv)
-        rows = []
-        for k in range(nu + 1):
-            tail = v[(k + 1) * n:]
-            ak = a ** k
-            rows.append([c * ak * x for x in v[k * n:(k + 1) * n]]
-                        + [ak * a * sum(map(mul, tail, col)) for col in cols])
-        coeffs.append((rows, c * a ** nu * lead))
+        coeffs.append((_relation_rows(v, nu, n, cols, c, a), c * a ** nu * lead))
     return _certified_pair(ss, coeffs, len(pivots))
+
+
+def _relation_rows(v: list[int], nu: int, n: int, cols, c: int, a: int
+                   ) -> list[list[int]]:
+    """The integer rows c a^k v_k (for M_k) and a^(k+1) sum_(k'>k) v_k'
+    K_(k'-1-k) (for N_k), k = 0..nu, of an integer relation sum_j v_j K_j
+    = 0 on the Krylov rows K_j (j = k n + l), which `_krylov_blocks` scales
+    by c a^k.  When v_k = w a^(nu-k) m_k, with m_k row i of M_k and w a
+    scale, they are row i of [M_k N_k] times c a^nu w.  cols are the
+    columns of the stacked K_j, at least nu n long."""
+    rows = []
+    for k in range(nu + 1):
+        tail = v[(k + 1) * n:]
+        ak = a ** k
+        rows.append([c * ak * x for x in v[k * n:(k + 1) * n]]
+                    + [ak * a * sum(map(mul, tail, col)) for col in cols])
+    return rows
 
 
 def _certified_pair(ss: StateSpace, coeffs, rank: int) -> tuple[PolyMat, PolyMat]:
@@ -325,8 +335,10 @@ def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
     The construction peels off the feedthrough D, and realizes the
     strictly proper remainder with one integrator chain per output channel,
     so the external behavior equals ker [P -Q] exactly (uncontrollable modes
-    included).  The round trip is re-checked on every call: the realization's
-    own pair must have the row Hermite form of [P -Q].
+    included).  That is re-checked on every call, by constant matrices only:
+    `_certify_observer_form` shows that the realization's behavior is ker
+    [P1 -Q1], and U Q = Q1 with det U a nonzero constant shows U unimodular,
+    so ker [P1 -Q1] = ker [P -Q].
     """
     n = Q.rows
     if not (Q.is_square and P.rows == n and P.cols == n):
@@ -363,6 +375,9 @@ def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
         base.append(off)
         off += mu[i]
     top_state = {j: base[j] + mu[j] - 1 for j in range(n) if mu[j] >= 1}
+    # QL[k] = Q1_k Lam^-1, the s^k coefficients of Q1 times Lam^-1
+    QL = [_fmatmul([[e.coeff(k) for e in row] for row in Q1.entries], lam_inv)
+          for k in range(max(mu, default=0))]
     A = [[Fraction(0)] * dtot for _ in range(dtot)]
     B = [[Fraction(0)] * n for _ in range(dtot)]
     C = [[Fraction(0)] * dtot for _ in range(n)]
@@ -376,16 +391,49 @@ def realize_statespace(P: PolyMat, Q: PolyMat) -> StateSpace:
                 B[row][l] += Nmat[i, l].coeff(k)
             # -(q_{i.,k} Lam^-1)_j on the top state of chain j
             for j, st in top_state.items():
-                coef = sum(Q1[i, jj].coeff(k) * lam_inv[jj][j] for jj in range(n))
-                A[row][st] -= coef
+                A[row][st] -= QL[k][i][j]
     for c in range(n):
         for j, st in top_state.items():
             C[c][st] = lam_inv[c][j]
     ss = StateSpace.from_arrays(A, B, C, Dg)
-    Pr, Qr = realize_behavior(ss)
-    if not unimodularly_equivalent(Pr.hstack(-Qr), P.hstack(-Q)):
-        raise AssertionError("round trip changed the behavior")
+    _certify_observer_form(ss, P1, Q1)
+    if rr.U @ Q != Q1 or rr.U.det().degree != 0:
+        raise AssertionError("row reduction transform is not unimodular")
     return ss
+
+
+def _certify_observer_form(ss: StateSpace, P1: PolyMat, Q1: PolyMat) -> None:
+    """Raise AssertionError unless the external behavior of ss is exactly
+    ker [P1 -Q1], for a row-reduced Q1.
+
+    Row i of M = Q1, of degree mu_i, is read as the Krylov relation that
+    `realize_behavior` would find: sum_k M_k C A^k = 0 in row i is sum_j
+    v_j K_j = 0 with v_k = d_i a^(mu_i - k) M_k, where d_i is the lcm of
+    the row's denominators.  `_relation_rows` turns it into the rows of
+    [M_k N_k] with N(s) = sum_p s^p sum_(k>p) M_k C A^(k-1-p), and
+    `_certified_pair` checks (a) M C = N (sI - A), (b) M row reduced and
+    (c) sum mu_i equal to the observable dimension, so (M, N) is the left
+    coprime pair of ss, and ss has behavior ker [N B + M D  -M].  Equality
+    with (P1, Q1) is the last check.
+
+    For (c), the rank of the Krylov rows is taken over k < max mu_i only:
+    fewer rows can only lower the rank, and d = sum mu_i bounds it from
+    above, so a rank of d is the observable dimension.  It is d here: the
+    observability indices of an observer form are the mu_i (Kailath,
+    sec. 6.4)."""
+    n = ss.n
+    mu = [max(len(e.num) for e in row) - 1 for row in Q1.entries]
+    blocks, c, a = _krylov_blocks(ss.C_exact, ss.A_exact, max(mu, default=0))
+    cols = list(zip(*(row for blk in blocks for row in blk)))
+    rank = len(_irref([list(col) for col in cols]))
+    coeffs = []
+    for row, nu in zip(Q1.entries, mu):
+        den = lcm(*(e.den for e in row))
+        v = [e.num[k] * (den // e.den) * a ** (nu - k) if k < len(e.num) else 0
+             for k in range(nu + 1) for e in row]
+        coeffs.append((_relation_rows(v, nu, n, cols, c, a), c * a ** nu * den))
+    if _certified_pair(ss, coeffs, rank) != (P1, Q1):
+        raise AssertionError("round trip changed the behavior")
 
 
 # -- simulation --------------------------------------------------------------------------------

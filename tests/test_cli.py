@@ -13,6 +13,7 @@ import passlab.certificate
 from passlab.cli import build_parser, main
 from passlab.jsonio import parse_polymat
 from passlab.numeric import Tolerance
+from passlab.poly import Poly
 
 
 @pytest.fixture()
@@ -429,6 +430,23 @@ class TestErrorExitCodes:
         assert out[key].startswith("positive-real check passed but the "
                                    "construction failed")
         assert "Traceback" not in captured.err
+
+    def test_invisible_rank_drop_is_inconclusive(self, tmp_path, capsys):
+        # P = h (q s + 1), Q = h (s + 1), h = q s - q - 1, q = 2^31 - 1: the
+        # exact minor gcd h vanishes at (q + 1)/q, where the float [P -Q]
+        # has a row of norm about 1, so condition 2 is inconclusive
+        q = 2**31 - 1
+        S = Poly.x()
+        h = q * S - q - 1
+        coeffs = lambda p: [[[str(c) for c in p.coeffs]]]
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps({"kind": "pair", "P": coeffs(h * (q * S + 1)),
+                                 "Q": coeffs(h * (S + 1))}))
+        assert main(["check-pair", str(f)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["overall"] == "inconclusive"
+        assert out["cond2"]["status"] == "inconclusive"
+        assert "internal-error" not in json.dumps(out)
 
     def test_any_exception_is_reported(self, files, capsys, monkeypatch):
         import passlab.cli

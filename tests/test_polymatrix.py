@@ -6,6 +6,7 @@ import pytest
 from conftest import left_coprime, rand_poly, rand_polymat
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from round_trip_ref import unimodularly_equivalent
 
 from passlab.poly import NEG_INF, Poly, poly_gcd
 from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, EchelonResult,
@@ -13,8 +14,7 @@ from passlab.polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, EchelonResult,
                                 column_echelon, delta, divisible_on_right,
                                 fullrank_everywhere, minor_gcd,
                                 normalrank, row_echelon, row_reduced,
-                                syzygy_basis, unimodular_inverse,
-                                unimodularly_equivalent)
+                                syzygy_basis, unimodular_inverse)
 
 S = Poly.x()
 

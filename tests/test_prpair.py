@@ -509,10 +509,18 @@ class TestCondition2FromCoprimeDeterminants:
         self.assert_old_equals_new(pairs)
         assert [check_condition2(P, Q).status for _, P, Q in pairs] == \
             [FAIL, PASS, FAIL, PASS]
-        # both bodies raise here: the float rank re-check at the zero of h
-        # does not see the exact rank drop
-        self.assert_old_equals_new([("wide", PolyMat([[h * (PRIME * S + 1)]]),
-                                     PolyMat([[h * (S - 1)]]))])
+        # the float rank re-check at the zero of h does not see the exact
+        # rank drop: the frozen reference raises, the body says inconclusive
+        # and shows both views
+        P, Q = PolyMat([[h * (PRIME * S + 1)]]), PolyMat([[h * (S - 1)]])
+        assert outcome(check_condition2_ref, P, Q) == (
+            "AssertionError", "rank-drop witness failed re-verification")
+        v = check_condition2(P, Q)
+        assert v.status == INCONCLUSIVE and v.witnesses == ()
+        assert v.detail == (
+            "exact rank drop not visible numerically at the closed-RHP zeros "
+            "of the maximal-minor gcd: at lambda = 1+0j the float smallest "
+            "singular value of [P -Q] is 1, above its cut 2e-06")
 
     def test_no_ports(self):
         E = PolyMat([], cols=0)

@@ -4,19 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (controllable, observable, rand_poly, rand_polymat,
-                      si_matrix, siso_sweep_system, transfer_at)
-from test_partition import random_passive_multiport
+from conftest import (controllable, corpus, observable, pool_pairs, rand_poly,
+                      rand_polymat, si_matrix, siso_sweep_system, transfer_at)
+from round_trip_ref import unimodularly_equivalent
+from test_certificate import coupled_rc
+from test_partition import diagonal_rc, random_passive_multiport
+from test_polymatrix import rand_unimodular
 
+from passlab import statespace
+from passlab.behavior import passive_partition
 from passlab.poly import Poly
-from passlab.polymatrix import (PolyMat, _finverse, _fmatmul, _frank, delta,
-                                normalrank, row_echelon,
-                                unimodularly_equivalent)
+from passlab.polymatrix import (EchelonResult, PolyMat, _finverse, _fmatmul,
+                                _frank, delta, normalrank, row_echelon,
+                                row_reduced)
+from passlab.prpair import PASS, check_pair
 from passlab.signals import Signal
 from passlab.statespace import (RealizationError, StateSpace,
-                                observability_matrix, realize_behavior,
-                                realize_statespace, resolvent, simulate,
-                                staircase, storage_check)
+                                _certify_observer_form, observability_matrix,
+                                realize_behavior, realize_statespace,
+                                resolvent, simulate, staircase, storage_check)
 
 S = Poly.x()
 
@@ -192,6 +198,82 @@ class TestRealizeBehavior:
         assert coeff_bits(P, Q) <= 128
 
 
+def assert_round_trip(P: PolyMat, Q: PolyMat) -> StateSpace:
+    """realize_statespace accepts its realization of (P, Q), and so does the
+    Hermite round trip: realize_behavior gives a pair with the row Hermite
+    form of [P -Q]."""
+    ss = realize_statespace(P, Q)
+    assert pairs_equal(*realize_behavior(ss), P, Q)
+    return ss
+
+
+def built_proper_pair(rng: random.Random, n: int, plant: bool
+                      ) -> tuple[PolyMat, PolyMat]:
+    """U F [P1 -Q1]: Q1 row reduced, with row degrees 0..2 and a random
+    nonsingular leading row-coefficient matrix, P1 of no higher row degrees,
+    U unimodular, and F = T diag(f, 1, ..., 1) with T a constant
+    nonsingular matrix and f = s - 2, s^2 + 1 or s + 3 when planted (else
+    F = I).  Q^-1 P = Q1^-1 P1 is proper."""
+    while True:
+        lead = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if _frank(lead) == n:
+            break
+    mu = [rng.randint(0, 2) for _ in range(n)]
+    Q1 = PolyMat([[rand_poly(rng, mu[i] - 1, 3) + lead[i][j] * S ** mu[i]
+                   if mu[i] else Poly.constant(lead[i][j]) for j in range(n)]
+                  for i in range(n)])
+    P1 = PolyMat([[rand_poly(rng, mu[i], 3) for _ in range(n)] for i in range(n)])
+    F = PolyMat.identity(n)
+    if plant:
+        while True:
+            T = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            if _frank(T) == n:
+                break
+        f = rng.choice([S - 2, S * S + 1, S + 3])
+        F = PolyMat.constant(T) @ PolyMat([[f if i == j == 0 else Poly.of(int(i == j))
+                                            for j in range(n)] for i in range(n)])
+    UF = rand_unimodular(rng, n) @ F
+    return UF @ P1, UF @ Q1
+
+
+def with_partitions(named):
+    """(name, P, Q) where the pair is proper, and (name/partition, Pio, Qio)
+    where it passes check_pair."""
+    for name, P, Q in named:
+        if Q.det().degree >= delta(P.hstack(-Q)):  # proper, as Q is nonsingular
+            yield name, P, Q
+        v = check_pair(P, Q)
+        if v.overall == PASS:
+            part = passive_partition(P, Q, verdict=v)
+            yield name + "/partition", part.Pio, part.Qio
+
+
+def inductor_pair(n: int) -> tuple[PolyMat, PolyMat]:
+    """P = diag(s, 2s, ..., ns), Q = I: passive and improper."""
+    return PolyMat([[(i + 1) * S if i == j else Poly.zero() for j in range(n)]
+                    for i in range(n)]), PolyMat.identity(n)
+
+
+# named pairs, built when a test asks for them; with_partitions keeps the
+# proper ones and adds the passive partitions
+ROUND_TRIP_GROUPS = {
+    "corpus": lambda: [(name, *realize_behavior(ss)) for name, ss in corpus()],
+    "pool": lambda: [(label, P, Q) for label, P, Q, _ in pool_pairs()],
+    "rc": lambda: [(f"{kind}-rc-{n}", *realize_behavior(system(n)))
+                   for n in range(2, 9)
+                   for kind, system in (("diagonal", diagonal_rc),
+                                        ("coupled", coupled_rc))],
+    "inductor": lambda: [(f"inductor-{n}", *inductor_pair(n)) for n in range(2, 9)],
+    "planted": lambda: [(f"planted-{n}", *built_proper_pair(random.Random(n), n, True))
+                        for n in range(1, 5)],
+}
+
+
+def coupled_rc3_partition() -> tuple[PolyMat, PolyMat]:
+    part = passive_partition(*realize_behavior(coupled_rc(3)))
+    return part.Pio, part.Qio
+
+
 class TestRealizeStateSpace:
     def test_capacitor(self):
         ss = realize_statespace(PolyMat([[Poly.one()]]), PolyMat([[S]]))
@@ -220,7 +302,11 @@ class TestRealizeStateSpace:
         assert np.allclose(ss.D, [[0, 2], [-2, 0]])
 
     def test_round_trip_50_random_proper_pairs(self):
-        """realize_behavior after realize_statespace returns an equivalent pair."""
+        """The observer-form certificate inside realize_statespace and the
+        Hermite round trip it replaced (realize_behavior, then row Hermite
+        forms) accept the same realizations: 50 random proper pairs with
+        n = 1..2, then 60 built pairs with n = 1..4, 30 of them with a
+        planted common left factor (uncontrollable modes)."""
         rng = random.Random(99)
         done = 0
         while done < 50:
@@ -236,10 +322,83 @@ class TestRealizeStateSpace:
                 continue
             if delta(P.hstack(-Q)) != dq.degree:
                 continue  # not proper
-            ss = realize_statespace(P, Q)  # internal round-trip check on
-            Pr, Qr = realize_behavior(ss)
-            assert pairs_equal(Pr, Qr, P, Q)
+            assert_round_trip(P, Q)
             done += 1
+        for k in range(60):
+            plant = k % 2 == 1
+            P, Q = built_proper_pair(rng, 1 + k % 4, plant)
+            ss = assert_round_trip(P, Q)
+            assert ss.d == Q.det().degree  # the planted modes are kept
+            assert not (plant and controllable(ss))
+
+    @pytest.mark.parametrize("group", list(ROUND_TRIP_GROUPS))
+    def test_certificate_accepts_what_the_hermite_round_trip_accepts(self, group):
+        """The corpus pairs, the benchmark's pool pairs, the pairs of
+        diagonal and coupled RC n-ports (n = 2..8) and the inductor n-ports
+        (n = 2..8), and built pairs with planted left factors (n = 1..4),
+        where proper, with the passive partitions of those that pass."""
+        named = list(with_partitions(ROUND_TRIP_GROUPS[group]()))
+        assert named
+        for name, P, Q in named:
+            assert_round_trip(P, Q)
+
+    @pytest.mark.parametrize("pair", [
+        lambda: realize_behavior(dict(corpus())["hidden-stable"]),
+        coupled_rc3_partition,
+        lambda: built_proper_pair(random.Random(2), 2, plant=True),
+    ], ids=["hidden-stable", "coupled-rc-3/partition", "planted-2"])
+    def test_perturbed_realization_rejected(self, pair):
+        """1/7 added to one entry of A, B, C or D: the certificate raises
+        AssertionError, and the Hermite round trip rejects it too."""
+        P, Q = pair()
+        ss = realize_statespace(P, Q)
+        rr = row_reduced(Q)
+        P1, Q1 = rr.U @ P, rr.E
+        grids = [[list(row) for row in g]
+                 for g in (ss.A_exact, ss.B_exact, ss.C_exact, ss.D_exact)]
+        mutants = 0
+        for g, grid in enumerate(grids):
+            for i, row in enumerate(grid):
+                for j in range(len(row)):
+                    row[j] += Fraction(1, 7)
+                    mut = StateSpace.from_arrays(*grids)
+                    row[j] -= Fraction(1, 7)
+                    with pytest.raises(AssertionError):
+                        _certify_observer_form(mut, P1, Q1)
+                    assert not pairs_equal(*realize_behavior(mut), P, Q)
+                    mutants += 1
+        assert mutants == ss.d * ss.d + 2 * ss.d * ss.n + ss.n * ss.n
+        _certify_observer_form(StateSpace.from_arrays(*grids), P1, Q1)
+
+    def test_unobservable_realization_rejected_by_the_rank_alone(self):
+        """P = (s - 2)(s + 2), Q = (s - 2)(s + 1) has the uncontrollable
+        mode 2.  A = diag(-1, 2), B = [1; 1], C = [1 0], D = 1 realizes
+        Q^-1 P with that mode unobservable instead: C Q(A) = 0 and P = N B
+        + Q D hold, and only the observable dimension, 1 < deg det Q,
+        rejects it."""
+        P, Q = PolyMat([[(S - 2) * (S + 2)]]), PolyMat([[(S - 2) * (S + 1)]])
+        assert realize_statespace(P, Q).d == 2
+        ss = StateSpace.from_arrays([[-1, 0], [0, 2]], [[1], [1]], [[1, 0]], [[1]])
+        with pytest.raises(AssertionError, match="not left coprime"):
+            _certify_observer_form(ss, P, Q)
+        assert not pairs_equal(*realize_behavior(ss), P, Q)
+
+    @pytest.mark.parametrize("wrong", ["det", "product"])
+    def test_row_reduction_transform_must_be_unimodular(self, monkeypatch, wrong):
+        """A row reduction whose U has det s + 3 (which adds the mode -3 to
+        ker [P1 -Q1]), or whose U Q is not Q1, is refused."""
+        def bad_row_reduced(M):
+            rr = row_reduced(M)
+            F = PolyMat([[S + 3 if i == j == 0 else Poly.of(int(i == j))
+                          for j in range(M.rows)] for i in range(M.rows)])
+            if wrong == "det":
+                return EchelonResult(U=F @ rr.U, E=F @ rr.E, rank=rr.rank)
+            return EchelonResult(U=rr.U, E=F @ rr.E, rank=rr.rank)
+
+        monkeypatch.setattr(statespace, "row_reduced", bad_row_reduced)
+        P, Q = coupled_rc3_partition()
+        with pytest.raises(AssertionError, match="not unimodular"):
+            realize_statespace(P, Q)
 
     def test_properness_rule_matches_delta_and_det(self):
         """realize_statespace reads Q's nonsingularity and the properness of
