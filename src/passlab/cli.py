@@ -4,7 +4,9 @@ Exit codes: 0 positive verdict / success, 1 negative verdict (witnesses in
 the report), 2 input error, 3 inconclusive or unsupported, and also an
 internal error: any other exception is reported as
 {"status": "internal-error", "error": "<Type>: <message>"} on stdout, with
-no traceback.  Reports are deterministic for identical inputs and flags.
+no traceback.  A stdout that the reader has closed also exits 3, with
+nothing more written.  Reports are deterministic for identical inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -376,7 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the report is lost, so the verdict is
+        # not delivered.  Point stdout at devnull, so that neither a report
+        # nor the interpreter's final flush writes to the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INCONCLUSIVE
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,7 +8,11 @@ polynomial has exactly one representation.  Ring operations, pseudo-division,
 the adjoint and evaluation run on Python ints and reduce once per result, with
 one variadic `math.gcd`; `coeffs`, `coeff(k)` and `leading` build `Fraction`s
 on demand, and `float_coeffs()` divides the integers directly.  Every gcd,
-square-free split and sign decision below is exact.
+square-free split and sign decision below is exact.  One integer
+pseudo-division kernel, `_pseudo_divmod`, runs every Euclidean step: `divmod`,
+the gcd's primitive remainder sequence and the Sturm sequence; a gcd modulo
+one prime (`shown_coprime`) proves coprimality, square-freeness included,
+before any exact gcd runs.
 Polynomials are immutable; the zero polynomial has no numerators and its
 degree is -inf (avoids special-casing leading-zero trims).
 
@@ -214,46 +218,24 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Integer pseudo-division  m * num_a = Q num_b + R,  rescaled once.
-
-        Each step scales by the least m that lets lc(num_b) divide the top
-        coefficient (m = 1 when it already does, as for monic divisors), so
-        m divides lc(num_b)^k.  Then a = (Q den_b / (m den_a)) b + R / (m den_a).
-        """
+        """`_pseudo_divmod` on the numerators, m num_a = Q num_b + R,
+        rescaled once: a = (Q den_b / (m den_a)) b + R / (m den_a)."""
         other = Poly.of(other)
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         a = self.num
-        db = len(b) - 1
-        if len(a) <= db:
+        if len(a) < len(b):
             return _ZERO, self
-        lc = b[-1]
-        if db == 0:
-            n, d = other.den, self.den * lc
+        if len(b) == 1:
+            n, d = other.den, self.den * b[0]
             if d < 0:
                 n, d = -n, -d
             return _lowest([c * n for c in a], d), _ZERO
-        rem = list(a)
-        quo = [0] * (len(a) - db)
-        m = 1
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + db]
-            if not c:
-                continue
-            if c % lc:
-                f = abs(lc) // gcd(c, lc)
-                rem = [x * f for x in rem]
-                quo = [x * f for x in quo]
-                m *= f
-                c *= f
-            t = c // lc
-            quo[k] = t
-            for j, y in enumerate(b, k):
-                rem[j] -= t * y
+        quo, rem, m = _pseudo_divmod(a, b)
         den = m * self.den
         ob = other.den
-        return _lowest([x * ob for x in quo], den), _lowest(rem[:db], den)
+        return _lowest([x * ob for x in quo], den), _lowest(rem, den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, Poly.of(other))[0]
@@ -318,6 +300,46 @@ class Poly:
         return acc
 
 
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]
+                   ) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division  m a = quo b + rem  with m > 0 and
+    deg rem < deg b, on numerators (b nonzero); rem has no trailing zero.
+
+    Each step scales by |lc(b)| / gcd(c, lc(b)), the least positive factor
+    that lets lc(b) divide the top coefficient c (1 when it already does, as
+    for monic divisors), so m divides |lc(b)|^k and stays positive: a signed
+    scale would flip the remainder's sign, which a Sturm sequence reads."""
+    db = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    m = 1
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if c % lc:
+            f = abs(lc) // gcd(c, lc)
+            rem = [x * f for x in rem]
+            quo = [x * f for x in quo]
+            m *= f
+            c *= f
+        t = c // lc
+        quo[k] = t
+        for j, y in enumerate(b, k):
+            rem[j] -= t * y
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem, m
+
+
+def _primitive(c: Sequence[int], sign: int = 1) -> list[int]:
+    """sign * c divided by its (positive) content."""
+    g = gcd(*c)
+    return [sign * x // g for x in c]
+
+
 def _raw(num: tuple, den: int) -> Poly:
     """A Poly from numerators and a denominator already in lowest terms."""
     p = object.__new__(Poly)
@@ -369,11 +391,16 @@ _ONE = _raw((1,), 1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (renormalised each step)."""
-    a, b = Poly.of(a), Poly.of(b)
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a.monic()
+    """Monic gcd by the primitive integer remainder sequence (Brown, J. ACM
+    18, 1971): Euclid on the numerators with `_pseudo_divmod`, each
+    remainder divided by its content.  Every remainder is a nonzero rational
+    multiple of the one Euclid over Q would take, so the last nonzero one,
+    made monic, is the gcd; no Fraction is built on the way."""
+    a, b = Poly.of(a).num, Poly.of(b).num
+    while b:
+        r = _pseudo_divmod(a, b)[1]
+        a, b = b, _primitive(r) if r else r
+    return _lowest(list(a), 1).monic()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -404,23 +431,15 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p: p over
-    gcd(p, p').
-
-    A constant gcd of p and p' modulo the prime _SQUAREFREE_PRIME, where
-    the prime does not divide the leading coefficient, proves p square-free
-    over Q (Brown, J. ACM 18, 1971): by Gauss's lemma a repeated factor f
-    of p's integer numerators has integer coefficients, keeps its degree
-    modulo the prime, and divides both reductions.  Then the part is
-    p.monic(); otherwise the exact Euclidean gcd decides."""
+    gcd(p, p').  When `shown_coprime` proves p and p' coprime, p is
+    square-free and the part is p.monic(); otherwise the exact gcd
+    decides."""
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free part")
-    q, num = _SQUAREFREE_PRIME, p.num
-    if num[-1] % q:
-        high = [c % q for c in reversed(num)]
-        deriv = [k * c % q for k, c in zip(range(len(num) - 1, 0, -1), high)]
-        if _coprime_mod(high, deriv, q):
-            return p.monic()
-    return p.monic() // poly_gcd(p, p.derivative())
+    dp = p.derivative()
+    if shown_coprime(p, dp):
+        return p.monic()
+    return p.monic() // poly_gcd(p, dp)
 
 
 _SQUAREFREE_PRIME = (1 << 31) - 1  # a Mersenne prime: residue products fit a word
@@ -478,51 +497,20 @@ def shown_coprime(a: Poly, b: Poly) -> bool:
 # smallest positive integer multiple of the rational Sturm chain's element.
 
 
-def _primitive(c: Sequence[int], sign: int = 1) -> list[int]:
-    """sign * c divided by its (positive) content."""
-    g = gcd(*c)
-    return [sign * x // g for x in c]
-
-
-def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
-    """-(m a mod b) / content for a positive integer m, [] when b divides a.
-
-    Integer pseudo-division: each step scales by |lc(b)| / gcd(c, lc(b)),
-    which lets lc(b) divide the top coefficient c, so m divides |lc(b)|^k
-    and stays positive; a signed lc(b) would flip the remainder's sign."""
-    r = list(a)
-    db = len(b) - 1
-    lc = b[-1]
-    s = abs(lc)
-    low = b[:-1]
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = r.pop()
-        if not c:
-            continue
-        g = gcd(c, lc)
-        t = c // g if lc > 0 else -(c // g)  # t lc = f c, f = s // g
-        f = s // g
-        if f != 1:
-            r = [x * f for x in r]
-        for j, y in enumerate(low, k):
-            r[j] -= t * y
-    while r and not r[-1]:
-        r.pop()
-    return _primitive(r, -1) if r else r
-
-
 def _sturm_sequence(num: Sequence[int]) -> list[list[int]]:
     """The Sturm sequence of the integer polynomial `num` (degree >= 1):
-    f, f', then the negated remainders, up to the last nonzero one.  When f
-    is not square-free it ends at gcd(f, f'), and the variation count still
-    counts the distinct roots between two points where f is nonzero."""
+    f, f', then the negated `_pseudo_divmod` remainders over their content,
+    up to the last nonzero one.  When f is not square-free it ends at
+    gcd(f, f'), and the variation count still counts the distinct roots
+    between two points where f is nonzero."""
     a = _primitive(num)
     b = _primitive([k * c for k, c in enumerate(num)][1:])
     seq = [a, b]
     while len(b) > 1:
-        r = _negated_remainder(a, b)
+        r = _pseudo_divmod(a, b)[1]
         if not r:
             break
+        r = _primitive(r, -1)
         seq.append(r)
         a, b = b, r
     return seq

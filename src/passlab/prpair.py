@@ -329,31 +329,29 @@ def _axis_inconclusive(subset: tuple[int, ...], h: Poly, wstar: Fraction,
                        f"float smallest eigenvalue of PQ*+QP* is {eig}")
 
 
-def check_condition1(P: PolyMat, Q: PolyMat, tol: Tolerance = DEFAULT_TOL,
-                     cond2: CondVerdict | None = None) -> CondVerdict:
+def check_condition1(P: PolyMat, Q: PolyMat,
+                     tol: Tolerance = DEFAULT_TOL) -> CondVerdict:
     """PSD of PQ^H + QP^H on the closed right half-plane, via boundary +
     analyticity (see module docstring for the soundness argument).  An exact
     axis violation that floats cannot confirm at w* is inconclusive."""
     _validate_pair(P, Q)
-    return _conditions12(P, Q, _pr_density(P, Q), tol, cond2)[0]
+    return _conditions12(P, Q, _pr_density(P, Q), tol)[0]
 
 
-def _conditions12(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
-                  cond2: CondVerdict | None = None
+def _conditions12(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance
                   ) -> tuple[CondVerdict, CondVerdict]:
     """(condition 1, condition 2) of a validated pair with Phi = PQ* + QP*.
     The exact axis test s1 runs first.  When it passes and
     `zeros_left_of_band` shows every zero of det(P + Q) left of the tenfold
     axis band, both pass with no float root and no `minor_gcd` sweep (see
-    the module docstring).  Otherwise condition 2 is decided (unless given),
-    then the rest of condition 1."""
+    the module docstring).  Otherwise condition 2 is decided, then the rest
+    of condition 1."""
     found, dpq = _axis_violation(Phi), None
     if found is None:
         dpq = (P + Q).det()
         if dpq and zeros_left_of_band(dpq, tol):
             return CondVerdict(PASS), CondVerdict(PASS)
-    if cond2 is None:
-        cond2 = check_condition2(P, Q, tol)
+    cond2 = check_condition2(P, Q, tol)
     return _condition1(P, Q, Phi, tol, cond2, found, dpq), cond2
 
 
@@ -395,10 +393,11 @@ def _condition1(P: PolyMat, Q: PolyMat, Phi: PolyMat, tol: Tolerance,
         # v^T P(lam) = v^T Q(lam) = 0, so lam is a zero of det(P + Q)
         return CondVerdict(PASS)
     if cond2.status != PASS:
+        state = "already fails" if cond2.status == FAIL else "is undecided"
         return CondVerdict(
             INCONCLUSIVE, (),
             "det(P+Q) vanishes on the closed right half-plane where the rank "
-            "condition already fails; condition 1 is not decided separately")
+            f"condition {state}; condition 1 is not decided separately")
     # s1 decided PQ* + QP* PSD on the whole axis, so a witness can only lie
     # strictly right of it; a zero tagged axis may sit just left of it
     wit = _rhp_direction_witness(P, Q, [z for z, _ in bad if z.real > 0])

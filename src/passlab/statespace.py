@@ -7,7 +7,10 @@ dynamics (as common polynomial factors), and converting a proper pair back
 produces a state-space system whose external behavior is the kernel of the
 pair, not merely a system with the same transfer function.  Rank decisions
 (staircase, Krylov rows) are exact over the rationals; float inputs are
-taken at face value as exact binary rationals.
+taken at face value as exact binary rationals.  The observer staircase
+inverts nothing: the reduced echelon form of the observability matrix,
+stacked on unit rows at its free columns, is already the inverse of the
+basis that completes its kernel, and the blocks are read off it.
 """
 
 from __future__ import annotations
@@ -169,52 +172,45 @@ def observability_matrix(ss: StateSpace) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class StaircaseForm:
-    """T A Tinv = [[A11, 0], [A21, A22]],  C Tinv = [C1  0], (C1, A11) observable;
-    only the observable blocks A11 (d1 x d1), C1 and B1 (the top d1 rows of
-    T B) are kept."""
+    """T A T^-1 = [[A11, 0], [A21, A22]],  C T^-1 = [C1  0], (C1, A11)
+    observable; only the observable blocks A11 (d1 x d1), C1 and B1 (the top
+    d1 rows of T B) are kept."""
     T: np.ndarray
-    Tinv: np.ndarray
     A11: np.ndarray
     C1: np.ndarray
     B1: np.ndarray
 
 
 def staircase(ss: StateSpace) -> StaircaseForm:
-    """Observer staircase form; the coordinate change is computed exactly."""
+    """Observer staircase form, exact, read off the reduced echelon form R
+    of the observability matrix with no inversion.
+
+    With p the pivot columns of R, f the free ones and K the kernel basis
+    (K[p] = -R[:, f], K[f] = I), S = [e_p K] is nonsingular and its inverse
+    is T = [R; e_f^T]: R e_p = I, R K = 0, e_f^T e_p = 0 and e_f^T K = I.
+    So A11 = (R A)[:, p], B1 = R B and C1 = C[:, p], and the zero blocks
+    of the pattern are R A K = 0 and C K = 0, checked exactly."""
     d = ss.d
     if d == 0:
         z = np.zeros((0, 0))
-        return StaircaseForm(z, z, z, np.zeros((ss.n, 0)), np.zeros((0, ss.n)))
+        return StaircaseForm(z, z, np.zeros((ss.n, 0)), np.zeros((0, ss.n)))
     rref, pivots = _frref(observability_matrix(ss))
-    ker = _rref_kernel(rref, pivots, d)  # d x (d - d1)
     d1 = len(pivots)
-    # complete the kernel basis to a nonsingular S = [S1 ker]: e_j is
-    # independent of the kernel and of the e_p picked before it exactly when
-    # column j of the observability matrix is a pivot
-    S_cols = [[ker[i][j] for i in range(d)] for j in range(d - d1)]
-    chosen = [[Fraction(int(i == j)) for i in range(d)] for j in pivots]
-    cols = chosen + S_cols
-    S = [[cols[c][r] for c in range(d)] for r in range(d)]
-    T = _finverse(S)
-    At = _fmatmul(_fmatmul(T, ss.A_exact), S)
-    Ct = _fmatmul(ss.C_exact, S)
-    Bt = _fmatmul(T, ss.B_exact)
-    # exact zero checks of the staircase pattern
-    for i in range(d1):
-        for j in range(d1, d):
-            if At[i][j] != 0:
-                raise AssertionError("staircase block (1,2) not zero")
-    for i in range(ss.n):
-        for j in range(d1, d):
-            if Ct[i][j] != 0:
-                raise AssertionError("staircase C block not zero")
+    R = rref[:d1]
+    K = _rref_kernel(rref, pivots, d)  # d x (d - d1)
+    RA = _fmatmul(R, ss.A_exact)
+    if any(any(row) for row in _fmatmul(RA, K)):
+        raise AssertionError("staircase block (1,2) not zero")
+    if any(any(row) for row in _fmatmul(ss.C_exact, K)):
+        raise AssertionError("staircase C block not zero")
+    T = R + [[Fraction(int(i == j)) for i in range(d)]
+             for j in range(d) if j not in pivots]
     f = lambda g: np.array([[float(x) for x in row] for row in g]) if g else np.zeros((0, 0))
-    Tn = f(T)
     return StaircaseForm(
-        T=Tn, Tinv=f(S),
-        A11=f([r[:d1] for r in At[:d1]]).reshape(d1, d1),
-        C1=f([r[:d1] for r in Ct]).reshape(ss.n, d1),
-        B1=f(Bt[:d1]).reshape(d1, ss.n),
+        T=f(T),
+        A11=f([[row[j] for j in pivots] for row in RA]).reshape(d1, d1),
+        C1=f([[row[j] for j in pivots] for row in ss.C_exact]).reshape(ss.n, d1),
+        B1=f(_fmatmul(R, ss.B_exact)).reshape(d1, ss.n),
     )
 
 

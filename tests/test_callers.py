@@ -9,7 +9,12 @@ comprehension target), or in a function nested in one, is that local and
 refers to nothing at module level.  A dataclass field counts as
 read when some such module loads an attribute of its name.  The match is
 by bare name, so a method is called, or a field read, as soon as any
-attribute of that name is read.  What is only exported, or only reached by
+attribute of that name is read.  Where several classes define a member of
+the same name, that match cannot tell them apart, so `SHARED` lists every
+such name with its owners, each with the read in the package found for
+it by hand from the receiver's type, or None; a None owner
+counts as unread, and a name that comes to be shared by a new owner fails
+the test until the table has it.  What is only exported, or only reached by
 the tests or the benchmark, needs a line in `ALLOWED` that says why it
 stays; a function that nothing calls belongs in the tests, as a reference,
 or nowhere, and a field that nothing reads belongs nowhere.
@@ -37,6 +42,7 @@ ALLOWED = {
     "certificate.RationalMatrix.eval": "evaluates the public Z of a Certificate",
     "certificate.are_solve": "the public Riccati solve of a StateSpace; certify calls _are_solve",
     "certificate.remark61_solve": SPANNED,
+    "polymatrix.PolyMat.is_zero": "the zero test of the PolyMat ring, as Poly.is_zero; only the tests read it",
     "poly.TwoVarPoly.eval": QDF,
     "poly.TwoVarPoly.mul_xi_plus_eta": QDF,
     "poly.bdf_phi": QDF,
@@ -46,15 +52,59 @@ ALLOWED = {
     "prpair.axis_psd": SPANNED + "; specfact reads _axis_violation for its witness",
     "prpair.check_condition1": SPANNED,
     "prpair.check_condition3": SPANNED,
+    "signals.Signal.constant": SIGNAL,
     "signals.Signal.cosine": SIGNAL,
     "signals.Signal.deriv": SIGNAL + ": the k-th derivative",
     "signals.Signal.exponential": SIGNAL,
     "signals.Signal.monomial": SIGNAL,
     "signals.Signal.scale": SIGNAL + ": a constant multiple",
     "signals.Signal.sine": SIGNAL,
+    "signals.Signal.zero": SIGNAL,
+    "statespace.StaircaseForm.T": DIAGNOSTIC,
+    "statespace.StorageCheck.ok": "the verdict of storage_check, which the corpus-certify benchmark reads",
     "statespace.StorageCheck.dissipation_slack": DIAGNOSTIC,
     "statespace.StorageCheck.identity_residual": DIAGNOSTIC,
     "statespace.storage_check": "exported; the corpus-certify benchmark calls it",
+}
+
+SHARED = {
+    "T": {"numeric.SpectralSplit": "certificate._lure_triple: split.T",
+          "polymatrix.PolyMat": "behavior.passive_partition: T1.T",
+          "statespace.StaircaseForm": None},
+    "U": {"behavior.Decomposition": "behavior.Decomposition.__post_init__: self.U",
+          "polymatrix.EchelonResult": "behavior.decompose: res.U"},
+    "X": {"behavior.Decomposition": "behavior.coupling_condition_direct: dec.X",
+          "certificate.AREResult": "certificate._deflate: _are_solve(...).X",
+          "certificate.Certificate": "jsonio.certificate_json: cert.X"},
+    "Z": {"certificate.Certificate": "jsonio.certificate_json: cert.Z",
+          "certificate.SpectralFactor": "cli.cmd_specfact: sf.Z"},
+    "coeff": {"poly.Poly": "polymatrix._leading_rows: e.coeff(d)",
+              "poly.TwoVarPoly": "poly.TwoVarPoly.__add__: self.coeff"},
+    "constant": {"poly.Poly": "jsonio.parse_poly: Poly.constant",
+                 "polymatrix.PolyMat": "statespace.realize_statespace: PolyMat.constant",
+                 "signals.Signal": None},
+    "derivative": {"poly.Poly": "numeric.roots: f.derivative()",
+                   "signals.Atom": "signals.Signal.derivative: a.derivative()",
+                   "signals.Signal": "signals.Signal.deriv: s.derivative()"},
+    "detail": {"prpair.CondVerdict": "jsonio.verdict_json: c.detail",
+               "prpair.Witness": "jsonio.witness_json: w.detail"},
+    "eval": {"certificate.RationalMatrix": None, "poly.TwoVarPoly": None},
+    "eval_complex": {"poly.Poly": "numeric._newton_polish: f.eval_complex(z)",
+                     "polymatrix.PolyMat": "prpair.pr_form: P.eval_complex(lam)"},
+    "is_zero": {"poly.Poly": "prpair._condition1: dpq.is_zero",
+                "poly.TwoVarPoly": "poly.TwoVarPoly.__repr__: self.is_zero",
+                "polymatrix.PolyMat": None},
+    "ok": {"polymatrix.FullRankResult": "prpair.check_condition2: res.ok",
+           "statespace.StorageCheck": None},
+    "star": {"poly.Poly": "prpair._pr_density: Phi[i][j].star()",
+             "polymatrix.PolyMat": "behavior.coupling_condition_direct: dec.M.star()"},
+    "status": {"certificate.CertifyResult": "cli.cmd_certify: res.status",
+               "prpair.CondVerdict": "cli.cmd_check_pair: verdict.cond1.status"},
+    "witnesses": {"polymatrix.FullRankResult": "prpair.check_condition2: res.witnesses",
+                  "prpair.CondVerdict": "jsonio.verdict_json: c.witnesses"},
+    "x": {"poly.Poly": "cli.cmd_selftest: Poly.x()",
+          "statespace.Trajectory": "cli.cmd_simulate: traj.x"},
+    "zero": {"poly.Poly": "behavior._selector: Poly.zero()", "signals.Signal": None},
 }
 
 ALLOWED_UNREAD = {
@@ -135,8 +185,37 @@ def uncalled_definitions(trees: dict[str, ast.Module]) -> set[str]:
     return out
 
 
+def shared_members(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Each non-dunder method or dataclass field name that more than one
+    class of the package defines, with the classes that define it."""
+    owners: dict[str, set[str]] = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = [m.name for m in node.body
+                     if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not _is_dunder(m.name)]
+            if _is_dataclass(node):
+                names += [m.target.id for m in node.body
+                          if isinstance(m, ast.AnnAssign)
+                          and isinstance(m.target, ast.Name)]
+            for name in names:
+                owners.setdefault(name, set()).add(f"{mod}.{node.name}")
+    return {name: own for name, own in owners.items() if len(own) > 1}
+
+
+def test_shared_member_names_are_reviewed():
+    assert shared_members(package_trees()) == {
+        name: set(owners) for name, owners in SHARED.items()}
+    assert all(r is None or r.strip() and "\n" not in r
+               for owners in SHARED.values() for r in owners.values())
+
+
 def test_every_definition_has_a_caller_or_a_reason():
-    uncalled = uncalled_definitions(package_trees())
+    uncalled = uncalled_definitions(package_trees()) | {
+        f"{owner}.{name}" for name, owners in SHARED.items()
+        for owner, read in owners.items() if read is None}
     assert sorted(uncalled - ALLOWED.keys()) == [], "no caller or reader in src/passlab"
     assert sorted(ALLOWED.keys() - uncalled) == [], "called: drop the entry"
     assert all(r.strip() and "\n" not in r for r in ALLOWED.values())

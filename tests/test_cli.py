@@ -546,6 +546,23 @@ def _fresh_run(argvs):
     return res["codes"], set(res["scipy"])
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["certify", "check-pair"])
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_reader_exits_3_without_traceback(self, files, command,
+                                                      unbuffered):
+        # the reader closes its end before the report is written, so every
+        # write to stdout fails with EPIPE, buffered or not
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "passlab.cli", command, files["uncont"]],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 3
+        assert err == ""
+
+
 class TestLazyScipy:
     def test_import_loads_no_scipy(self):
         assert _fresh_run([]) == ([], set())

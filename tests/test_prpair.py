@@ -124,6 +124,26 @@ class TestCondition1:
                             "zeros of det(P+Q): -1e-300+0j (axis)")
         assert check_pair(P, Q).overall == INCONCLUSIVE
 
+    def test_detail_follows_the_rank_condition_status(self):
+        # the common factor h = q s - q - 1 (q the prime of `shown_coprime`)
+        # puts a zero of det(P+Q) near 1 where the float view of [P -Q] sees
+        # no rank drop: condition 2 is inconclusive, not failed.  A pair
+        # that shares the factor s - 2 fails condition 2.
+        q = passlab.poly._SQUAREFREE_PRIME
+        h = q * S - q - 1
+        tail = "; condition 1 is not decided separately"
+        v = check_pair(PolyMat([[h * (q * S + 1)]]), PolyMat([[h * (S + 1)]]))
+        assert (v.cond1.status, v.cond2.status) == (INCONCLUSIVE, INCONCLUSIVE)
+        assert v.cond1.detail == ("det(P+Q) vanishes on the closed right "
+                                  "half-plane where the rank condition is "
+                                  "undecided" + tail)
+        v = check_pair(PolyMat([[(S - 2) * (S + 2)]]),
+                       PolyMat([[(S - 2) * (S + 1)]]))
+        assert (v.cond1.status, v.cond2.status) == (INCONCLUSIVE, FAIL)
+        assert v.cond1.detail == ("det(P+Q) vanishes on the closed right "
+                                  "half-plane where the rank condition "
+                                  "already fails" + tail)
+
     @pytest.mark.parametrize("eps", [Fraction(1, 10**9), Fraction(1, 10**12)])
     def test_witness_only_right_of_the_axis(self, eps):
         # G = 1 + eps/s is passive; det(P+Q) = 2s + eps vanishes at -eps/2,
@@ -158,8 +178,7 @@ class TestCondition1SamplingOracle:
         checked_pass = checked_fail = 0
         while checked_pass < 12 or checked_fail < 12:
             P, Q = rand_fullrank_pair(rng, rng.randint(1, 2), 2)
-            c2 = check_condition2(P, Q)
-            v = check_condition1(P, Q, cond2=c2)
+            v = check_condition1(P, Q)
             if v.status == PASS:
                 worst = min(np.linalg.eigvalsh(
                     (pr_form(P, Q, z) + pr_form(P, Q, z).conj().T) / 2)[0]
@@ -412,7 +431,7 @@ class TestCheckPairSharesDensity:
         statuses = set()
         for P, Q in pairs:
             c2 = check_condition2(P, Q)
-            want = (check_condition1(P, Q, cond2=c2), c2, check_condition3(P, Q))
+            want = (check_condition1(P, Q), c2, check_condition3(P, Q))
             v = check_pair(P, Q)
             assert (v.cond1, v.cond2, v.cond3) == want
             statuses.add(v.cond3.status)

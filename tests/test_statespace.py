@@ -510,7 +510,8 @@ class TestStaircase:
         assert st2.A11.shape == (1, 1)
         # reconstruct the block pattern
         d = 2
-        T, Ti = st2.T, st2.Tinv
+        T = st2.T
+        Ti = np.linalg.inv(T)
         At = T @ np.array([[-1.0, 0], [0, -2]]) @ Ti
         assert abs(At[0, 1]) < 1e-12
         Ct = np.array([[1.0, 0]]) @ Ti
