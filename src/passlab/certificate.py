@@ -54,8 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .numeric import (ARE_POLISH_ABS, ARE_RESIDUAL_FLOOR, AXIS, DEFAULT_TOL,
                       DEFLATE_RTOL, EIGVEC_COND_MAX, FACTOR_RANK_RTOL,
                       FACTOR_RESIDUAL_RTOL, MODE_RANK_RTOL, NEWTON_MIN_STEP,

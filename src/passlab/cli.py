@@ -16,9 +16,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .behavior import (DecompositionError, NotPositiveRealError,
                        coupling_condition_direct, decompose, passive_partition)
 from .certificate import (CertificateVerificationError, FactorizationError,
@@ -26,7 +25,7 @@ from .certificate import (CertificateVerificationError, FactorizationError,
                           certificate_status_exit, construct_certificate,
                           spectral_factor_poly, verify_certificate)
 from .jsonio import (InputError, certificate_json, dumps, fnum, frac_str,
-                     load_document, load_system, matrix_json, parse_cert,
+                     grid_json, load_document, load_system, parse_cert,
                      parse_polymat, parse_ss, polymat_json, rational_matrix_json,
                      verdict_json)
 from .numeric import DEFAULT_TOL, Tolerance
@@ -139,8 +138,9 @@ def cmd_realize(args) -> int:
     except RealizationError as e:
         _emit(args, {"error": str(e)})
         return EXIT_NEGATIVE
-    _emit(args, {"A": matrix_json(ss.A), "B": matrix_json(ss.B),
-                 "C": matrix_json(ss.C), "D": matrix_json(ss.D), "kind": "ss"})
+    _emit(args, {"A": grid_json(ss.A_exact), "B": grid_json(ss.B_exact),
+                 "C": grid_json(ss.C_exact), "D": grid_json(ss.D_exact),
+                 "kind": "ss"})
     return EXIT_OK
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .poly import Poly
 from .polymatrix import PolyMat
 from .statespace import StateSpace
@@ -149,6 +148,11 @@ def fnum(x: float):
 
 def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def grid_json(G) -> list:
+    """An exact grid (rows of Fractions) as rows of "num/den" strings."""
+    return [[frac_str(x) for x in row] for row in G]
 
 
 def poly_json(p: Poly) -> list[str]:

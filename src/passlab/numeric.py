@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from math import inf
 
-import numpy as np
-
+from ._numpy import np
 from .poly import Poly, squarefree_part
 
 OPEN_LHP = "open-lhp"
@@ -50,15 +50,15 @@ class Tolerance:
     |Re z| <= axis_band (1 + |z|) (`region_of`), a Hermitian H is PSD when
     its least eigenvalue is at least psd_floor(|H|) = -psd_tol (1 + |H|),
     and an equation holds when its residual is at most residual_tol times
-    1 + the norm of its data."""
+    1 + the norm of its data.  Each is a nonnegative, finite float."""
     axis_band: float = 1e-9
     psd_tol: float = 1e-9
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(t >= 0 for t in (self.axis_band, self.psd_tol,
-                                    self.residual_tol)):  # also rejects NaN
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0 <= t < inf for t in (self.axis_band, self.psd_tol,
+                                          self.residual_tol)):  # also rejects NaN
+            raise ValueError("tolerances must be nonnegative and finite")
 
     def psd_floor(self, scale: float) -> float:
         return -self.psd_tol * (1.0 + scale)
@@ -197,8 +197,6 @@ def zeros_left_of_band(p: Poly, tol: Tolerance = DEFAULT_TOL) -> bool:
     d = len(num) - 1
     if d == 0:
         return True
-    if not np.isfinite(tol.axis_band):
-        return False
     # the width ROBUST_BAND_SCALE axis_band (1 + 2^e) as the exact ratio w / v
     (sn, sd), (bn, bd) = (ROBUST_BAND_SCALE.as_integer_ratio(),
                           tol.axis_band.as_integer_ratio())

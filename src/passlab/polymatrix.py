@@ -41,8 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-import numpy as np
-
+from ._numpy import np
 from .numeric import DEFAULT_TOL, Tolerance, closed_rhp
 from .numeric import roots as numeric_roots
 from .poly import NEG_INF, Poly, _lowest

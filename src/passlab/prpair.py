@@ -65,8 +65,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
+from ._numpy import np
 from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
                       closed_rhp, hermitian_psd, rank_cut, region_of,
                       zeros_left_of_band)

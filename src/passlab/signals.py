@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 
 @dataclass(frozen=True)

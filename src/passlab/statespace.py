@@ -7,21 +7,23 @@ dynamics (as common polynomial factors), and converting a proper pair back
 produces a state-space system whose external behavior is the kernel of the
 pair, not merely a system with the same transfer function.  Rank decisions
 (staircase, Krylov rows) are exact over the rationals; float inputs are
-taken at face value as exact binary rationals.  The observer staircase
-inverts nothing: the reduced echelon form of the observability matrix,
-stacked on unit rows at its free columns, is already the inverse of the
-basis that completes its kernel, and the blocks are read off it.
+taken at face value as exact binary rationals.  The exact grids are a
+`StateSpace`'s data, and its float arrays are built on first use.  The
+observer staircase inverts nothing: the reduced echelon form of the
+observability matrix, stacked on unit rows at its free columns, is already
+the inverse of the basis that completes its kernel, and the blocks are read
+off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import isfinite, lcm
 from operator import mul
 
-import numpy as np
-
+from ._numpy import np
 from .numeric import STORAGE_RTOL
 from .poly import Poly, _lowest
 from .polymatrix import (PolyMat, _finverse, _fmatmul, _frref, _irref,
@@ -37,28 +39,43 @@ class RealizationError(Exception):
 
 def _to_grid(M) -> list[list[Fraction]]:
     """Normalize scalars / nested sequences / numpy arrays to a Fraction grid.
-    float entries convert exactly (binary expansion)."""
-    if isinstance(M, np.ndarray):
+    float entries convert exactly (binary expansion).  Lists and tuples are
+    tested first, so that exact input never loads numpy."""
+    if isinstance(M, (int, float, Fraction, str)):
+        return [[Fraction(M)]]
+    if not isinstance(M, (list, tuple)) and isinstance(M, np.ndarray):
         if M.ndim == 0:
             return [[Fraction(float(M))]]
         if M.ndim == 1:
             return [[Fraction(float(x))] for x in M]
         return [[Fraction(float(x)) for x in row] for row in M]
-    if isinstance(M, (int, float, Fraction, str)):
-        return [[Fraction(M)]]
     return [[Fraction(x) for x in row] for row in M]
 
 
 # -- the state-space container ------------------------------------------------------
 
 
+def _is_finite(x: Fraction) -> bool:
+    try:
+        return isfinite(float(x))
+    except OverflowError:  # an exact entry beyond the float range
+        return False
+
+
+def _float_view(grid, cols: int) -> np.ndarray:
+    """The rows of exact entries as a float array with `cols` columns."""
+    return np.array([[float(x) for x in row] for row in grid],
+                    dtype=float).reshape(len(grid), cols)
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """dx/dt = A x + B u,  y = C x + D u, with n inputs, n outputs, d states."""
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    """dx/dt = A x + B u,  y = C x + D u, with n inputs, n outputs, d states.
+
+    The data are the exact rational grids A_exact ... D_exact (tuples of
+    tuples of Fraction), so equal systems compare and hash equal.  The
+    float arrays A ... D are a view of them, built on first use: exact
+    work on a system never computes them, nor loads numpy."""
     A_exact: tuple
     B_exact: tuple
     C_exact: tuple
@@ -75,32 +92,34 @@ class StateSpace:
             raise ValueError("B must be d x n")
         if len(Cg) != n or (n and any(len(r) != d for r in Cg)):
             raise ValueError("C must be n x d")
-
-        def dense(grid, r, c):
-            out = np.zeros((r, c))
-            for i, row in enumerate(grid):
-                for j, x in enumerate(row):
-                    try:
-                        v = float(x)
-                    except OverflowError:  # an exact entry beyond the float range
-                        v = float("inf")
-                    if not np.isfinite(v):
-                        raise ValueError("non-finite entry in state-space data")
-                    out[i, j] = v
-            return out
-
+        if not all(_is_finite(x) for g in (Ag, Bg, Cg, Dg) for row in g for x in row):
+            raise ValueError("non-finite entry in state-space data")
         tup = lambda g: tuple(tuple(row) for row in g)
-        return StateSpace(dense(Ag, d, d), dense(Bg, d, n),
-                          dense(Cg, n, d), dense(Dg, n, n),
-                          tup(Ag), tup(Bg), tup(Cg), tup(Dg))
+        return StateSpace(tup(Ag), tup(Bg), tup(Cg), tup(Dg))
 
     @property
     def d(self) -> int:
-        return self.A.shape[0]
+        return len(self.A_exact)
 
     @property
     def n(self) -> int:
-        return self.D.shape[0]
+        return len(self.D_exact)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _float_view(self.A_exact, self.d)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _float_view(self.B_exact, self.n)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return _float_view(self.C_exact, self.d)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _float_view(self.D_exact, self.n)
 
 
 def shifted_solve(A: np.ndarray, B: np.ndarray, zs) -> np.ndarray:
@@ -205,12 +224,11 @@ def staircase(ss: StateSpace) -> StaircaseForm:
         raise AssertionError("staircase C block not zero")
     T = R + [[Fraction(int(i == j)) for i in range(d)]
              for j in range(d) if j not in pivots]
-    f = lambda g: np.array([[float(x) for x in row] for row in g]) if g else np.zeros((0, 0))
     return StaircaseForm(
-        T=f(T),
-        A11=f([[row[j] for j in pivots] for row in RA]).reshape(d1, d1),
-        C1=f([[row[j] for j in pivots] for row in ss.C_exact]).reshape(ss.n, d1),
-        B1=f(_fmatmul(R, ss.B_exact)).reshape(d1, ss.n),
+        T=_float_view(T, d),
+        A11=_float_view([[row[j] for j in pivots] for row in RA], d1),
+        C1=_float_view([[row[j] for j in pivots] for row in ss.C_exact], d1),
+        B1=_float_view(_fmatmul(R, ss.B_exact), ss.n),
     )
 
 

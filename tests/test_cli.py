@@ -86,18 +86,29 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "pair"
 
-    def test_realize_pair_with_hidden_mode_round_trips(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pair, ss, back", [
         # P = s^2 + 5s + 6, Q = s^2 + 4s + 3 share the hidden mode s + 3
-        pair = {"P": [[["6", "5", "1"]]], "Q": [[["3", "4", "1"]]],
-                "kind": "pair"}
+        ({"P": [[["6", "5", "1"]]], "Q": [[["3", "4", "1"]]]}, None, None),
+        # P = 3s + 4, Q = 3s + 1: A = -1/3 has no exact 12-digit float, and
+        # the pair comes back with Q monic
+        ({"P": [[["4", "3"]]], "Q": [[["1", "3"]]]},
+         {"A": [["-1/3"]], "B": [["3"]], "C": [["1/3"]], "D": [["1"]]},
+         {"P": [[["4/3", "1"]]], "Q": [[["1/3", "1"]]]}),
+    ], ids=["hidden-mode", "thirds"])
+    def test_realize_pair_with_hidden_mode_round_trips(self, tmp_path, capsys,
+                                                       pair, ss, back):
+        pair = dict(pair, kind="pair")
         p = tmp_path / "hidden.json"
         p.write_text(json.dumps(pair))
         assert main(["realize", str(p)]) == 0
-        ss = json.loads(capsys.readouterr().out)
-        assert ss["kind"] == "ss"
-        p.write_text(json.dumps(ss))
+        out = json.loads(capsys.readouterr().out)
+        assert out["kind"] == "ss"
+        if ss is not None:
+            assert out == dict(ss, kind="ss")
+        p.write_text(json.dumps(out))
         assert main(["realize", str(p)]) == 0
-        assert json.loads(capsys.readouterr().out) == pair
+        assert json.loads(capsys.readouterr().out) == (
+            pair if back is None else dict(back, kind="pair"))
 
     @pytest.mark.parametrize("P, Q, reason", [
         ([[["0", "1"]]], [[["1"]]], "improper"),  # the inductor
@@ -459,7 +470,8 @@ class TestErrorExitCodes:
         assert json.loads(capsys.readouterr().out) == {
             "error": "RuntimeError: boom", "status": "internal-error"}
 
-    @pytest.mark.parametrize("flag", ["--tol-axis=-1", "--tol-psd=nan"])
+    @pytest.mark.parametrize("flag", ["--tol-axis=-1", "--tol-psd=nan",
+                                      "--tol-axis=inf", "--tol-psd=inf"])
     def test_bad_tolerance_is_input_error(self, files, capsys, flag):
         assert main(["check-pair", files["good_pair"], flag]) == 2
         assert "tolerances must be nonnegative" in capsys.readouterr().err
@@ -532,18 +544,22 @@ for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] == "scipy")}))
+                                  if m.split(".")[0] == "scipy"),
+                  "numpy": any(m in sys.modules
+                               for m in ("numpy._core", "numpy.core"))}))
 """
 
 
 def _fresh_run(argvs):
-    """Exit codes and loaded scipy modules of `argvs`, run in order in one
-    fresh interpreter."""
+    """Exit codes, loaded scipy modules and whether numpy was loaded, of
+    `argvs` run in order in one fresh interpreter.  A lazily imported numpy
+    is in sys.modules before it loads, so its core module (numpy.core
+    before numpy 2) is what shows the load."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     res = json.loads(proc.stdout)
-    return res["codes"], set(res["scipy"])
+    return res["codes"], set(res["scipy"]), res["numpy"]
 
 
 class TestClosedStdout:
@@ -565,10 +581,10 @@ class TestClosedStdout:
 
 class TestLazyScipy:
     def test_import_loads_no_scipy(self):
-        assert _fresh_run([]) == ([], set())
+        assert _fresh_run([])[:2] == ([], set())
 
     def test_exact_commands_load_no_scipy(self, files):
-        codes, scipy = _fresh_run([
+        codes, scipy, _ = _fresh_run([
             ["check-pair", files["good_pair"]],
             ["check-pair", files["rc"]],
             ["partition", files["transformer"]],
@@ -582,7 +598,7 @@ class TestLazyScipy:
 
     def test_riccati_certify_loads_no_scipy(self, files):
         # D + D^T > 0: the Riccati route certifies, and verify-cert checks it
-        codes, scipy = _fresh_run([
+        codes, scipy, _ = _fresh_run([
             ["certify", files["rc"]],
             ["verify-cert", "--ss", files["rc"], "--cert", files["cert"]],
         ])
@@ -594,7 +610,35 @@ class TestLazyScipy:
         cap = files["tmp"] / "capacitor.json"
         cap.write_text(json.dumps({"kind": "ss", "A": [[0]], "B": [[1]],
                                    "C": [[1]], "D": [[0]]}))
-        codes, scipy = _fresh_run([["certify", str(cap)]])
+        codes, scipy, _ = _fresh_run([["certify", str(cap)]])
         assert codes == [0]
         assert "scipy.linalg" in scipy
         assert not any(m.startswith("scipy.integrate") for m in scipy)
+
+
+class TestLazyNumpy:
+    def test_import_loads_no_numpy(self):
+        assert _fresh_run([]) == ([], set(), False)
+
+    def test_exact_commands_load_no_numpy(self, files):
+        codes, _, numpy = _fresh_run([
+            ["check-pair", files["good_pair"]],
+            ["check-pair", files["rc"]],
+            ["partition", files["transformer"]],
+            ["decompose", files["good_pair"]],
+            ["realize", files["rc"]],
+            ["realize", files["good_pair"]],
+        ])
+        assert codes == [0] * 6
+        assert numpy is False
+
+    @pytest.mark.parametrize("command, code", [
+        (["check-pair", "uncont_pair"], 1),  # the witness is a float point
+        (["certify", "rc"], 0),
+        (["specfact", "--ss", "rc"], 0),
+    ])
+    def test_float_commands_load_numpy(self, files, command, code):
+        # so that the test above cannot pass for want of a numpy probe
+        codes, _, numpy = _fresh_run([command[:-1] + [files[command[-1]]]])
+        assert codes == [code]
+        assert numpy is True

@@ -443,6 +443,34 @@ class TestRealizeStateSpace:
         assert len(counts) == 3 and min(counts.values()) >= 50, counts
 
 
+class TestContainer:
+    def test_equal_systems_compare_and_hash_equal(self):
+        # the same d = 2 system from ints, exact strings and a float array
+        a = StateSpace.from_arrays([[-1, 0], [0, -2]], [[1], [1]], [[1, 1]], [[1]])
+        b = StateSpace.from_arrays(["-1 0".split(), ["0", "-2"]], ((1,), (1,)),
+                                   np.array([[1.0, 1.0]]), 1)
+        c = StateSpace.from_arrays([[-1, 0], [0, -3]], [[1], [1]], [[1, 1]], [[1]])
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+
+    def test_float_view_is_built_once_on_demand(self):
+        ss = StateSpace.from_arrays([[Fraction(-1, 3), 0], [0, -2]], [[1], [1]],
+                                    [[1, 1]], [[1]])
+        assert "A" not in vars(ss)
+        assert ss.A is ss.A
+        assert ss.A.tolist() == [[-1 / 3, 0.0], [0.0, -2.0]]
+        assert [M.shape for M in (ss.B, ss.C, ss.D)] == [(2, 1), (1, 2), (1, 1)]
+        static = StateSpace.from_arrays([], [], [[], []], [[1, 0], [0, 1]])
+        assert [M.shape for M in (static.A, static.B, static.C, static.D)] == [
+            (0, 0), (0, 2), (2, 0), (2, 2)]
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(-(10**400), 3)])
+    def test_non_finite_entry_is_refused_at_once(self, big):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            StateSpace.from_arrays([[-1]], [[1]], [[big]], [[1]])
+
+
 class TestResolvent:
     @staticmethod
     def check(A):
