@@ -251,7 +251,7 @@ class Poly:
 
     def star(self) -> "Poly":
         """p*(s) = p(-s): negate every odd numerator."""
-        return _raw(tuple(-c if k & 1 else c for k, c in enumerate(self.num)),
+        return _raw(tuple([-c if k & 1 else c for k, c in enumerate(self.num)]),
                     self.den)
 
     def real_on_axis(self) -> "Poly":

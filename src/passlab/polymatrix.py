@@ -2,13 +2,14 @@
 
 Dense matrices with `Poly` entries.  Everything here is exact: unimodular
 row/column echelon reductions, the inverse of a unimodular matrix (one more
-echelon pass), fraction-free Bareiss determinants, the characteristic
-polynomial by Berkowitz's division-free algorithm and the adjugate from its
-coefficients by Cayley-Hamilton, the normal rank from exact ranks of
-constant matrices M(lam), syzygy bases, right-divisibility, the
-max-degree-of-full-size-minors functional `delta` (kept as the reference
-for properness, which callers read from leading row coefficients), and
-constant-rank tests over a region of the complex plane.
+echelon pass), products, fraction-free Bareiss determinants and the
+characteristic polynomial by Berkowitz's division-free algorithm (these
+three on integer coefficient lists, through one row-by-column convolution,
+`_dot`), the adjugate from its coefficients by Cayley-Hamilton, the normal
+rank from exact ranks of constant matrices M(lam), syzygy bases,
+right-divisibility, the max-degree-of-full-size-minors functional `delta`
+(kept as the reference for properness, which callers read from leading row
+coefficients), and constant-rank tests over a region of the complex plane.
 The dense rational-matrix helpers (`_frref` and the rank, kernel, inverse
 and product built on it) live here too; their elimination, `_irref`, runs
 on integer rows, and `normalrank` and `statespace.realize_behavior` reuse
@@ -38,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from ._numpy import np
 from .numeric import DEFAULT_TOL, Tolerance, closed_rhp
 from .numeric import roots as numeric_roots
-from .poly import NEG_INF, Poly, _lowest
+from .poly import NEG_INF, Poly, _lowest, _pseudo_divmod
 
 
 class PolyMat:
@@ -185,20 +186,15 @@ class PolyMat:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "PolyMat") -> "PolyMat":
+        """Each row of self and column of other is scaled to integers once,
+        and each entry is one `_dot`, brought to lowest terms once."""
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        ot = other.transpose().entries
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in ot:
-                acc = Poly.zero()
-                for a, b in zip(row, col):
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMat(out, cols=other.cols)
+        rows = [_int_polys(row) for row in self.entries]
+        cols = [_int_polys(row[j] for row in other.entries)
+                for j in range(other.cols)]
+        return PolyMat([[_lowest(_dot(r, c), dr * dc) for c, dc in cols]
+                        for r, dr in rows], cols=other.cols)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -223,7 +219,10 @@ class PolyMat:
 
     def det(self) -> Poly:
         """Exact determinant: closed forms for n <= 2, fraction-free Bareiss
-        elimination (exact divisions) above that."""
+        elimination (Math. Comp. 22, 1968) above that, on integer lists: row
+        i is scaled to integers over the lcm d_i of its denominators, so each
+        intermediate is a minor in Z[s] and each division by the previous
+        pivot is exact; det is the last pivot over the product of the d_i."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -235,33 +234,29 @@ class PolyMat:
             a, b = self.entries[0]
             c, d = self.entries[1]
             return a * d - b * c
-        return self._det_bareiss()
-
-    def _det_bareiss(self) -> Poly:
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        prev = Poly.one()
+        scaled = [_int_polys(row) for row in self.entries]
+        m = [row for row, _ in scaled]
+        prev = [1]
         sign = 1
         for k in range(n - 1):
             # smallest-degree nonzero pivot limits coefficient growth
             piv = None
             for i in range(k, n):
-                if not m[i][k].is_zero:
-                    if piv is None or m[i][k].degree < m[piv][k].degree:
-                        piv = i
+                if m[i][k] and (piv is None or len(m[i][k]) < len(m[piv][k])):
+                    piv = i
             if piv is None:
                 return Poly.zero()
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
-            for i in range(k + 1, n):
+            rk = m[k]
+            for ri in m[k + 1:]:
+                pair = (rk[k], [-x for x in ri[k]])
                 for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num // prev  # exact in the Bareiss scheme
-                m[i][k] = Poly.zero()
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return d if sign == 1 else -d
+                    ri[j] = _pseudo_divmod(_dot(pair, (ri[j], rk[j])), prev)[0]
+            prev = rk[k]
+        den = prod(d for _, d in scaled)
+        return _lowest([sign * x for x in m[n - 1][n - 1]], den)
 
     def adjugate(self) -> "PolyMat":
         """Transpose of the cofactor matrix; A @ adj(A) == det(A) * I.
@@ -269,12 +264,13 @@ class PolyMat:
         By Cayley-Hamilton on det(tI - A) = sum_k c_k t^(n - k) (`charpoly`),
         adj(A) = (-1)^(n+1) (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I), taken by
         Horner from A + c_1 I: n - 2 products, O(n^4) ring operations
-        (Kailath, Linear Systems, 1980)."""
+        (Kailath, Linear Systems, 1980).  For n <= 1 it is the identity; the
+        0 x 0 one is empty, as det = 1 and A adj(A) = I_0."""
         if not self.is_square:
             raise ValueError("adjugate of non-square matrix")
         n = self.rows
-        if n == 1:
-            return PolyMat.identity(1)
+        if n <= 1:
+            return PolyMat.identity(n)
 
         def plus_scalar(M: PolyMat, ck: Poly) -> PolyMat:
             return PolyMat([[e + ck if i == j else e for j, e in enumerate(row)]
@@ -295,24 +291,24 @@ def charpoly(M: PolyMat) -> list[Poly]:
     A the leading r x r block of M, R and S the rest of row and column r and
     a = M[r, r], the coefficients for the leading (r + 1) x (r + 1) block are
     the lower-triangular Toeplitz matrix with first column
-    (1, -a, -R S, -R A S, ..., -R A^(r-1) S) times those for A: O(n^4) ring
-    operations over Q[s], no division."""
+    (1, -a, -R S, -R A S, ..., -R A^(r-1) S) times those for A: O(n^4)
+    products of integer coefficient lists.  M is scaled once, by the lcm c
+    of all its denominators, to cM in Z[s]; c_k(M) = c_k(cM) / c^k."""
     if not M.is_square:
         raise ValueError("characteristic polynomial of non-square matrix")
-    a = M.entries
-    c = [Poly.one()]
+    den = lcm(*(e.den for row in M.entries for e in row))
+    a = [[[x * (den // e.den) for x in e.num] for e in row] for row in M.entries]
+    c = [[1]]
     for r in range(M.rows):
-        row = a[r][:r]
-        v = [a[i][r] for i in range(r)]
-        col = [Poly.one(), -a[r][r]]
+        A = [row[:r] for row in a[:r]]
+        v = [row[r] for row in a[:r]]
+        col = [[1], [-x for x in a[r][r]]]
         for k in range(r):
-            col.append(-sum((x * y for x, y in zip(row, v)), Poly.zero()))
+            col.append([-x for x in _dot(a[r][:r], v)])
             if k + 1 < r:
-                v = [sum((x * y for x, y in zip(a[i][:r], v)), Poly.zero())
-                     for i in range(r)]
-        c = [sum((col[i - j] * c[j] for j in range(min(i, r) + 1)), Poly.zero())
-             for i in range(r + 2)]
-    return c
+                v = [_dot(row, v) for row in A]
+        c = [_dot(col[i::-1], c) for i in range(r + 2)]
+    return [_lowest(ck, den ** k) for k, ck in enumerate(c)]
 
 
 # -- exact rational dense linear algebra (small helpers) -------------------------
@@ -437,7 +433,7 @@ def normalrank(M: PolyMat) -> int:
     full = min(M.rows, M.cols)
     if full == 0:
         return 0
-    rows = [_int_polys(row) for row in M.entries]
+    rows = [_int_polys(row)[0] for row in M.entries]
     degs = sorted((max(len(e) for e in row) - 1 for row in rows), reverse=True)
     rank = 0
     for lam in range(sum(max(d, 0) for d in degs[:full]) + 1):
@@ -448,12 +444,32 @@ def normalrank(M: PolyMat) -> int:
     return rank
 
 
-def _int_polys(polys) -> list[list[int]]:
+def _int_polys(polys) -> tuple[list[list[int]], int]:
     """Poly entries as integer coefficient lists (low to high), scaled by
-    the lcm of their denominators."""
+    the lcm of their denominators, and that lcm."""
     polys = list(polys)
     den = lcm(*(e.den for e in polys))
-    return [[x * (den // e.den) for x in e.num] for e in polys]
+    return [[x * (den // e.den) for x in e.num] for e in polys], den
+
+
+def _dot(p, q) -> list[int]:
+    """sum_k p_k(s) q_k(s) on integer coefficient lists (low to high), with
+    no trailing zero."""
+    out: list[int] = []
+    for a, b in zip(p, q):
+        if a and b:
+            if len(a) < len(b):
+                a, b = b, a
+            pad = len(a) + len(b) - 1 - len(out)
+            if pad > 0:
+                out += [0] * pad
+            for i, y in enumerate(b):
+                if y:
+                    for k, x in enumerate(a, i):
+                        out[k] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _horner(c: list[int], lam: int) -> int:
@@ -489,8 +505,9 @@ def _sweep_polys(a: list[list[Poly]], u: list[list[Poly]] | None = None
     one: the exact row that the sweep over Q[s] leaves."""
     width = len(a[0]) if a else 0
     rows = a if u is None else [x + y for x, y in zip(a, u)]
-    ints = [_int_polys(row) for row in rows]
-    mult = [Fraction(lcm(*(e.den for e in row))) for row in rows]
+    scaled = [_int_polys(row) for row in rows]
+    ints = [row for row, _ in scaled]
+    mult = [Fraction(d) for _, d in scaled]
     pivots = _primitive_sweep(ints, width, mult)
     for i, (row, m) in enumerate(zip(ints, mult)):
         num, den = m.numerator, m.denominator
@@ -638,7 +655,7 @@ def minor_gcd(M: PolyMat) -> Poly:
     no multiplier: its pivots are constant multiples of the sweep's over
     Q[s], so the monic product is the same.
     """
-    a = [_int_polys(col) for col in zip(*M.entries)]
+    a = [_int_polys(col)[0] for col in zip(*M.entries)]
     pivots = _primitive_sweep(a, M.rows)
     if len(pivots) < M.rows:
         return Poly.zero()

@@ -63,7 +63,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from ._numpy import np
 from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
@@ -71,8 +71,9 @@ from .numeric import (COUPLING_ROW_FLOOR, DEFAULT_TOL, WITNESS_RTOL, Tolerance,
                       zeros_left_of_band)
 from .numeric import roots as numeric_roots
 from .poly import Poly, _lowest, find_negative_point, shown_coprime
-from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, _int_polys,
-                         charpoly, minor_gcd, rank_drops, syzygy_basis)
+from .polymatrix import (REGION_ALL_C, REGION_CLOSED_RHP, PolyMat, _dot,
+                         _int_polys, charpoly, minor_gcd, rank_drops,
+                         syzygy_basis)
 
 PASS = "pass"
 FAIL = "fail"
@@ -133,16 +134,20 @@ def pr_form(P: PolyMat, Q: PolyMat, lam: complex) -> np.ndarray:
 def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
     """PQ* + QP*, which conditions 1 and 3 both read.  It is X + X* with
     X = PQ*, since (PQ*)* = QP*, so only one product is built, on integers:
-    each row of P and Q is scaled once over the lcm of its denominators, and
-    X_ij = sum_k P_ik(s) Q_jk(-s) is a sum of integer convolutions.  Entry
-    (i, j) is X_ij + X_ji(-s), brought to lowest terms once, and entry (j, i)
-    is its star, since PQ* + QP* is para-Hermitian."""
+    each row of P and Q is scaled once over the lcm of its denominators,
+    each entry of Q is starred once by negating its odd coefficients, and
+    X_ij = sum_k P_ik(s) Q_jk(-s) is one integer `_dot`.  Entry (i, j) is
+    X_ij + X_ji(-s), brought to lowest terms once, and entry (j, i) is its
+    star, since PQ* + QP* is para-Hermitian."""
     n = P.rows
-    ps = [_int_polys(row) for row in P.entries]
-    qs = [_int_polys(row) for row in Q.entries]
-    dp = [lcm(*(e.den for e in row)) for row in P.entries]
-    dq = [lcm(*(e.den for e in row)) for row in Q.entries]
-    X = [[_star_products(pi, qj) for qj in qs] for pi in ps]
+    P_int = [_int_polys(row) for row in P.entries]
+    Q_int = [_int_polys(row) for row in Q.entries]
+    ps = [row for row, _ in P_int]
+    qs = [[[-x if k & 1 else x for k, x in enumerate(e)] for e in row]
+          for row, _ in Q_int]
+    dp = [d for _, d in P_int]
+    dq = [d for _, d in Q_int]
+    X = [[_dot(pi, qj) for qj in qs] for pi in ps]
     Phi = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -156,23 +161,6 @@ def _pr_density(P: PolyMat, Q: PolyMat) -> PolyMat:
             Phi[i][j] = _lowest(out, da * fa)
             Phi[j][i] = Phi[i][j].star()
     return PolyMat(Phi, cols=n)
-
-
-def _star_products(p: list[list[int]], q: list[list[int]]) -> list[int]:
-    """sum_k p_k(s) q_k(-s) on integer coefficient lists, low to high."""
-    out: list[int] = []
-    for a, b in zip(p, q):
-        if not (a and b):
-            continue
-        if len(out) < len(a) + len(b) - 1:
-            out += [0] * (len(a) + len(b) - 1 - len(out))
-        for i, y in enumerate(b):
-            if y:
-                if i & 1:
-                    y = -y
-                for k, x in enumerate(a, i):
-                    out[k] += x * y
-    return out
 
 
 # -- condition 2 -------------------------------------------------------------

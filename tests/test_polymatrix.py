@@ -110,6 +110,12 @@ class TestDet:
                     assert M.det().is_zero
             assert M.adjugate() == adjugate_cofactor(M), (k, M)
 
+    def test_adjugate_of_empty_matrix_is_empty(self):
+        """det of the 0 x 0 matrix is 1, so A adj(A) = I_0: the empty one."""
+        E = PolyMat([], cols=0)
+        assert E.adjugate() == E
+        assert E @ E.adjugate() == PolyMat.identity(0) * E.det()
+
     def test_adjugate_of_non_square_raises(self):
         with pytest.raises(ValueError, match="non-square"):
             PolyMat([[S, S + 1]]).adjugate()
